@@ -1,7 +1,13 @@
 # Convenience wrappers around dune. `make help` lists targets.
 
 .PHONY: all build test bench bench-json bench-baseline bench-check profile \
-	tracedump fmt clean help
+	perfbench tracedump fmt clean help
+
+# perfbench workload, seed and mode (0: end-to-end metrics, 1:
+# per-layer metrics); see BENCHMARK.json
+WORKLOAD ?= lookup-steady
+SEED ?= 1
+TRACE ?= 0
 
 all: build
 
@@ -31,6 +37,12 @@ bench-check:
 profile:
 	dune exec bin/experiments.exe -- fig6 --size quick --profile --manifest run.json
 
+# The repository benchmark on one workload and seed; it builds its own
+# copy of lib/ under perfbench/_work.
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 20 --trace $(TRACE)
+
 tracedump:
 	dune exec bin/tracedump.exe -- --nodes 100 --out trace.jsonl
 
@@ -49,6 +61,7 @@ help:
 	@echo "make bench-baseline regenerate the committed perf baseline"
 	@echo "make bench-check    micro-benchmarks gated against the baseline"
 	@echo "make profile        profiled fig6 quick run + run.json manifest"
+	@echo "make perfbench      benchmark one workload (WORKLOAD= SEED= TRACE=)"
 	@echo "make tracedump      100-node traced churn run + trace summary"
 	@echo "make fmt            dune build @fmt (when .ocamlformat exists)"
 	@echo "make clean          dune clean"

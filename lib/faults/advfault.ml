@@ -32,12 +32,6 @@ let compromise behavior ~addrs () =
     tbl;
   }
 
-let misrouters ~addrs () =
-  compromise { no_behavior with misroute = true } ~addrs ()
-
-let droppers ~addrs () = compromise { no_behavior with drop = true } ~addrs ()
-let poisoners ~addrs () = compromise { no_behavior with poison = true } ~addrs ()
-
 let compose = function
   | [] -> none
   | [ t ] -> t

@@ -47,10 +47,6 @@ val compromise : behavior -> addrs:int list -> unit -> t
 (** Mark [addrs] compromised with [behavior]. Raises [Invalid_argument]
     when the behaviour has no flag set. *)
 
-val misrouters : addrs:int list -> unit -> t
-val droppers : addrs:int list -> unit -> t
-val poisoners : addrs:int list -> unit -> t
-
 val compose : t list -> t
 (** Union; a node compromised by several models merges the flags. *)
 

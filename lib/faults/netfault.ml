@@ -1,6 +1,6 @@
 module Rng = Repro_util.Rng
 
-type verdict = Pass | Lose | Delay of float
+type verdict = Pass | Lose of { uniform : bool } | Delay of float
 
 type t = {
   desc : string;
@@ -21,7 +21,7 @@ let uniform ~rate =
       desc = Printf.sprintf "uniform(%.4g)" rate;
       decide =
         (fun ~rng ~time:_ ~src:_ ~dst:_ ->
-          if Rng.float rng 1.0 < rate then Lose else Pass);
+          if Rng.float rng 1.0 < rate then Lose { uniform = true } else Pass);
     }
 
 let gilbert_elliott ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_good_to_bad
@@ -61,7 +61,7 @@ let gilbert_elliott ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_good_to_bad
         (bad :=
            if !bad then not (Rng.float rng 1.0 < p_bad_to_good)
            else Rng.float rng 1.0 < p_good_to_bad);
-        if lost then Lose else Pass);
+        if lost then Lose { uniform = false } else Pass);
   }
 
 let bursty ~avg_loss ~burst =
@@ -91,7 +91,7 @@ let blackhole ?(symmetric = false) ~links () =
         (if symmetric then "symmetric" else "directional");
     decide =
       (fun ~rng:_ ~time:_ ~src ~dst ->
-        if Hashtbl.mem dead (src, dst) then Lose else Pass);
+        if Hashtbl.mem dead (src, dst) then Lose { uniform = false } else Pass);
   }
 
 let partition ~group_of =
@@ -99,7 +99,7 @@ let partition ~group_of =
     desc = "partition";
     decide =
       (fun ~rng:_ ~time:_ ~src ~dst ->
-        if group_of src <> group_of dst then Lose else Pass);
+        if group_of src <> group_of dst then Lose { uniform = false } else Pass);
   }
 
 let extra_delay d =
@@ -123,7 +123,7 @@ let compose = function
               | [] -> if extra > 0.0 then Delay extra else Pass
               | t :: rest -> (
                   match t.decide ~rng ~time ~src ~dst with
-                  | Lose -> Lose
+                  | Lose _ as v -> v
                   | Pass -> go extra rest
                   | Delay d -> go (extra +. d) rest)
             in

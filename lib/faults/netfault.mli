@@ -21,7 +21,10 @@
 
 type verdict =
   | Pass
-  | Lose
+  | Lose of { uniform : bool }
+      (** drop; [uniform] is true iff the paper's i.i.d. process
+          ({!uniform}) made it, so the network can tell random loss from
+          injected faults without asking which model is installed *)
   | Delay of float  (** deliver, but add this many seconds of latency *)
 
 type t
@@ -30,7 +33,8 @@ val none : t
 (** Always {!Pass}. *)
 
 val uniform : rate:float -> t
-(** I.i.d. Bernoulli loss. [rate] must be in [\[0, 1)]. *)
+(** I.i.d. Bernoulli loss, the only model whose drops carry [uniform =
+    true]. [rate] must be in [\[0, 1)]; rate 0 is {!none}. *)
 
 val gilbert_elliott :
   ?loss_good:float ->

@@ -49,15 +49,16 @@ type action =
   | Adversary of { fraction : float; behavior : Advfault.behavior; duration : float }
       (** compromise this fraction of the currently-active nodes
           (victims drawn from the fault RNG stream) with an adversarial
-          {!Advfault.behavior} for [duration] seconds, then restore them
-          to honesty ([infinity] = never) *)
+          {!Advfault.behavior} for [duration] seconds, then lift it
+          ([infinity] = never). Flags of overlapping episodes merge;
+          each episode lifts only its own *)
   | Sybil_flood of { joiners : int; over : float; lifetime : float }
       (** [joiners] short-lived nodes join spread over [over] seconds
           with identifiers crafted to crowd one victim's leaf set, each
           crashing [lifetime] seconds after its join starts *)
   | Heal
-      (** remove every overlay — link and node — and restore the default
-          base model *)
+      (** end every lasting episode — link, node and adversary — and
+          restore the default base model *)
 
 type event = { time : float; label : string; action : action }
 (** [label] names the fault episode in trace events and recovery
@@ -141,8 +142,8 @@ val sybil_flood :
     (> 0) seconds later. *)
 
 val heal : ?label:string -> float -> event
-(** [heal time] — clear all injected network and node faults at
-    [time]. *)
+(** [heal time] — clear all injected network, node and adversary
+    faults at [time]. *)
 
 val sorted : t -> t
 (** Stable-sorted by time (the order {!Harness.Sim.Live} applies it). *)

@@ -113,6 +113,14 @@ module Active_set = struct
 end
 
 module Live = struct
+  (* a fault that lasts: a link or node overlay, or compromised nodes with
+     their genuine ids (the eclipse audit's ground truth: state entries
+     at such an addr under any other id are forged) *)
+  type episode =
+    | Link of Netfault.t
+    | Node of Nodefault.t
+    | Adversary of Advfault.behavior * (int * Pastry.Nodeid.t) list
+
   type t = {
     config : config;
     engine : Simkit.Engine.t;
@@ -132,15 +140,11 @@ module Live = struct
     mutable next_seq : int;
     mutable join_failures : int;
     mutable lookup_end : float;
-    mutable base_fault : Netfault.t option;
-    mutable overlays : (int * Netfault.t) list; (* overlay id -> fault *)
-    mutable node_overlays : (int * Nodefault.t) list;
-    mutable next_overlay : int;
+    mutable base : Netfault.t; (* config.loss_rate's uniform until Set_base *)
+    mutable episodes : (int * episode) list; (* active, newest first *)
+    mutable next_episode : int;
     crash_times : (int, float) Hashtbl.t; (* addr -> non-graceful crash time *)
     detected : (int, unit) Hashtbl.t; (* crashed addrs already suspected once *)
-    adversaries : (int, Pastry.Nodeid.t) Hashtbl.t;
-    (* compromised addr -> its genuine id (ground truth for the eclipse
-       audit: state entries at that addr under any other id are forged) *)
     mutable deliver_hooks : (Node.t -> M.lookup -> unit) list;
     mutable forward_hooks :
       (Node.t -> prev:Pastry.Peer.t option -> M.lookup -> Node.forward_decision) list;
@@ -214,7 +218,7 @@ module Live = struct
     in
     let endpoint_of addr = addr mod n_endpoints in
     let net =
-      Netsim.Net.create ~loss_rate:config.loss_rate ~endpoint_of
+      Netsim.Net.create ~endpoint_of
         ~classify:(fun m -> M.class_name (M.classify m))
         ~seq_of:(fun m ->
           match m.M.payload with M.Lookup l -> Some l.M.seq | _ -> None)
@@ -247,13 +251,11 @@ module Live = struct
       next_seq = 0;
       join_failures = 0;
       lookup_end = infinity;
-      base_fault = None;
-      overlays = [];
-      node_overlays = [];
-      next_overlay = 0;
+      base = Netfault.uniform ~rate:config.loss_rate;
+      episodes = [];
+      next_episode = 0;
       crash_times = Hashtbl.create 64;
       detected = Hashtbl.create 64;
-      adversaries = Hashtbl.create 16;
       deliver_hooks = [];
       forward_hooks = [];
     }
@@ -441,32 +443,56 @@ module Live = struct
           body = Obs.Event.Fault { label; action };
         }
 
-  (* recompose the net's drop/delay decision from the base loss model and
-     the transient overlays; no model at all restores the plain uniform
-     loss_rate path *)
-  let refresh_faults t =
-    match (t.base_fault, t.overlays) with
-    | None, [] -> Netsim.Net.set_fault_model t.net None
-    | base, overlays ->
-        let base =
-          match base with
-          | Some f -> f
-          | None -> Netfault.uniform ~rate:(Netsim.Net.loss_rate t.net)
-        in
-        Netsim.Net.set_fault_model t.net
-          (Some (Netfault.compose (base :: List.rev_map snd overlays)))
+  let adversary_of (b : Advfault.behavior) =
+    {
+      Node.adv_misroute = b.Advfault.misroute;
+      adv_drop = b.Advfault.drop;
+      adv_poison = b.Advfault.poison;
+    }
 
-  let add_overlay t ~label ~duration fault =
-    let id = t.next_overlay in
-    t.next_overlay <- id + 1;
-    t.overlays <- (id, fault) :: t.overlays;
-    refresh_faults t;
+  (* the registry's adversary episodes, merged: a node compromised by
+     several episodes runs the union of their flags *)
+  let adversaries t =
+    Advfault.compose
+      (List.filter_map
+         (function
+           | _, Adversary (b, victims) ->
+               Some (Advfault.compromise b ~addrs:(List.map fst victims) ())
+           | _, (Link _ | Node _) -> None)
+         t.episodes)
+
+  (* recompose the registry into what the lower layers run: the base
+     link model composed with the link episodes, the node episodes
+     composed, and every live node's behaviour (honest unless an active
+     episode compromised it). Episodes compose oldest first *)
+  let refresh t =
+    let eps = List.rev_map snd t.episodes in
+    Netsim.Net.set_faults t.net
+      ~link:
+        (Netfault.compose
+           (t.base :: List.filter_map (function Link f -> Some f | _ -> None) eps))
+      ~node:
+        (Nodefault.compose (List.filter_map (function Node f -> Some f | _ -> None) eps));
+    let adv = adversaries t in
+    Hashtbl.iter
+      (fun addr node ->
+        Node.set_adversary node
+          (Option.map adversary_of (Advfault.behavior_of adv ~addr)))
+      t.nodes
+
+  (* register an episode; a finite one expires after [duration] unless
+     a [Heal] removed it first *)
+  let add_episode t ~label ~duration ep =
+    let id = t.next_episode in
+    t.next_episode <- id + 1;
+    t.episodes <- (id, ep) :: t.episodes;
+    refresh t;
     if Float.is_finite duration then
       ignore
         (Simkit.Engine.schedule t.engine ~delay:duration (fun () ->
-             if List.mem_assoc id t.overlays then begin
-               t.overlays <- List.remove_assoc id t.overlays;
-               refresh_faults t;
+             if List.mem_assoc id t.episodes then begin
+               t.episodes <- List.remove_assoc id t.episodes;
+               refresh t;
                emit_fault t ~label ~action:"heal"
              end))
 
@@ -496,29 +522,6 @@ module Live = struct
       victims;
     Array.length victims
 
-  (* like the link-fault overlays: compose the active per-node models and
-     install (or clear) the composite on the net *)
-  let refresh_node_faults t =
-    match t.node_overlays with
-    | [] -> Netsim.Net.set_node_fault_model t.net None
-    | overlays ->
-        Netsim.Net.set_node_fault_model t.net
-          (Some (Nodefault.compose (List.rev_map snd overlays)))
-
-  let add_node_overlay t ~label ~duration fault =
-    let id = t.next_overlay in
-    t.next_overlay <- id + 1;
-    t.node_overlays <- (id, fault) :: t.node_overlays;
-    refresh_node_faults t;
-    if Float.is_finite duration then
-      ignore
-        (Simkit.Engine.schedule t.engine ~delay:duration (fun () ->
-             if List.mem_assoc id t.node_overlays then begin
-               t.node_overlays <- List.remove_assoc id t.node_overlays;
-               refresh_node_faults t;
-               emit_fault t ~label ~action:"heal"
-             end))
-
   let inject t (ev : Schedule.event) =
     let label = ev.Schedule.label in
     (match ev.Schedule.action with
@@ -530,15 +533,16 @@ module Live = struct
     | Schedule.Crash_fraction { fraction; graceful } ->
         ignore (crash_fraction ~graceful t fraction)
     | Schedule.Set_base f ->
-        t.base_fault <- Some f;
-        refresh_faults t
-    | Schedule.Overlay { fault; duration } -> add_overlay t ~label ~duration fault
+        t.base <- f;
+        refresh t
+    | Schedule.Overlay { fault; duration } ->
+        add_episode t ~label ~duration (Link fault)
     | Schedule.Partition { groups; duration } ->
         let assignment =
           Array.init t.n_endpoints (fun _ -> Rng.int t.rng_faults groups)
         in
-        add_overlay t ~label ~duration
-          (Netfault.partition ~group_of:(fun e -> assignment.(e)))
+        add_episode t ~label ~duration
+          (Link (Netfault.partition ~group_of:(fun e -> assignment.(e))))
     | Schedule.Node_fault { fraction; kind; duration } ->
         let addrs = Array.to_list (pick_victims t fraction) in
         let fault =
@@ -552,7 +556,7 @@ module Live = struct
                 ~phase:(Simkit.Engine.now t.engine)
                 ~period ~duty ~addrs ()
         in
-        add_node_overlay t ~label ~duration fault
+        add_episode t ~label ~duration (Node fault)
     | Schedule.Lookup_storm { rate; duration } ->
         (* additive overload: every currently-active node runs an extra
            Poisson lookup process at [rate] until the storm's end, on top
@@ -586,33 +590,14 @@ module Live = struct
     | Schedule.Adversary { fraction; behavior; duration } ->
         (* compromise live nodes in place: they keep their transport and
            protocol state but route/gossip byzantinely from now on *)
-        let adv =
-          {
-            Node.adv_misroute = behavior.Advfault.misroute;
-            adv_drop = behavior.Advfault.drop;
-            adv_poison = behavior.Advfault.poison;
-          }
+        let victims =
+          Array.to_list (pick_victims t fraction)
+          |> List.filter_map (fun addr ->
+                 Option.map
+                   (fun node -> (addr, (Node.me node).Pastry.Peer.id))
+                   (Hashtbl.find_opt t.nodes addr))
         in
-        let victims = pick_victims t fraction in
-        Array.iter
-          (fun addr ->
-            match Hashtbl.find_opt t.nodes addr with
-            | Some node ->
-                Node.set_adversary node (Some adv);
-                Hashtbl.replace t.adversaries addr (Node.me node).Pastry.Peer.id
-            | None -> ())
-          victims;
-        if Float.is_finite duration then
-          ignore
-            (Simkit.Engine.schedule t.engine ~delay:duration (fun () ->
-                 Array.iter
-                   (fun addr ->
-                     Hashtbl.remove t.adversaries addr;
-                     match Hashtbl.find_opt t.nodes addr with
-                     | Some node -> Node.set_adversary node None
-                     | None -> ())
-                   victims;
-                 emit_fault t ~label ~action:"heal"))
+        add_episode t ~label ~duration (Adversary (behavior, victims))
     | Schedule.Sybil_flood { joiners; over; lifetime } -> (
         (* a burst of short-lived joiners with identifiers crafted to
            crowd one victim's leaf set: ids alternate just left / just
@@ -646,22 +631,14 @@ module Live = struct
                             if Node.is_alive node then crash_node t node))))
             done)
     | Schedule.Heal ->
-        t.base_fault <- None;
-        t.overlays <- [];
-        t.node_overlays <- [];
-        Hashtbl.iter
-          (fun addr _ ->
-            match Hashtbl.find_opt t.nodes addr with
-            | Some node -> Node.set_adversary node None
-            | None -> ())
-          t.adversaries;
-        Hashtbl.reset t.adversaries;
-        refresh_faults t;
-        refresh_node_faults t);
+        t.base <- Netfault.uniform ~rate:t.config.loss_rate;
+        t.episodes <- [];
+        refresh t);
     emit_fault t ~label ~action:(Schedule.describe ev.Schedule.action)
 
   let create config ~n_endpoints =
     let t = create_raw config ~n_endpoints in
+    refresh t;
     List.iter
       (fun (ev : Schedule.event) ->
         ignore
@@ -683,7 +660,7 @@ module Live = struct
                 ( Option.map id_of (Pastry.Leafset.left_neighbor ls),
                   Option.map id_of (Pastry.Leafset.right_neighbor ls) ))
 
-  let adversary_count t = Hashtbl.length t.adversaries
+  let adversary_count t = Advfault.compromised (adversaries t)
 
   type eclipse = {
     poisoned_entries : int;
@@ -696,10 +673,17 @@ module Live = struct
      table, counting entries whose address belongs to a compromised node
      but whose id is not that node's genuine id *)
   let eclipse_audit t =
+    let genuine = Hashtbl.create 16 in
+    List.iter
+      (function
+        | _, Adversary (_, victims) ->
+            List.iter (fun (addr, id) -> Hashtbl.replace genuine addr id) victims
+        | _, (Link _ | Node _) -> ())
+      t.episodes;
     let poisoned = ref 0 and total = ref 0 and affected = ref 0 in
     Hashtbl.iter
       (fun addr node ->
-        if Node.is_active node && not (Hashtbl.mem t.adversaries addr) then begin
+        if Node.is_active node && not (Hashtbl.mem genuine addr) then begin
           let entries =
             Pastry.Leafset.members (Node.leafset node)
             @ Pastry.Routing_table.peers (Node.table node)
@@ -707,7 +691,7 @@ module Live = struct
           let bad =
             List.filter
               (fun p ->
-                match Hashtbl.find_opt t.adversaries p.Pastry.Peer.addr with
+                match Hashtbl.find_opt genuine p.Pastry.Peer.addr with
                 | Some genuine ->
                     not (Pastry.Nodeid.equal genuine p.Pastry.Peer.id)
                 | None -> false)

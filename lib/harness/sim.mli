@@ -28,7 +28,10 @@ type tracing =
 type config = {
   pastry : Mspastry.Config.t;
   topology : topology_kind;
-  loss_rate : float;  (** uniform network message loss *)
+  loss_rate : float;
+      (** the default base link model: i.i.d. uniform message loss at
+          this rate. A [Set_base] fault event replaces it, [Heal]
+          restores it *)
   lookup_rate : float;  (** lookups per second per active node *)
   graceful_leave_fraction : float;
       (** fraction of trace departures executed as graceful GOODBYEs
@@ -47,9 +50,9 @@ type config = {
           swaps) applied on top of the churn trace; default empty. Each
           event is executed at its timestamp via {!Live.inject}. *)
   capacity : Netsim.Net.capacity option;
-      (** per-node service capacity (bounded inbound queue); default
-          [None] — infinite capacity, bit-identical to the pre-capacity
-          simulator. See {!Netsim.Net.set_capacity}. *)
+      (** per-node service capacity (bounded inbound queue), fixed for
+          the run; default [None] — infinite capacity, bit-identical to
+          the pre-capacity simulator. See {!Netsim.Net.create}. *)
   prioritize_control : bool;
       (** serve control traffic ahead of lookup forwarding in the
           capacity model's queues (default [true]; irrelevant while
@@ -115,18 +118,23 @@ module Live : sig
 
   val inject : t -> Repro_faults.Schedule.event -> unit
   (** Execute one fault-schedule event {e now}: crash a fraction of
-      nodes, swap the base network loss model, overlay a transient fault
-      (partitions heal themselves after their duration), start an
-      overload episode (a [Lookup_storm] adds an extra Poisson lookup
-      process per active node for its duration; a [Flash_crowd] spawns
-      its joiners spread over its interval), compromise a fraction of
-      live nodes with Byzantine behaviour (an [Adversary] installs
-      {!Mspastry.Node.set_adversary} on its victims, lifting it after
-      its duration), launch a [Sybil_flood] of short-lived joiners with
-      ids crafted around one random victim, or heal everything. Records
-      the episode with the collector (except [Heal]) and emits a [Fault]
-      trace event. [config.fault_schedule] events are applied through
-      this at their timestamps. *)
+      nodes, replace the base link model, start an overload episode (a
+      [Lookup_storm] adds an extra Poisson lookup process per active
+      node for its duration; a [Flash_crowd] spawns its joiners spread
+      over its interval), launch a [Sybil_flood] of short-lived joiners
+      with ids crafted around one random victim, or heal everything.
+
+      Link overlays, partitions, node faults and [Adversary] compromises
+      are {e episodes} in one fault registry: each lasts for its
+      duration, and every start, expiry and [Heal] recomposes the
+      registry into the net's link model (the base composed with the
+      link episodes), its node model, and each live node's
+      {!Mspastry.Node.set_adversary} behaviour — a node compromised by
+      overlapping episodes runs the union of their flags, and an
+      expiring episode lifts only its own. Records the event with the
+      collector (except [Heal]) and emits a [Fault] trace event.
+      [config.fault_schedule] events are applied through this at their
+      timestamps. *)
 
   val ring_audit : t -> Oracle.ring_audit
   (** Audit routing consistency now: compare every active node's leaf-set
@@ -136,7 +144,9 @@ module Live : sig
       to check the overlay's consistency invariant. *)
 
   val adversary_count : t -> int
-  (** Live nodes currently running with adversarial behaviour installed. *)
+  (** Addresses compromised by the active adversary episodes, crashed or
+      not (a crashed victim's address stays in the eclipse audit's
+      ground truth). *)
 
   (** Eclipse exposure: how much honest routing state points at
       attackers under fabricated identities. *)

@@ -705,7 +705,6 @@ and probe_timeout t st =
       let was_member = Leafset.mem t.leafset j.Peer.id in
       ignore (Leafset.remove t.leafset j.Peer.id);
       ignore (Routing_table.remove t.table j.Peer.id);
-      Trace_log.Log.debug (fun m -> m "%a: leaf %a marked faulty" Peer.pp t.me Peer.pp j);
       Hashtbl.replace t.failed j.Peer.id ();
       suspect_and_revalidate t j;
       Tuning.record_failure t.tuning ~now:(now t);
@@ -1120,8 +1119,6 @@ and flush_buffer t =
 
 and activate t =
   if not t.active then begin
-    Trace_log.Log.debug (fun m ->
-        m "%a: active (leafset %d members)" Peer.pp t.me (Leafset.size t.leafset));
     t.active <- true;
     (match t.join_timer with
     | Some ev ->
@@ -1323,8 +1320,6 @@ and start_join_attempt t =
              if t.alive && not t.active then begin
                t.join_retries <- t.join_retries + 1;
                if t.join_retries > t.cfg.max_join_retries then begin
-                 Trace_log.Log.info (fun m -> m "%a: join failed after %d attempts"
-                     Peer.pp t.me t.join_retries);
                  t.alive <- false;
                  t.env.on_join_failed ()
                end

@@ -1,4 +1,3 @@
-module Rng = Repro_util.Rng
 module Obs = Repro_obs
 module Profile = Repro_obs.Profile
 module Netfault = Repro_faults.Netfault
@@ -31,16 +30,15 @@ type cap_state = { mutable hi_until : float; mutable all_until : float }
 type 'm t = {
   engine : Simkit.Engine.t;
   topology : Topology.t;
-  rng : Rng.t;
+  rng : Repro_util.Rng.t;
   endpoint_of : int -> int;
   classify : 'm -> string;
   seq_of : 'm -> int option;
   priority_of : ('m -> int) option;
+  capacity : capacity option;
   handlers : (int, src:int -> 'm -> unit) Hashtbl.t;
-  mutable loss_rate : float;
-  mutable fault : Netfault.t option;
-  mutable node_fault : Nodefault.t option;
-  mutable capacity : capacity option;
+  mutable link : Netfault.t;
+  mutable node : Nodefault.t;
   cap_states : (int, cap_state) Hashtbl.t;
   mutable taps : (time:float -> src:int -> dst:int -> 'm -> unit) list;
   mutable queue_taps : (addr:int -> cls:string -> delay:float -> unit) list;
@@ -52,7 +50,7 @@ type 'm t = {
   mutable n_dropped_node : int;
   mutable n_dropped_congestion : int;
   by_class : (string, int ref) Hashtbl.t;
-  mutable trace : Obs.Trace.t;
+  trace : Obs.Trace.t;
 }
 
 let validate_capacity c =
@@ -60,10 +58,9 @@ let validate_capacity c =
     invalid_arg "Net.capacity: service_rate must be > 0";
   if c.queue_limit < 1 then invalid_arg "Net.capacity: queue_limit must be >= 1"
 
-let create ?(loss_rate = 0.0) ?(endpoint_of = fun a -> a)
-    ?(classify = fun _ -> "msg") ?(seq_of = fun _ -> None) ?priority_of ?capacity
+let create ?(endpoint_of = fun a -> a) ?(classify = fun _ -> "msg")
+    ?(seq_of = fun _ -> None) ?priority_of ?capacity
     ?(trace = Obs.Trace.disabled) ~engine ~topology ~rng () =
-  if loss_rate < 0.0 || loss_rate >= 1.0 then invalid_arg "Net.create: loss_rate";
   Option.iter validate_capacity capacity;
   {
     engine;
@@ -73,11 +70,10 @@ let create ?(loss_rate = 0.0) ?(endpoint_of = fun a -> a)
     classify;
     seq_of;
     priority_of;
-    handlers = Hashtbl.create 256;
-    loss_rate;
-    fault = None;
-    node_fault = None;
     capacity;
+    handlers = Hashtbl.create 256;
+    link = Netfault.none;
+    node = Nodefault.none;
     cap_states = Hashtbl.create 256;
     taps = [];
     queue_taps = [];
@@ -95,27 +91,9 @@ let create ?(loss_rate = 0.0) ?(endpoint_of = fun a -> a)
 let engine t = t.engine
 let topology t = t.topology
 
-let set_loss_rate t r =
-  if r < 0.0 || r >= 1.0 then invalid_arg "Net.set_loss_rate: loss_rate";
-  if t.fault <> None then
-    invalid_arg
-      "Net.set_loss_rate: a fault model is installed and overrides the uniform \
-       process; clear it first (set_fault_model t None)";
-  t.loss_rate <- r
-
-let loss_rate t = t.loss_rate
-let set_fault_model t fault = t.fault <- fault
-let fault_model t = t.fault
-let set_node_fault_model t fault = t.node_fault <- fault
-let node_fault_model t = t.node_fault
-let set_trace t trace = t.trace <- trace
-
-let set_capacity t cap =
-  Option.iter validate_capacity cap;
-  if cap = None then Hashtbl.reset t.cap_states;
-  t.capacity <- cap
-
-let capacity t = t.capacity
+let set_faults t ~link ~node =
+  t.link <- link;
+  t.node <- node
 
 let cap_state t addr =
   match Hashtbl.find_opt t.cap_states addr with
@@ -143,7 +121,6 @@ let register t ~addr handler = Hashtbl.replace t.handlers addr handler
 let unregister t ~addr =
   Hashtbl.remove t.handlers addr;
   Hashtbl.remove t.cap_states addr
-let is_registered t ~addr = Hashtbl.mem t.handlers addr
 
 (* distinct addresses on the same endpoint are LAN neighbours, not the
    same machine *)
@@ -165,175 +142,128 @@ let count_class t cls =
   | Some r -> incr r
   | None -> Hashtbl.add t.by_class cls (ref 1)
 
+(* every drop, whichever stage made it: one counter per cause, one trace
+   reason *)
+let drop t ~time ~src ~dst ~cls msg (reason : Obs.Event.drop_reason) =
+  (match reason with
+  | Loss -> t.n_dropped_loss <- t.n_dropped_loss + 1
+  | Faulted -> t.n_dropped_fault <- t.n_dropped_fault + 1
+  | Node_fault -> t.n_dropped_node <- t.n_dropped_node + 1
+  | Congested -> t.n_dropped_congestion <- t.n_dropped_congestion + 1
+  | Dead_destination -> t.n_dropped_dead <- t.n_dropped_dead + 1);
+  if Obs.Trace.enabled t.trace then
+    Obs.Trace.emit t.trace
+      {
+        Obs.Event.time;
+        body = Obs.Event.Drop { src; dst; cls; seq = t.seq_of msg; reason };
+      }
+
+(* stage 4, at delivery time: the receiver's mute is re-judged (a
+   flapping node that recovers mid-flight still gets the message, like a
+   rebooting host), then the destination must still be registered *)
+let deliver t ~src ~dst ~cls msg () =
+  let prof = !Profile.on in
+  if prof then Profile.enter ph_deliver;
+  let now = Simkit.Engine.now t.engine in
+  (match Nodefault.decide t.node ~time:now ~dir:Nodefault.Recv ~addr:dst with
+  | Nodefault.Mute -> drop t ~time:now ~src ~dst ~cls msg Node_fault
+  | Nodefault.Pass | Nodefault.Slow _ -> (
+      match Hashtbl.find_opt t.handlers dst with
+      | Some handler ->
+          t.n_delivered <- t.n_delivered + 1;
+          if Obs.Trace.enabled t.trace then
+            Obs.Trace.emit t.trace
+              { Obs.Event.time = now; body = Obs.Event.Recv { src; dst; cls } };
+          handler ~src msg
+      | None -> drop t ~time:now ~src ~dst ~cls msg Dead_destination));
+  if prof then Profile.leave ph_deliver
+
+(* stage 3: join [dst]'s bounded queue at arrival time [now + d]; the
+   delay until delivery, or [None] when the queue is full. It draws no
+   randomness, so the capacity model never shifts the RNG stream *)
+let enqueue t cap ~now ~dst ~cls msg d =
+  let st = cap_state t dst in
+  let service = 1.0 /. cap.service_rate in
+  let a = now +. d in
+  let hi = if st.hi_until > a then st.hi_until else a in
+  let all = if st.all_until > a then st.all_until else a in
+  let high = match t.priority_of with Some p -> p msg > 0 | None -> false in
+  let band_until = if high then hi else all in
+  let occ = int_of_float (((band_until -. a) *. cap.service_rate) +. 0.5) in
+  if occ >= cap.queue_limit then None
+  else begin
+    let completion = band_until +. service in
+    if high then begin
+      st.hi_until <- completion;
+      st.all_until <- all +. service
+    end
+    else st.all_until <- completion;
+    let qdelay = completion -. a in
+    if Obs.Trace.enabled t.trace then
+      Obs.Trace.emit t.trace
+        {
+          Obs.Event.time = now;
+          body = Obs.Event.Queue { addr = dst; cls; delay = qdelay; occ = occ + 1 };
+        };
+    List.iter (fun tap -> tap ~addr:dst ~cls ~delay:qdelay) t.queue_taps;
+    Some (completion -. now)
+  end
+
+let slowdown = function
+  | Nodefault.Slow { factor; extra } -> (factor, extra)
+  | Nodefault.Pass | Nodefault.Mute -> (1.0, 0.0)
+
 let send_inner t ~src ~dst msg =
   let prof = !Profile.on in
   t.n_sent <- t.n_sent + 1;
   let cls = t.classify msg in
   count_class t cls;
   let now = Simkit.Engine.now t.engine in
-  let traced = Obs.Trace.enabled t.trace in
-  if traced then
+  if Obs.Trace.enabled t.trace then
     Obs.Trace.emit t.trace
       {
         Obs.Event.time = now;
         body = Obs.Event.Send { src; dst; cls; seq = t.seq_of msg };
       };
   List.iter (fun tap -> tap ~time:now ~src ~dst msg) t.taps;
-  (* the installed fault model replaces the built-in uniform process;
-     the model sees topology endpoints, not overlay addresses *)
+  (* stage 1, the link model on topology endpoints; stage 2, the node
+     model on overlay addresses: the sender's verdict rules now, the
+     receiver's slowdown is priced in now (its mute waits for stage 4) *)
   if prof then Profile.enter ph_verdict;
-  let verdict =
-    match t.fault with
-    | Some f ->
-        Netfault.decide f ~rng:t.rng ~time:now ~src:(t.endpoint_of src)
-          ~dst:(t.endpoint_of dst)
-    | None ->
-        if t.loss_rate > 0.0 && Rng.float t.rng 1.0 < t.loss_rate then
-          Netfault.Lose
-        else Netfault.Pass
+  let link =
+    Netfault.decide t.link ~rng:t.rng ~time:now ~src:(t.endpoint_of src)
+      ~dst:(t.endpoint_of dst)
+  in
+  let sender, receiver =
+    match link with
+    | Netfault.Lose _ -> (Nodefault.Pass, Nodefault.Pass)
+    | Netfault.Pass | Netfault.Delay _ ->
+        ( Nodefault.decide t.node ~time:now ~dir:Nodefault.Send ~addr:src,
+          Nodefault.decide t.node ~time:now ~dir:Nodefault.Recv ~addr:dst )
   in
   if prof then Profile.leave ph_verdict;
-  let emit_drop ~time reason =
-    if Obs.Trace.enabled t.trace then
-      Obs.Trace.emit t.trace
-        {
-          Obs.Event.time;
-          body = Obs.Event.Drop { src; dst; cls; seq = t.seq_of msg; reason };
-        }
-  in
-  match verdict with
-  | Netfault.Lose ->
-      (match t.fault with
-      | Some _ -> t.n_dropped_fault <- t.n_dropped_fault + 1
-      | None -> t.n_dropped_loss <- t.n_dropped_loss + 1);
-      emit_drop ~time:now
-        (match t.fault with
-        | Some _ -> Obs.Event.Faulted
-        | None -> Obs.Event.Loss)
-  | Netfault.Pass | Netfault.Delay _ -> (
-      let link_extra = match verdict with Netfault.Delay d -> d | _ -> 0.0 in
-      (* node faults see overlay addresses: the sender's verdict rules
-         now; the receiver's slowdown is priced in now but its mute is
-         re-judged at delivery time (a flapping node that recovers
-         mid-flight still gets the message, like a rebooting host) *)
-      let sender_verdict, recv_slow =
-        match t.node_fault with
-        | None -> (Nodefault.Pass, Nodefault.Pass)
-        | Some nf ->
-            if prof then Profile.enter ph_verdict;
-            let v =
-              ( Nodefault.decide nf ~time:now ~dir:Nodefault.Send ~addr:src,
-                match Nodefault.decide nf ~time:now ~dir:Nodefault.Recv ~addr:dst with
-                | Nodefault.Slow _ as s -> s
-                | _ -> Nodefault.Pass )
-            in
-            if prof then Profile.leave ph_verdict;
-            v
+  match (link, sender) with
+  | Netfault.Lose { uniform }, _ ->
+      drop t ~time:now ~src ~dst ~cls msg (if uniform then Loss else Faulted)
+  | _, Nodefault.Mute -> drop t ~time:now ~src ~dst ~cls msg Node_fault
+  | (Netfault.Pass | Netfault.Delay _), (Nodefault.Pass | Nodefault.Slow _) -> (
+      let link_extra = match link with Netfault.Delay d -> d | _ -> 0.0 in
+      let fs, es = slowdown sender and fr, er = slowdown receiver in
+      let d = (delay t src dst *. (fs *. fr)) +. (es +. er) +. link_extra in
+      let d =
+        match t.capacity with
+        | None -> Some d
+        | Some cap ->
+            if prof then Profile.enter ph_queue;
+            let r = enqueue t cap ~now ~dst ~cls msg d in
+            if prof then Profile.leave ph_queue;
+            r
       in
-      match sender_verdict with
-      | Nodefault.Mute ->
-          t.n_dropped_node <- t.n_dropped_node + 1;
-          emit_drop ~time:now Obs.Event.Node_fault
-      | Nodefault.Pass | Nodefault.Slow _ -> (
-          let factor, node_extra =
-            let of_verdict = function
-              | Nodefault.Slow { factor; extra } -> (factor, extra)
-              | Nodefault.Pass | Nodefault.Mute -> (1.0, 0.0)
-            in
-            let fs, es = of_verdict sender_verdict in
-            let fr, er = of_verdict recv_slow in
-            (fs *. fr, es +. er)
-          in
-          let d = (delay t src dst *. factor) +. node_extra +. link_extra in
-          (* optional capacity model: the message joins the destination's
-             bounded queue when it arrives; queueing is deterministic (no
-             RNG), so the default-off path stays bit-identical *)
-          let d =
-            match t.capacity with
-            | None -> Some d
-            | Some cap ->
-                if prof then Profile.enter ph_queue;
-                let st = cap_state t dst in
-                let service = 1.0 /. cap.service_rate in
-                let a = now +. d in
-                let hi = if st.hi_until > a then st.hi_until else a in
-                let all = if st.all_until > a then st.all_until else a in
-                let high =
-                  match t.priority_of with Some p -> p msg > 0 | None -> false
-                in
-                let band_until = if high then hi else all in
-                let occ =
-                  int_of_float (((band_until -. a) *. cap.service_rate) +. 0.5)
-                in
-                let r =
-                  if occ >= cap.queue_limit then None
-                  else begin
-                    let completion = band_until +. service in
-                    if high then begin
-                      st.hi_until <- completion;
-                      st.all_until <- all +. service
-                    end
-                    else st.all_until <- completion;
-                    let qdelay = completion -. a in
-                    if traced then
-                      Obs.Trace.emit t.trace
-                        {
-                          Obs.Event.time = now;
-                          body =
-                            Obs.Event.Queue
-                              { addr = dst; cls; delay = qdelay; occ = occ + 1 };
-                        };
-                    List.iter
-                      (fun tap -> tap ~addr:dst ~cls ~delay:qdelay)
-                      t.queue_taps;
-                    Some (completion -. now)
-                  end
-                in
-                if prof then Profile.leave ph_queue;
-                r
-          in
-          match d with
-          | None ->
-              t.n_dropped_congestion <- t.n_dropped_congestion + 1;
-              emit_drop ~time:now Obs.Event.Congested
-          | Some d ->
+      match d with
+      | None -> drop t ~time:now ~src ~dst ~cls msg Congested
+      | Some d ->
           ignore
-            (Simkit.Engine.schedule t.engine ~delay:d (fun () ->
-                 let prof = !Profile.on in
-                 if prof then Profile.enter ph_deliver;
-                 let recv_mute =
-                   match t.node_fault with
-                   | None -> false
-                   | Some nf -> (
-                       match
-                         Nodefault.decide nf
-                           ~time:(Simkit.Engine.now t.engine)
-                           ~dir:Nodefault.Recv ~addr:dst
-                       with
-                       | Nodefault.Mute -> true
-                       | Nodefault.Pass | Nodefault.Slow _ -> false)
-                 in
-                 (if recv_mute then begin
-                    t.n_dropped_node <- t.n_dropped_node + 1;
-                    emit_drop ~time:(Simkit.Engine.now t.engine)
-                      Obs.Event.Node_fault
-                  end
-                  else
-                    match Hashtbl.find_opt t.handlers dst with
-                    | Some handler ->
-                        t.n_delivered <- t.n_delivered + 1;
-                        if Obs.Trace.enabled t.trace then
-                          Obs.Trace.emit t.trace
-                            {
-                              Obs.Event.time = Simkit.Engine.now t.engine;
-                              body = Obs.Event.Recv { src; dst; cls };
-                            };
-                        handler ~src msg
-                    | None ->
-                        t.n_dropped_dead <- t.n_dropped_dead + 1;
-                        emit_drop ~time:(Simkit.Engine.now t.engine)
-                          Obs.Event.Dead_destination);
-                 if prof then Profile.leave ph_deliver))))
+            (Simkit.Engine.schedule t.engine ~delay:d (deliver t ~src ~dst ~cls msg)))
 
 let send t ~src ~dst msg =
   if !Profile.on then begin

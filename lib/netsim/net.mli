@@ -2,46 +2,56 @@
 
     Endpoints register message handlers under small-integer addresses
     (the topology's endpoint indices). A sent message is delivered after
-    the topology's one-way propagation delay, unless it is dropped by the
-    loss process or the destination has crashed (unregistered) by
-    delivery time.
+    the topology's one-way propagation delay unless one stage of the
+    fault pipeline drops it. Every send runs the same stages in a fixed
+    order, and each drop is counted (and traced) under the stage that
+    made it:
 
-    Congestion is modelled by an {e optional} per-node capacity model
-    ({!set_capacity}): each address owns a deterministic single server
-    with a fixed service rate and a bounded queue, so messages accrue
-    queueing delay at their destination and overflow is dropped with
-    reason [Congested]. The model is off by default — matching the
-    paper's simulator, which models neither congestion delays nor
-    congestion losses — and the default-off send path is bit-identical
-    to a build without the model (no extra RNG draws, same event
-    schedule).
+    + the link model ({!Repro_faults.Netfault}, on topology endpoints)
+      drops the message — [dropped_loss] / reason [Loss] when the
+      i.i.d. uniform process made the drop, [dropped_fault] / [Faulted]
+      for any other model — or adds extra delay;
+    + the node model ({!Repro_faults.Nodefault}, on overlay addresses):
+      a mute sender's message is dropped ([dropped_node] /
+      [Node_fault]); the sender's and receiver's slowdowns stretch the
+      delay;
+    + the capacity queue, when the net was created with one: the
+      message joins its destination's bounded queue and is dropped on
+      overflow ([dropped_congestion] / [Congested]);
+    + at delivery time, the receiver's mute is re-judged ([dropped_node]
+      / [Node_fault]) and then the destination must still be registered
+      ([dropped_dead] / [Dead_destination]).
 
-    The drop/delay decision is pluggable: by default the paper's
-    i.i.d. uniform process ([loss_rate]) applies; {!set_fault_model}
-    installs a {!Repro_faults.Netfault} model (bursty loss, blackholes,
-    partitions, extra delay, or compositions) that {e replaces} the
-    uniform process until cleared.
+    A fresh net passes everything ({!Repro_faults.Netfault.none},
+    {!Repro_faults.Nodefault.none}); {!set_faults} installs the pair of
+    models the pipeline consults. The harness installs the paper's
+    uniform loss as the base link model.
+
+    The capacity model is fixed at {!create} and off by default —
+    matching the paper's simulator, which models neither congestion
+    delays nor congestion losses. Queueing draws no randomness, so a net
+    without it schedules exactly the same events.
 
     Runtime counters (total sends/deliveries, drops split by cause,
     per-class send counts) are maintained unconditionally; structured
-    [Send]/[Recv]/[Drop] events flow to an optional
+    [Send]/[Recv]/[Drop]/[Queue] events flow to an optional
     {!Repro_obs.Trace}. *)
 
 type 'm t
 
-(** Counter snapshot; [sent_by_class] is sorted by class name. *)
+(** Counter snapshot; [sent_by_class] is sorted by class name. Every
+    send ends in exactly one of [delivered] or a [dropped_*] counter. *)
 type stats = {
   sent : int;
   delivered : int;
-  dropped_loss : int;  (** dropped by the uniform loss injection at send time *)
+  dropped_loss : int;  (** dropped by the i.i.d. uniform link process *)
   dropped_dead : int;  (** destination unregistered at delivery time *)
-  dropped_fault : int;  (** dropped by an installed fault model at send time *)
+  dropped_fault : int;  (** dropped by any other link model *)
   dropped_node : int;
       (** swallowed by a per-node fault: a fail-silent/flapping sender at
           send time, or a flapping receiver down at delivery time *)
   dropped_congestion : int;
-      (** rejected by the destination's full bounded queue (capacity
-          model installed and overloaded) *)
+      (** rejected by the destination's full bounded queue *)
   sent_by_class : (string * int) list;
 }
 
@@ -51,7 +61,6 @@ type stats = {
 type capacity = { service_rate : float; queue_limit : int }
 
 val create :
-  ?loss_rate:float ->
   ?endpoint_of:(int -> int) ->
   ?classify:('m -> string) ->
   ?seq_of:('m -> int option) ->
@@ -63,99 +72,52 @@ val create :
   rng:Repro_util.Rng.t ->
   unit ->
   'm t
-(** [loss_rate] is the uniform per-message drop probability (default 0).
-    [endpoint_of] maps addresses to topology endpoints (default identity)
+(** [endpoint_of] maps addresses to topology endpoints (default identity)
     — distinct addresses may share an endpoint; they then see a fixed
     small LAN delay instead of zero. [classify] names a message's traffic
     class for the per-class counters and trace events (default ["msg"]);
     [seq_of] extracts a lookup sequence number so trace [Send]/[Drop]
-    events can be attributed to a lookup (default [None]). [priority_of]
-    assigns a queueing priority (only consulted while a capacity model is
-    installed): messages with priority > 0 jump ahead of priority-0
-    traffic in the destination's queue and are only dropped when the
-    queue is full of equally-urgent messages; without it the queue is
-    plain FIFO. [capacity] installs the capacity model from the start
-    (default off; see {!set_capacity}). *)
+    events can be attributed to a lookup (default [None]).
+
+    [capacity] turns the per-node queue on for the net's lifetime: every
+    message that survives the fault verdicts joins its destination's
+    bounded queue at its (uncongested) arrival time, waits behind the
+    backlog, and is delivered one service interval
+    ([1 / c.service_rate]) after reaching the head; a message arriving
+    at a queue already holding [c.queue_limit] unserviced messages is
+    dropped. [priority_of] assigns a queueing priority: messages with
+    priority > 0 wait only behind the high-priority backlog (later
+    low-priority traffic is pushed back) and overflow is charged to the
+    low band first; without it the queue is plain FIFO. Each accepted
+    message is traced as a [Queue] event carrying its queueing delay and
+    the post-enqueue occupancy. Raises [Invalid_argument] unless
+    [service_rate > 0] and [queue_limit >= 1]. *)
 
 val engine : 'm t -> Simkit.Engine.t
 val topology : 'm t -> Topology.t
 
-val set_loss_rate : 'm t -> float -> unit
-(** Change the uniform drop probability. Raises [Invalid_argument] unless
-    [0.0 <= r < 1.0] (same contract as {!create}).
-
-    Precedence: an installed fault model ({!set_fault_model}) {e
-    replaces} the uniform process entirely, so changing the uniform rate
-    underneath it could never take effect until the model is cleared.
-    Rather than silently accepting a rate that does nothing, this raises
-    [Invalid_argument] while a fault model is installed — clear it first
-    with [set_fault_model t None], then set the rate. *)
-
-val loss_rate : 'm t -> float
-
-val set_fault_model : 'm t -> Repro_faults.Netfault.t option -> unit
-(** [set_fault_model t (Some f)] replaces the uniform loss process with
-    [f]: every send consults [f] (with the sender/receiver {e topology
-    endpoints}) and is delivered, dropped (counted as [dropped_fault],
-    traced with reason [Faulted]), or delayed on top of the propagation
-    delay. [None] restores the uniform [loss_rate] process. *)
-
-val fault_model : 'm t -> Repro_faults.Netfault.t option
-
-val set_node_fault_model : 'm t -> Repro_faults.Nodefault.t option -> unit
-(** [set_node_fault_model t (Some f)] installs a per-node fault model
-    next to (not instead of) the link-level one. Every send that survives
-    the link verdict consults [f] twice, with {e overlay addresses}: the
-    sender's verdict applies at send time (a mute sender's message is
-    counted [dropped_node] and traced with reason [Node_fault]; a slow
-    sender's factor/extra stretch the delivery delay), the receiver's
-    slowdown is priced in at send time, and the receiver's mute is
-    re-judged at {e delivery} time so a flapping node that recovers while
-    the message is in flight still gets it. [None] removes the model. *)
-
-val node_fault_model : 'm t -> Repro_faults.Nodefault.t option
-
-val set_capacity : 'm t -> capacity option -> unit
-(** [set_capacity t (Some c)] turns the per-node capacity model on:
-    every message that survives the loss/fault verdicts joins its
-    destination's bounded queue at its (uncongested) arrival time, waits
-    behind the backlog, and is delivered one service interval
-    ([1 / c.service_rate]) after reaching the head; a message arriving
-    at a queue already holding [c.queue_limit] unserviced messages is
-    dropped, counted in [dropped_congestion] and traced with reason
-    [Congested]. With a [priority_of] hook (see {!create}), priority-> 0
-    messages wait only behind the high-priority backlog (later-arriving
-    low-priority traffic is pushed back) and overflow is charged to the
-    low band first. The model is deterministic — installing it never
-    draws from the RNG. [None] turns it off and clears all queue state.
-    Each accepted-and-queued message is traced as a [Queue] event
-    carrying its queueing delay and the post-enqueue occupancy.
-
-    Raises [Invalid_argument] unless [service_rate > 0] and
-    [queue_limit >= 1]. *)
-
-val capacity : 'm t -> capacity option
+val set_faults :
+  'm t -> link:Repro_faults.Netfault.t -> node:Repro_faults.Nodefault.t -> unit
+(** Install the models stages 1, 2 and 4 consult from now on. Messages
+    already in flight keep their send-time verdicts but meet the new
+    node model at delivery. *)
 
 val queue_occupancy : 'm t -> addr:int -> int
 (** Number of unserviced messages in [addr]'s queue at the current
-    virtual time (0 when no capacity model is installed) — the local
-    load signal a node can consult for backpressure. *)
+    virtual time (0 without a capacity model) — the local load signal a
+    node can consult for backpressure. *)
 
 val on_queue : 'm t -> (addr:int -> cls:string -> delay:float -> unit) -> unit
 (** Metrics tap invoked for every message accepted into a bounded queue;
     [delay] is its queueing delay (wait + service beyond the propagation
-    delay) at destination [addr]. Never invoked while the capacity model
-    is off. *)
-
-val set_trace : 'm t -> Repro_obs.Trace.t -> unit
+    delay) at destination [addr]. Never invoked without a capacity
+    model. *)
 
 val register : 'm t -> addr:int -> (src:int -> 'm -> unit) -> unit
 (** Attach (or replace) the message handler for an endpoint. *)
 
 val unregister : 'm t -> addr:int -> unit
 (** Crash the endpoint: undelivered and future messages to it vanish. *)
-
-val is_registered : 'm t -> addr:int -> bool
 
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Fire-and-forget unicast. [src] must equal the sender's own address —
@@ -172,8 +134,7 @@ val n_sent : 'm t -> int
 val n_delivered : 'm t -> int
 
 val n_dropped : 'm t -> int
-(** All drops: losses, fault/node-fault drops, congestion overflow, and
-    messages addressed to crashed endpoints. *)
+(** All drops, whatever stage made them. *)
 
 val sent_in_class : 'm t -> string -> int
 (** Sends whose [classify] returned the given class name so far. *)

@@ -16,13 +16,13 @@ type stage =
   | Closest  (** fallback: any strictly-closer known peer *)
 
 type drop_reason =
-  | Loss  (** dropped by the uniform loss injection *)
+  | Loss  (** dropped by the i.i.d. uniform link process *)
   | Dead_destination  (** destination unregistered (crashed) by delivery time *)
-  | Faulted  (** dropped by an installed fault model (burst, blackhole, partition) *)
+  | Faulted  (** dropped by any other link model (burst, blackhole, partition) *)
   | Node_fault  (** swallowed by a per-node fault (fail-silent or flapping) *)
   | Congested
       (** rejected by a full bounded queue under the per-node capacity
-          model (overload; see {!Netsim.Net.set_capacity}) *)
+          model (overload; see {!Netsim.Net.create}) *)
 
 type body =
   | Send of { src : int; dst : int; cls : string; seq : int option }
@@ -64,7 +64,7 @@ type body =
   | Queue of { addr : int; cls : string; delay : float; occ : int }
       (** a message to [addr] was queued for [delay] seconds behind the
           per-node capacity model; [occ] is the queue occupancy after
-          enqueue (see {!Netsim.Net.set_capacity}) *)
+          enqueue (see {!Netsim.Net.create}) *)
   | Progress_suspect of { addr : int; suspect : int; seq : int; hops : int }
       (** [addr] received lookup [seq] from [suspect] after [hops] hops
           without routing progress (the Pastry invariant: strictly longer

@@ -43,7 +43,10 @@ let test_advfault_model () =
 let test_advfault_compose_merges_flags () =
   let c =
     Advfault.compose
-      [ Advfault.misrouters ~addrs:[ 1; 2 ] (); Advfault.poisoners ~addrs:[ 2; 3 ] () ]
+      [
+        Advfault.compromise { Advfault.no_behavior with misroute = true } ~addrs:[ 1; 2 ] ();
+        Advfault.compromise { Advfault.no_behavior with poison = true } ~addrs:[ 2; 3 ] ();
+      ]
   in
   Alcotest.(check int) "union of addresses" 3 (Advfault.compromised c);
   Alcotest.(check bool) "flags merge on overlap" true
@@ -515,6 +518,34 @@ let test_live_sybil_flood_deferred_by_admission_filter () =
     true
     (limited_lat > open_lat || limited_joins < open_joins || limited_fail > open_fail)
 
+(* overlapping episodes compromise the same nodes: A misroutes from 300
+   s for 100 s, B drops from 350 s forever. While both are active every
+   node merges their flags, and A's expiry lifts only A's flag — B's
+   victims stay compromised *)
+let test_live_overlapping_adversary_episodes () =
+  let schedule =
+    [
+      Schedule.adversary ~label:"A" ~time:300.0 ~duration:100.0 ~fraction:1.0
+        { Advfault.no_behavior with misroute = true };
+      Schedule.adversary ~label:"B" ~time:350.0 ~fraction:1.0
+        { Advfault.no_behavior with drop = true };
+    ]
+  in
+  let config = { (flat_config ~fault_schedule:schedule ()) with Sim.lookup_rate = 0.0 } in
+  let live = Live.create config ~n_endpoints:16 in
+  spawn_overlay live ~n:10;
+  let running b =
+    List.for_all (fun n -> Node.adversary n = Some b) (Live.active_nodes live)
+  in
+  Live.run_until live 380.0;
+  Alcotest.(check int) "all ten nodes up" 10 (Live.node_count live);
+  Alcotest.(check bool) "both episodes: misroute+drop" true
+    (running { Node.adv_misroute = true; adv_drop = true; adv_poison = false });
+  Live.run_until live 450.0;
+  Alcotest.(check int) "B keeps all ten compromised" 10 (Live.adversary_count live);
+  Alcotest.(check bool) "A expired: drop only" true
+    (running { Node.adv_misroute = false; adv_drop = true; adv_poison = false })
+
 let test_live_adversarial_runs_deterministic () =
   let fingerprint (s, (ecl : Live.eclipse), agreement) =
     ( s.Collector.success_rate,
@@ -569,5 +600,7 @@ let suite =
           test_live_sybil_flood_deferred_by_admission_filter;
         Alcotest.test_case "live: adversarial runs deterministic" `Slow
           test_live_adversarial_runs_deterministic;
+        Alcotest.test_case "live: overlapping adversary episodes" `Slow
+          test_live_overlapping_adversary_episodes;
       ] );
   ]

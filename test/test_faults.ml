@@ -8,6 +8,7 @@
 
 module Rng = Repro_util.Rng
 module Netfault = Repro_faults.Netfault
+module Nodefault = Repro_faults.Nodefault
 module Schedule = Repro_faults.Schedule
 module Engine = Simkit.Engine
 module Net = Netsim.Net
@@ -22,8 +23,10 @@ module Collector = Overlay_metrics.Collector
 let verdicts fault ~rng ~n ~src ~dst =
   List.init n (fun i -> Netfault.decide fault ~rng ~time:(float_of_int i) ~src ~dst)
 
+let is_lost = function Netfault.Lose _ -> true | Netfault.Pass | Netfault.Delay _ -> false
+
 let loss_fraction vs =
-  let lost = List.length (List.filter (fun v -> v = Netfault.Lose) vs) in
+  let lost = List.length (List.filter is_lost vs) in
   float_of_int lost /. float_of_int (List.length vs)
 
 (* mean length of maximal runs of consecutive Lose verdicts *)
@@ -31,7 +34,7 @@ let mean_burst_length vs =
   let runs = ref 0 and losses = ref 0 and in_run = ref false in
   List.iter
     (fun v ->
-      if v = Netfault.Lose then begin
+      if is_lost v then begin
         incr losses;
         if not !in_run then incr runs;
         in_run := true
@@ -43,6 +46,8 @@ let mean_burst_length vs =
 let test_uniform_statistics () =
   let rng = Rng.create 11 in
   let vs = verdicts (Netfault.uniform ~rate:0.2) ~rng ~n:20_000 ~src:0 ~dst:1 in
+  Alcotest.(check bool) "drops marked uniform" true
+    (List.for_all (fun v -> v = Netfault.Pass || v = Netfault.Lose { uniform = true }) vs);
   let f = loss_fraction vs in
   Alcotest.(check bool) "about 20% lost" true (f > 0.17 && f < 0.23);
   (* i.i.d. losses: bursts are short (geometric, mean 1/(1-p) = 1.25) *)
@@ -99,17 +104,19 @@ let test_bursty_validation () =
 let decide1 fault ~src ~dst =
   Netfault.decide fault ~rng:(Rng.create 1) ~time:0.0 ~src ~dst
 
+let faulted = Netfault.Lose { uniform = false }
+
 let test_blackhole_directional () =
   let f = Netfault.blackhole ~links:[ (0, 1) ] () in
-  Alcotest.(check bool) "0->1 lost" true (decide1 f ~src:0 ~dst:1 = Netfault.Lose);
+  Alcotest.(check bool) "0->1 lost" true (decide1 f ~src:0 ~dst:1 = faulted);
   Alcotest.(check bool) "1->0 passes" true (decide1 f ~src:1 ~dst:0 = Netfault.Pass);
   let s = Netfault.blackhole ~symmetric:true ~links:[ (0, 1) ] () in
   Alcotest.(check bool) "symmetric reverse lost" true
-    (decide1 s ~src:1 ~dst:0 = Netfault.Lose)
+    (decide1 s ~src:1 ~dst:0 = faulted)
 
 let test_partition_model () =
   let f = Netfault.partition ~group_of:(fun e -> e mod 2) in
-  Alcotest.(check bool) "cross-group lost" true (decide1 f ~src:0 ~dst:1 = Netfault.Lose);
+  Alcotest.(check bool) "cross-group lost" true (decide1 f ~src:0 ~dst:1 = faulted);
   Alcotest.(check bool) "intra-group passes" true
     (decide1 f ~src:0 ~dst:2 = Netfault.Pass)
 
@@ -125,17 +132,19 @@ let test_compose () =
     Netfault.compose [ Netfault.extra_delay 0.1; Netfault.blackhole ~links:[ (0, 1) ] () ]
   in
   Alcotest.(check bool) "Lose short-circuits" true
-    (decide1 g ~src:0 ~dst:1 = Netfault.Lose);
+    (decide1 g ~src:0 ~dst:1 = faulted);
   Alcotest.(check bool) "empty compose passes" true
     (decide1 (Netfault.compose []) ~src:0 ~dst:1 = Netfault.Pass)
 
 (* ------------------------------------------------------ netsim integration *)
 
-let make_net ?(n = 4) ?loss_rate ?trace () =
+let make_net ?(n = 4) ?trace () =
   let engine = Engine.create () in
   let topology = Topology.constant ~n_endpoints:n ~delay:0.01 in
-  let net = Net.create ?loss_rate ?trace ~engine ~topology ~rng:(Rng.create 7) () in
+  let net = Net.create ?trace ~engine ~topology ~rng:(Rng.create 7) () in
   (engine, net)
+
+let set_link net link = Net.set_faults net ~link ~node:Nodefault.none
 
 let test_net_fault_counter_and_trace () =
   let trace = Obs.Trace.create (Obs.Sink.memory ~capacity:100) in
@@ -143,7 +152,7 @@ let test_net_fault_counter_and_trace () =
   let got = ref 0 in
   Net.register net ~addr:0 (fun ~src:_ _ -> incr got);
   Net.register net ~addr:1 (fun ~src:_ _ -> incr got);
-  Net.set_fault_model net (Some (Netfault.blackhole ~links:[ (0, 1) ] ()));
+  set_link net (Netfault.blackhole ~links:[ (0, 1) ] ());
   Net.send net ~src:0 ~dst:1 "dropped";
   Net.send net ~src:1 ~dst:0 "delivered";
   Engine.run_all engine;
@@ -161,11 +170,11 @@ let test_net_fault_counter_and_trace () =
   in
   Alcotest.(check int) "one Faulted drop event" 1 (List.length faulted);
   (* heal: removing the model restores delivery *)
-  Net.set_fault_model net None;
-  Alcotest.(check bool) "model cleared" true (Net.fault_model net = None);
+  set_link net Netfault.none;
   Net.send net ~src:0 ~dst:1 "after heal";
   Engine.run_all engine;
-  Alcotest.(check int) "delivered after heal" 2 !got
+  Alcotest.(check int) "delivered after heal" 2 !got;
+  Alcotest.(check int) "no drop after heal" 1 (Net.n_dropped net)
 
 let test_net_partition_heal_restores_delivery () =
   let engine, net = make_net () in
@@ -173,12 +182,12 @@ let test_net_partition_heal_restores_delivery () =
   for a = 0 to 3 do
     Net.register net ~addr:a (fun ~src:_ _ -> incr got)
   done;
-  Net.set_fault_model net (Some (Netfault.partition ~group_of:(fun e -> e mod 2)));
+  set_link net (Netfault.partition ~group_of:(fun e -> e mod 2));
   Net.send net ~src:0 ~dst:1 "cross";
   Net.send net ~src:1 ~dst:3 "intra";
   Engine.run_all engine;
   Alcotest.(check int) "only intra-group delivered" 1 !got;
-  Net.set_fault_model net None;
+  set_link net Netfault.none;
   Net.send net ~src:0 ~dst:1 "healed";
   Engine.run_all engine;
   Alcotest.(check int) "cross-group delivered after heal" 2 !got;
@@ -188,24 +197,26 @@ let test_net_extra_delay () =
   let engine, net = make_net () in
   let at = ref nan in
   Net.register net ~addr:1 (fun ~src:_ _ -> at := Engine.now engine);
-  Net.set_fault_model net (Some (Netfault.extra_delay 0.25));
+  set_link net (Netfault.extra_delay 0.25);
   Net.send net ~src:0 ~dst:1 "slow";
   Engine.run_all engine;
   Alcotest.(check (float 1e-9)) "propagation + extra" 0.26 !at
 
 let test_net_uniform_model_statistics () =
-  (* the installed uniform model behaves like the legacy loss_rate path *)
+  (* the uniform model is the paper's loss process wherever it is
+     installed: its drops are loss, never fault *)
   let engine, net = make_net () in
   let got = ref 0 in
   Net.register net ~addr:1 (fun ~src:_ _ -> incr got);
-  Net.set_fault_model net (Some (Netfault.uniform ~rate:0.5));
+  set_link net (Netfault.uniform ~rate:0.5);
   for _ = 1 to 2000 do
     Net.send net ~src:0 ~dst:1 "x"
   done;
   Engine.run_all engine;
   Alcotest.(check bool) "about half lost" true (!got > 850 && !got < 1150);
-  Alcotest.(check int) "all drops counted as fault" (2000 - !got)
-    (Net.stats net).Net.dropped_fault
+  Alcotest.(check int) "all drops counted as loss" (2000 - !got)
+    (Net.stats net).Net.dropped_loss;
+  Alcotest.(check int) "none counted as fault" 0 (Net.stats net).Net.dropped_fault
 
 (* --------------------------------------------------------------- schedule *)
 
@@ -256,17 +267,17 @@ let test_live_partition_episode () =
   spawn_overlay live ~n:10;
   Live.run_until live 300.0;
   Alcotest.(check int) "all nodes up" 10 (Live.node_count live);
+  let fault_drops () = (Net.stats (Live.net live)).Net.dropped_fault in
+  Alcotest.(check int) "no fault drops before the split" 0 (fault_drops ());
   Live.inject live (Sim.Schedule.partition ~label:"split" ~time:300.0 ~duration:90.0 2);
-  Alcotest.(check bool) "fault model installed" true
-    (Net.fault_model (Live.net live) <> None);
   Live.run_until live 360.0;
   (* endpoints are split randomly into two groups, so overlay maintenance
      traffic crosses the cut and some of it must be dropped *)
-  Alcotest.(check bool) "cross-group traffic dropped" true
-    ((Net.stats (Live.net live)).Net.dropped_fault > 0);
+  Alcotest.(check bool) "cross-group traffic dropped" true (fault_drops () > 0);
+  Live.run_until live 391.0;
+  let at_heal = fault_drops () in
   Live.run_until live 600.0;
-  Alcotest.(check bool) "healed after duration" true
-    (Net.fault_model (Live.net live) = None);
+  Alcotest.(check int) "healed after duration" at_heal (fault_drops ());
   Alcotest.(check bool) "nobody crashed" true (Live.node_count live = 10);
   match Collector.episodes (Live.collector live) with
   | [ ep ] -> Alcotest.(check string) "episode recorded" "split" ep.Collector.ep_label

@@ -1,12 +1,18 @@
 module Engine = Simkit.Engine
 module Net = Netsim.Net
 module Rng = Repro_util.Rng
+module Netfault = Repro_faults.Netfault
+module Nodefault = Repro_faults.Nodefault
+module Obs = Repro_obs
 
-let make ?(loss_rate = 0.0) ?(delay = 0.01) ?(n = 8) () =
+let make ?(delay = 0.01) ?(n = 8) () =
   let engine = Engine.create () in
   let topology = Topology.constant ~n_endpoints:n ~delay in
-  let net = Net.create ~loss_rate ~engine ~topology ~rng:(Rng.create 1) () in
+  let net = Net.create ~engine ~topology ~rng:(Rng.create 1) () in
   (engine, net)
+
+let uniform_loss net rate =
+  Net.set_faults net ~link:(Netfault.uniform ~rate) ~node:Nodefault.none
 
 let test_delivery_with_delay () =
   let engine, net = make () in
@@ -46,31 +52,17 @@ let test_crash_after_send () =
   Alcotest.(check int) "dropped_fault" 0 s.Net.dropped_fault
 
 let test_loss_statistics () =
-  let engine, net = make ~loss_rate:0.5 () in
+  let engine, net = make () in
+  uniform_loss net 0.5;
   let got = ref 0 in
   Net.register net ~addr:1 (fun ~src:_ _ -> incr got);
   for _ = 1 to 2000 do
     Net.send net ~src:0 ~dst:1 "x"
   done;
   Engine.run_all engine;
-  Alcotest.(check bool) "about half lost" true (!got > 850 && !got < 1150)
-
-let test_loss_rate_validation () =
-  Alcotest.check_raises "loss 1.0" (Invalid_argument "Net.create: loss_rate") (fun () ->
-      ignore (make ~loss_rate:1.0 ()))
-
-let test_set_loss_rate_validation () =
-  let _, net = make () in
-  Alcotest.check_raises "loss 1.0" (Invalid_argument "Net.set_loss_rate: loss_rate")
-    (fun () -> Net.set_loss_rate net 1.0);
-  Alcotest.check_raises "negative" (Invalid_argument "Net.set_loss_rate: loss_rate")
-    (fun () -> Net.set_loss_rate net (-0.01));
-  (* the rejected values left the configured rate untouched *)
-  Alcotest.(check (float 1e-9)) "rate unchanged" 0.0 (Net.loss_rate net);
-  Net.set_loss_rate net 0.999;
-  Alcotest.(check (float 1e-9)) "boundary accepted" 0.999 (Net.loss_rate net);
-  Net.set_loss_rate net 0.0;
-  Alcotest.(check (float 1e-9)) "zero accepted" 0.0 (Net.loss_rate net)
+  Alcotest.(check bool) "about half lost" true (!got > 850 && !got < 1150);
+  Alcotest.(check int) "all drops counted as loss" (2000 - !got)
+    (Net.stats net).Net.dropped_loss
 
 let test_on_send_tap () =
   let engine, net = make () in
@@ -94,18 +86,6 @@ let test_endpoint_mapping () =
   Alcotest.(check bool) "same endpoint, distinct addr: small LAN delay" true
     (Net.delay net 0 2 > 0.0 && Net.delay net 0 2 < 0.01);
   Alcotest.(check (float 1e-9)) "self" 0.0 (Net.delay net 0 0)
-
-let test_set_loss_rate () =
-  let engine, net = make () in
-  let got = ref 0 in
-  Net.register net ~addr:1 (fun ~src:_ _ -> incr got);
-  Net.set_loss_rate net 0.999;
-  Alcotest.(check (float 1e-9)) "getter" 0.999 (Net.loss_rate net);
-  for _ = 1 to 200 do
-    Net.send net ~src:0 ~dst:1 "x"
-  done;
-  Engine.run_all engine;
-  Alcotest.(check bool) "almost all lost" true (!got < 10)
 
 (* ---------------------------------------------- capacity / queue model *)
 
@@ -207,8 +187,7 @@ let test_capacity_default_off () =
   Engine.run_all engine;
   Alcotest.(check int) "no taps" 0 !taps;
   Alcotest.(check int) "no congestion drops" 0 (Net.stats net).Net.dropped_congestion;
-  Alcotest.(check int) "occupancy zero" 0 (Net.queue_occupancy net ~addr:1);
-  Alcotest.(check bool) "no capacity" true (Net.capacity net = None)
+  Alcotest.(check int) "occupancy zero" 0 (Net.queue_occupancy net ~addr:1)
 
 let test_capacity_validation () =
   Alcotest.check_raises "zero rate"
@@ -217,24 +196,103 @@ let test_capacity_validation () =
   Alcotest.check_raises "empty queue"
     (Invalid_argument "Net.capacity: queue_limit must be >= 1") (fun () ->
       ignore (make_cap ~service_rate:1.0 ~queue_limit:0 ()));
-  let _, net = make () in
-  Alcotest.check_raises "set_capacity validates too"
+  Alcotest.check_raises "NaN rate"
     (Invalid_argument "Net.capacity: service_rate must be > 0") (fun () ->
-      Net.set_capacity net (Some { Net.service_rate = -1.0; queue_limit = 4 }))
+      ignore (make_cap ~service_rate:Float.nan ~queue_limit:4 ()))
 
-let test_set_loss_rate_vs_fault_model () =
-  (* with a fault model installed the uniform process is inert: setting
-     it is a programming error, not a silent no-op *)
-  let _, net = make () in
-  Net.set_fault_model net (Some (Repro_faults.Netfault.uniform ~rate:0.5));
-  Alcotest.check_raises "raises while model installed"
-    (Invalid_argument
-       "Net.set_loss_rate: a fault model is installed and overrides the \
-        uniform process; clear it first (set_fault_model t None)") (fun () ->
-      Net.set_loss_rate net 0.1);
-  Net.set_fault_model net None;
-  Net.set_loss_rate net 0.1;
-  Alcotest.(check (float 1e-9)) "accepted after clearing" 0.1 (Net.loss_rate net)
+(* every stage of the pipeline at once: a uniform base composed with a
+   blackhole overlay (0 -> 3), a fail-silent sender (1), a flapping
+   receiver (2, down whenever a message sent on an even second lands), a
+   bounded queue that a same-instant burst overflows, and a dead
+   destination (5). Each drop must be counted and traced under the
+   stage that made it; in particular a uniform drop while the overlay is
+   active is loss, not fault. The uniform stage draws once per send
+   and is consulted first, so a twin RNG predicts which sends it takes *)
+let test_pipeline_drop_attribution () =
+  let rate = 0.25 and seed = 5 in
+  let engine = Engine.create () in
+  let topology = Topology.constant ~n_endpoints:8 ~delay:0.01 in
+  let trace = Obs.Trace.create (Obs.Sink.memory ~capacity:10_000) in
+  let net =
+    Net.create ~trace
+      ~capacity:{ Net.service_rate = 10.0; queue_limit = 2 }
+      ~engine ~topology ~rng:(Rng.create seed) ()
+  in
+  Net.set_faults net
+    ~link:
+      (Netfault.compose
+         [ Netfault.uniform ~rate; Netfault.blackhole ~links:[ (0, 3) ] () ])
+    ~node:
+      (Nodefault.compose
+         [
+           Nodefault.fail_silent ~addrs:[ 1 ] ();
+           Nodefault.flapping ~period:2.0 ~duty:0.5 ~addrs:[ 2 ] ();
+         ]);
+  let delivered = ref 0 in
+  List.iter
+    (fun a -> Net.register net ~addr:a (fun ~src:_ _ -> incr delivered))
+    [ 0; 1; 2; 3; 4 ];
+  let twin = Rng.create seed in
+  let expect = Hashtbl.create 8 in
+  let bump (r : Obs.Event.drop_reason option) =
+    Hashtbl.replace expect r (1 + Option.value ~default:0 (Hashtbl.find_opt expect r))
+  in
+  let count r = Option.value ~default:0 (Hashtbl.find_opt expect r) in
+  (* one round per simulated second; queues drain between rounds *)
+  for round = 0 to 39 do
+    ignore
+      (Engine.schedule_at engine ~time:(float_of_int round) (fun () ->
+           let accepted_by_4 = ref 0 in
+           let send ~src ~dst =
+             Net.send net ~src ~dst "m";
+             bump
+               (if Rng.float twin 1.0 < rate then Some Obs.Event.Loss
+                else if (src, dst) = (0, 3) then Some Obs.Event.Faulted
+                else if src = 1 then Some Obs.Event.Node_fault
+                else if dst = 4 && !accepted_by_4 = 2 then Some Obs.Event.Congested
+                else begin
+                  if dst = 4 then incr accepted_by_4;
+                  if dst = 2 && round mod 2 = 0 then Some Obs.Event.Node_fault
+                  else if dst = 5 then Some Obs.Event.Dead_destination
+                  else None
+                end)
+           in
+           send ~src:0 ~dst:3;
+           send ~src:1 ~dst:0;
+           send ~src:0 ~dst:2;
+           send ~src:0 ~dst:5;
+           for _ = 1 to 4 do
+             send ~src:0 ~dst:4
+           done))
+  done;
+  Engine.run_all engine;
+  let s = Net.stats net in
+  let drops_traced r =
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) ->
+           match e.Obs.Event.body with
+           | Obs.Event.Drop { reason; _ } -> reason = r
+           | _ -> false)
+         (Obs.Trace.events trace))
+  in
+  List.iter
+    (fun (name, r, counted) ->
+      Alcotest.(check bool) (name ^ " exercised") true (count (Some r) > 0);
+      Alcotest.(check int) (name ^ " counter") (count (Some r)) counted;
+      Alcotest.(check int) (name ^ " traced") counted (drops_traced r))
+    [
+      ("loss", Obs.Event.Loss, s.Net.dropped_loss);
+      ("fault", Obs.Event.Faulted, s.Net.dropped_fault);
+      ("node", Obs.Event.Node_fault, s.Net.dropped_node);
+      ("congestion", Obs.Event.Congested, s.Net.dropped_congestion);
+      ("dead", Obs.Event.Dead_destination, s.Net.dropped_dead);
+    ];
+  Alcotest.(check int) "delivered" (count None) s.Net.delivered;
+  Alcotest.(check int) "handlers ran" s.Net.delivered !delivered;
+  Alcotest.(check int) "sent = delivered + dropped" s.Net.sent
+    (s.Net.delivered + s.Net.dropped_loss + s.Net.dropped_fault
+   + s.Net.dropped_node + s.Net.dropped_congestion + s.Net.dropped_dead)
 
 (* every send is accounted for exactly once, whatever mix of loss,
    fault models, node faults, congestion and dead destinations it met *)
@@ -249,14 +307,16 @@ let qcheck_stats_conservation =
         else None
       in
       let net =
-        Net.create ~loss_rate:(if scenario = 0 then 0.3 else 0.0) ?capacity
-          ~engine ~topology ~rng:(Rng.create (seed + 1)) ()
+        Net.create ?capacity ~engine ~topology ~rng:(Rng.create (seed + 1)) ()
       in
+      if scenario = 0 then uniform_loss net 0.3;
       if scenario = 1 then
-        Net.set_fault_model net (Some (Repro_faults.Netfault.uniform ~rate:0.4));
+        Net.set_faults net
+          ~link:(Netfault.blackhole ~links:[ (0, 1); (2, 3) ] ())
+          ~node:Nodefault.none;
       if scenario = 2 then
-        Net.set_node_fault_model net
-          (Some (Repro_faults.Nodefault.fail_silent ~addrs:[ 1; 2 ] ()));
+        Net.set_faults net ~link:Netfault.none
+          ~node:(Nodefault.fail_silent ~addrs:[ 1; 2 ] ());
       let rng = Rng.create seed in
       (* register only half the addresses: dead destinations included *)
       for a = 0 to 3 do
@@ -299,12 +359,8 @@ let suite =
         Alcotest.test_case "unregistered dropped" `Quick test_unregistered_dropped;
         Alcotest.test_case "crash drops in-flight" `Quick test_crash_after_send;
         Alcotest.test_case "loss statistics" `Quick test_loss_statistics;
-        Alcotest.test_case "loss rate validation" `Quick test_loss_rate_validation;
-        Alcotest.test_case "set loss rate validation" `Quick
-          test_set_loss_rate_validation;
         Alcotest.test_case "on_send tap" `Quick test_on_send_tap;
         Alcotest.test_case "endpoint mapping" `Quick test_endpoint_mapping;
-        Alcotest.test_case "set loss rate" `Quick test_set_loss_rate;
         Alcotest.test_case "handler replacement" `Quick test_handler_replacement;
         Alcotest.test_case "capacity: queueing delay" `Quick
           test_capacity_queueing_delay;
@@ -315,8 +371,8 @@ let suite =
           test_capacity_occupancy_and_tap;
         Alcotest.test_case "capacity: default off" `Quick test_capacity_default_off;
         Alcotest.test_case "capacity: validation" `Quick test_capacity_validation;
-        Alcotest.test_case "set_loss_rate vs fault model" `Quick
-          test_set_loss_rate_vs_fault_model;
+        Alcotest.test_case "pipeline attributes every drop" `Quick
+          test_pipeline_drop_attribution;
         QCheck_alcotest.to_alcotest qcheck_stats_conservation;
       ] );
   ]

@@ -92,17 +92,18 @@ let make_net ?trace () =
   let net = Net.create ?trace ~engine ~topology ~rng:(Rng.create 7) () in
   (engine, net)
 
+let set_node net node = Net.set_faults net ~link:Netfault.none ~node
+
 let test_net_fail_slow_delay () =
   let engine, net = make_net () in
   let at = ref nan in
   Net.register net ~addr:1 (fun ~src:_ _ -> at := Engine.now engine);
-  Net.set_node_fault_model net (Some (NF.fail_slow ~factor:2.0 ~extra:0.1 ~addrs:[ 0 ] ()));
+  set_node net (NF.fail_slow ~factor:2.0 ~extra:0.1 ~addrs:[ 0 ] ());
   Net.send net ~src:0 ~dst:1 "slowed sender";
   Engine.run_all engine;
   Alcotest.(check (float 1e-9)) "prop x factor + extra" 0.12 !at;
   (* both ends slowed: factors multiply, extras add *)
-  Net.set_node_fault_model net
-    (Some (NF.fail_slow ~factor:2.0 ~extra:0.1 ~addrs:[ 0; 1 ] ()));
+  set_node net (NF.fail_slow ~factor:2.0 ~extra:0.1 ~addrs:[ 0; 1 ] ());
   Net.send net ~src:0 ~dst:1 "both ends";
   Engine.run_all engine;
   Alcotest.(check (float 1e-9)) "both ends slow" 0.24 (!at -. 0.12)
@@ -113,7 +114,7 @@ let test_net_fail_silent () =
   let got = ref 0 in
   Net.register net ~addr:0 (fun ~src:_ _ -> incr got);
   Net.register net ~addr:1 (fun ~src:_ _ -> incr got);
-  Net.set_node_fault_model net (Some (NF.fail_silent ~addrs:[ 0 ] ()));
+  set_node net (NF.fail_silent ~addrs:[ 0 ] ());
   Net.send net ~src:0 ~dst:1 "swallowed at source";
   Net.send net ~src:1 ~dst:0 "still delivered to the silent node";
   Engine.run_all engine;
@@ -131,18 +132,17 @@ let test_net_fail_silent () =
   in
   Alcotest.(check int) "one Node_fault drop event" 1 (List.length node_drops);
   (* heal restores delivery *)
-  Net.set_node_fault_model net None;
-  Alcotest.(check bool) "model cleared" true (Net.node_fault_model net = None);
+  set_node net NF.none;
   Net.send net ~src:0 ~dst:1 "after heal";
   Engine.run_all engine;
-  Alcotest.(check int) "delivered after heal" 2 !got
+  Alcotest.(check int) "delivered after heal" 2 !got;
+  Alcotest.(check int) "no drop after heal" 1 (Net.stats net).Net.dropped_node
 
 let test_net_flapping_rejudged_at_delivery () =
   let engine, net = make_net () in
   let got = ref [] in
   Net.register net ~addr:1 (fun ~src:_ m -> got := (Engine.now engine, m) :: !got);
-  Net.set_node_fault_model net
-    (Some (NF.flapping ~period:100.0 ~duty:0.5 ~addrs:[ 1 ] ()));
+  set_node net (NF.flapping ~period:100.0 ~duty:0.5 ~addrs:[ 1 ] ());
   (* sent while the receiver is down and delivered while still down *)
   ignore (Engine.schedule_at engine ~time:10.0 (fun () -> Net.send net ~src:0 ~dst:1 "a"));
   (* sent while down but delivered after it comes back up: the receiver
@@ -219,15 +219,17 @@ let test_live_heal_before_overlay_is_noop () =
   in
   let live = Live.create (flat_config ~fault_schedule:schedule ()) ~n_endpoints:16 in
   spawn_overlay live ~n:8;
+  let node_drops () = (Net.stats (Live.net live)).Net.dropped_node in
   Live.run_until live 350.0;
-  Alcotest.(check bool) "no model after early heal" true
-    (Net.node_fault_model (Live.net live) = None);
+  Alcotest.(check int) "no node drops after early heal" 0 (node_drops ());
   Live.run_until live 450.0;
   Alcotest.(check bool) "overlay installed despite earlier heal" true
-    (Net.node_fault_model (Live.net live) <> None);
+    (node_drops () > 0);
+  (* fail-silent mutes at send time only, so drops stop at the expiry *)
+  Live.run_until live 500.5;
+  let at_expiry = node_drops () in
   Live.run_until live 550.0;
-  Alcotest.(check bool) "overlay self-healed after duration" true
-    (Net.node_fault_model (Live.net live) = None)
+  Alcotest.(check int) "overlay self-healed after duration" at_expiry (node_drops ())
 
 (* ----------------------------------------- suspicion list (scripted node) *)
 
