@@ -38,6 +38,14 @@ let bench_ring_dist =
          and b = ids.(Repro_util.Rng.int rng 1024) in
          ignore (Pastry.Nodeid.ring_dist a b)))
 
+let bench_closer =
+  Test.make ~name:"nodeid: closer"
+    (Staged.stage (fun () ->
+         let key = ids.(Repro_util.Rng.int rng 1024)
+         and a = ids.(Repro_util.Rng.int rng 1024)
+         and b = ids.(Repro_util.Rng.int rng 1024) in
+         ignore (Pastry.Nodeid.closer ~key a b)))
+
 let make_routing_state () =
   let me = Pastry.Peer.make ids.(0) 0 in
   let leafset = Pastry.Leafset.create ~l:32 ~me in
@@ -56,6 +64,15 @@ let bench_next_hop =
     (Staged.stage (fun () ->
          let key = ids.(Repro_util.Rng.int rng 1024) in
          ignore (Pastry.Route.next_hop ~leafset:leafset_bench ~table:table_bench ~key ())))
+
+(* the leaf-set rule of next_hop with per-hop-ack exclusions: about one
+   peer in eight excluded *)
+let bench_closest_excluding =
+  let excluded id = Char.code (Pastry.Nodeid.to_raw id).[15] land 7 = 0 in
+  Test.make ~name:"leafset: closest_excluding (l=32)"
+    (Staged.stage (fun () ->
+         let key = ids.(Repro_util.Rng.int rng 1024) in
+         ignore (Pastry.Leafset.closest_excluding leafset_bench key ~excluded)))
 
 let bench_leafset_add =
   Test.make ~name:"leafset: 64 adds"
@@ -211,7 +228,9 @@ let run_micro () =
     [
       bench_nodeid_ops;
       bench_ring_dist;
+      bench_closer;
       bench_next_hop;
+      bench_closest_excluding;
       bench_leafset_add;
       bench_event_queue;
       bench_oracle;

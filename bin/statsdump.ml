@@ -7,7 +7,8 @@
      statsdump old.json new.json       diff: numeric leaves side by side
      statsdump --bench OLD NEW         compare micro ns/op maps and exit
                                        1 on any regression beyond
-                                       --threshold (the CI perf gate) *)
+                                       --threshold or any baseline kernel
+                                       missing from NEW (the CI perf gate) *)
 
 open Cmdliner
 module Json = Repro_obs.Json
@@ -85,7 +86,9 @@ let diff old_j new_j =
   if !changed = 0 then Printf.printf "(identical)\n"
 
 (* --bench: compare the micro_ns_per_op maps of two bench reports. Fails
-   (exit 1) when any kernel slows down by more than [threshold]. *)
+   (exit 1) when any kernel slows down by more than [threshold] or is
+   missing from the candidate — a renamed or deleted kernel must not drop
+   out of the gate unnoticed (regenerate the baseline instead). *)
 let bench_gate old_j new_j threshold =
   let micro j name =
     match Json.member "micro_ns_per_op" j with
@@ -95,7 +98,7 @@ let bench_gate old_j new_j threshold =
   match (micro old_j "baseline", micro new_j "candidate") with
   | Error e, _ | _, Error e -> `Error (false, e)
   | Ok old_map, Ok new_map ->
-      let regressions = ref [] in
+      let regressions = ref [] and missing = ref 0 in
       Printf.printf "%-40s %12s %12s %9s\n" "kernel" "base ns/op" "new ns/op"
         "change";
       List.iter
@@ -113,18 +116,23 @@ let bench_gate old_j new_j threshold =
               Printf.printf "%-40s %12.1f %12.1f %+8.1f%%%s\n" name o n
                 (rel *. 100.0) flag
           | Some o, None ->
+              incr missing;
               Printf.printf "%-40s %12.1f %12s %9s  MISSING\n" name o "-" ""
           | _ -> ())
         old_map;
-      if !regressions = [] then begin
+      if !regressions = [] && !missing = 0 then begin
         Printf.printf "bench gate: ok (threshold %+.0f%%)\n"
           (threshold *. 100.0);
         `Ok ()
       end
       else begin
-        Printf.printf "bench gate: %d kernel(s) regressed beyond %+.0f%%\n"
-          (List.length !regressions)
-          (threshold *. 100.0);
+        if !regressions <> [] then
+          Printf.printf "bench gate: %d kernel(s) regressed beyond %+.0f%%\n"
+            (List.length !regressions)
+            (threshold *. 100.0);
+        if !missing > 0 then
+          Printf.printf "bench gate: %d baseline kernel(s) missing from the candidate\n"
+            !missing;
         exit 1
       end
 
@@ -147,7 +155,8 @@ let bench =
        & info [ "bench" ]
            ~doc:
              "compare the $(b,micro_ns_per_op) maps of two bench reports and \
-              exit 1 on any kernel regression beyond $(b,--threshold)")
+              exit 1 on any kernel regression beyond $(b,--threshold) or any \
+              baseline kernel missing from the candidate")
 
 let threshold =
   Arg.(value & opt float 0.25

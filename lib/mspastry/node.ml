@@ -753,32 +753,23 @@ and repair t =
              (not (Nodeid.equal p.Peer.id t.me.Peer.id))
              && not (Hashtbl.mem t.failed p.Peer.id))
     in
+    (* the known peer nearest in one direction; the first wins ties *)
+    let nearest cmp =
+      List.fold_left
+        (fun acc p ->
+          match acc with
+          | Some b when cmp b.Peer.id p.Peer.id <= 0 -> acc
+          | _ -> Some p)
+        None (known ())
+    in
     if Leafset.left_size t.leafset = 0 then begin
-      let best =
-        List.fold_left
-          (fun acc p ->
-            let d = Nodeid.cw_dist p.Peer.id t.me.Peer.id in
-            match acc with
-            | Some (_, bd) when Nodeid.compare bd d <= 0 -> acc
-            | _ -> Some (p, d))
-          None (known ())
-      in
-      match best with
-      | Some (p, _) -> send_msg t p (M.Repair_request { left_side = true })
+      match nearest (Nodeid.compare_ccw_dist ~from:t.me.Peer.id) with
+      | Some p -> send_msg t p (M.Repair_request { left_side = true })
       | None -> ()
     end;
     if Leafset.right_size t.leafset = 0 then begin
-      let best =
-        List.fold_left
-          (fun acc p ->
-            let d = Nodeid.cw_dist t.me.Peer.id p.Peer.id in
-            match acc with
-            | Some (_, bd) when Nodeid.compare bd d <= 0 -> acc
-            | _ -> Some (p, d))
-          None (known ())
-      in
-      match best with
-      | Some (p, _) -> send_msg t p (M.Repair_request { left_side = false })
+      match nearest (Nodeid.compare_cw_dist ~from:t.me.Peer.id) with
+      | Some p -> send_msg t p (M.Repair_request { left_side = false })
       | None -> ()
     end
   end
@@ -1431,9 +1422,7 @@ and handle t ~src:_ (msg : M.t) =
           |> List.sort_uniq (fun a b -> Nodeid.compare a.Peer.id b.Peer.id)
           |> List.filter (fun p -> not (Nodeid.equal p.Peer.id sender.Peer.id))
           |> List.sort (fun a b ->
-                 Nodeid.compare
-                   (Nodeid.ring_dist a.Peer.id sender.Peer.id)
-                   (Nodeid.ring_dist b.Peer.id sender.Peer.id))
+                 Nodeid.compare_ring_dist ~key:sender.Peer.id a.Peer.id b.Peer.id)
         in
         send_msg t sender
           (M.Repair_reply { candidates = Repro_util.Listx.take (t.cfg.l + 1) cands })
@@ -1651,10 +1640,7 @@ and adversary_route t (l : M.lookup) =
         | members ->
             let away =
               List.sort
-                (fun a b ->
-                  Nodeid.compare
-                    (Nodeid.ring_dist b.Peer.id l.M.key)
-                    (Nodeid.ring_dist a.Peer.id l.M.key))
+                (fun a b -> Nodeid.compare_ring_dist ~key:l.M.key b.Peer.id a.Peer.id)
                 members
             in
             let n = min 4 (List.length away) in

@@ -48,8 +48,7 @@ let estimate_mu t ~m ~now =
 let id_space = 2.0 ** 128.0
 
 let estimate_n leafset =
-  let members = Pastry.Leafset.members leafset in
-  let m = List.length members in
+  let m = Pastry.Leafset.size leafset in
   if m = 0 then 1.0
   else
     match (Pastry.Leafset.leftmost leafset, Pastry.Leafset.rightmost leafset) with

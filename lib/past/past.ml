@@ -44,10 +44,7 @@ let engine t = Live.engine t.live
 (* the k-1 leaf-set members of [node] ring-closest to the object key *)
 let replica_targets t node ~keyhash =
   Pastry.Leafset.members (Node.leafset node)
-  |> List.sort (fun a b ->
-         Nodeid.compare
-           (Nodeid.ring_dist a.Pastry.Peer.id keyhash)
-           (Nodeid.ring_dist b.Pastry.Peer.id keyhash))
+  |> List.sort (fun a b -> Nodeid.compare_ring_dist ~key:keyhash a.Pastry.Peer.id b.Pastry.Peer.id)
   |> List.filteri (fun i _ -> i < t.replicas - 1)
 
 let replicate t ~from_addr ~key ~value node =

@@ -1,129 +1,168 @@
+(* One side of the leaf set: [peers.(0 .. n-1)] in ascending distance
+   from [me] in the side's direction, so binary search finds both a
+   member and the rank a newcomer would take. Slots from [n] on hold
+   [me] as a filler. *)
+type side = {
+  peers : Peer.t array; (* capacity l/2 *)
+  mutable n : int;
+  cmp : Nodeid.t -> Nodeid.t -> int; (* distance order from me *)
+}
+
 type t = {
   l : int;
   me : Peer.t;
-  mutable left : Peer.t list; (* ascending ccw distance from me *)
-  mutable right : Peer.t list; (* ascending cw distance from me *)
+  left : side; (* counter-clockwise *)
+  right : side; (* clockwise *)
+  mutable shared : int; (* identifiers on both sides: the set wraps iff > 0 *)
+  mutable view : Peer.t list option; (* [members], dropped on every change *)
 }
 
 let create ~l ~me =
   if l < 2 || l mod 2 <> 0 then invalid_arg "Leafset.create: l must be even and >= 2";
-  { l; me; left = []; right = [] }
+  let side cmp = { peers = Array.make (l / 2) me; n = 0; cmp } in
+  {
+    l;
+    me;
+    left = side (Nodeid.compare_ccw_dist ~from:me.Peer.id);
+    right = side (Nodeid.compare_cw_dist ~from:me.Peer.id);
+    shared = 0;
+    view = None;
+  }
 
 let me t = t.me
 let l t = t.l
 
-let side_mem side id = List.exists (fun p -> Nodeid.equal p.Peer.id id) side
+(* rank of [id] on [s]: the index of the first member not strictly
+   closer to [me] — where [id] sits if it is a member *)
+let search s id =
+  let lo = ref 0 and hi = ref s.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if s.cmp s.peers.(mid).Peer.id id < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* insert sorted by [dist], capped at [cap]; returns (side', changed) *)
-let side_insert ~dist ~cap side peer =
-  if side_mem side peer.Peer.id then (side, false)
+let holds s i id = i < s.n && Nodeid.equal s.peers.(i).Peer.id id
+let side_mem s id = holds s (search s id) id
+
+(* insert at its rank unless present or ranked past the capacity; the
+   farthest member falls off a full side *)
+let insert t s ~other peer =
+  let id = peer.Peer.id in
+  let i = search s id in
+  let cap = Array.length s.peers in
+  if i >= cap || holds s i id then false
   else begin
-    let d = dist peer.Peer.id in
-    let rec ins = function
-      | [] -> [ peer ]
-      | p :: rest ->
-          if Nodeid.compare d (dist p.Peer.id) < 0 then peer :: p :: rest
-          else p :: ins rest
-    in
-    let trimmed = Repro_util.Listx.take cap (ins side) in
-    let changed = side_mem trimmed peer.Peer.id in
-    (trimmed, changed)
+    if s.n = cap then begin
+      if side_mem other s.peers.(cap - 1).Peer.id then t.shared <- t.shared - 1;
+      s.n <- cap - 1
+    end;
+    Array.blit s.peers i s.peers (i + 1) (s.n - i);
+    s.peers.(i) <- peer;
+    s.n <- s.n + 1;
+    if side_mem other id then t.shared <- t.shared + 1;
+    true
   end
+
+let delete t s id =
+  let i = search s id in
+  if holds s i id then begin
+    Array.blit s.peers (i + 1) s.peers i (s.n - i - 1);
+    s.n <- s.n - 1;
+    s.peers.(s.n) <- t.me;
+    true
+  end
+  else false
 
 let add t peer =
   if Nodeid.equal peer.Peer.id t.me.Peer.id then false
   else begin
-    let cap = t.l / 2 in
-    let ccw id = Nodeid.cw_dist id t.me.Peer.id in
-    let cw id = Nodeid.cw_dist t.me.Peer.id id in
-    let left', c1 = side_insert ~dist:ccw ~cap t.left peer in
-    let right', c2 = side_insert ~dist:cw ~cap t.right peer in
-    t.left <- left';
-    t.right <- right';
-    c1 || c2
+    let on_left = insert t t.left ~other:t.right peer in
+    let on_right = insert t t.right ~other:t.left peer in
+    if on_left || on_right then t.view <- None;
+    on_left || on_right
   end
 
 let remove t id =
-  let had = side_mem t.left id || side_mem t.right id in
-  if had then begin
-    t.left <- List.filter (fun p -> not (Nodeid.equal p.Peer.id id)) t.left;
-    t.right <- List.filter (fun p -> not (Nodeid.equal p.Peer.id id)) t.right
-  end;
-  had
+  let on_left = delete t t.left id in
+  let on_right = delete t t.right id in
+  if on_left && on_right then t.shared <- t.shared - 1;
+  if on_left || on_right then t.view <- None;
+  on_left || on_right
 
 let mem t id = side_mem t.left id || side_mem t.right id
 
+(* the right side, then the left-only members *)
 let members t =
-  let right_ids = List.map (fun p -> p.Peer.id) t.right in
-  t.right @ List.filter (fun p -> not (List.exists (Nodeid.equal p.Peer.id) right_ids)) t.left
+  match t.view with
+  | Some v -> v
+  | None ->
+      let v = ref [] in
+      for i = t.left.n - 1 downto 0 do
+        let p = t.left.peers.(i) in
+        if t.shared = 0 || not (side_mem t.right p.Peer.id) then v := p :: !v
+      done;
+      for i = t.right.n - 1 downto 0 do
+        v := t.right.peers.(i) :: !v
+      done;
+      t.view <- Some !v;
+      !v
 
-let size t = List.length (members t)
-let left_size t = List.length t.left
-let right_size t = List.length t.right
+let size t = t.left.n + t.right.n - t.shared
+let left_size t = t.left.n
+let right_size t = t.right.n
 
-let left_neighbor t = match t.left with [] -> None | p :: _ -> Some p
-let right_neighbor t = match t.right with [] -> None | p :: _ -> Some p
+let first s = if s.n = 0 then None else Some s.peers.(0)
+let last s = if s.n = 0 then None else Some s.peers.(s.n - 1)
 
-let rec last = function [] -> None | [ x ] -> Some x | _ :: rest -> last rest
-
+let left_neighbor t = first t.left
+let right_neighbor t = first t.right
 let leftmost t = last t.left
 let rightmost t = last t.right
 
-let wraps t =
-  t.left <> [] && t.right <> []
-  && List.exists (fun p -> side_mem t.right p.Peer.id) t.left
+let wraps t = t.shared > 0
 
 let complete t =
   let cap = t.l / 2 in
-  (t.left = [] && t.right = [])
-  || (List.length t.left = cap && List.length t.right = cap)
-  || wraps t
+  (t.left.n = 0 && t.right.n = 0) || (t.left.n = cap && t.right.n = cap) || wraps t
 
 let covers t k =
-  if wraps t then true
-  else
-    match (leftmost t, rightmost t) with
-    | None, None -> true
-    | Some lm, Some rm -> Nodeid.in_cw_arc ~from:lm.Peer.id ~til:rm.Peer.id k
-    | Some _, None | None, Some _ -> false
+  wraps t
+  ||
+  match (t.left.n, t.right.n) with
+  | 0, 0 -> true
+  | 0, _ | _, 0 -> false
+  | nl, nr ->
+      Nodeid.in_cw_arc ~from:t.left.peers.(nl - 1).Peer.id
+        ~til:t.right.peers.(nr - 1).Peer.id k
 
-let closest t k =
-  List.fold_left
-    (fun best p -> if Nodeid.closer ~key:k p.Peer.id best.Peer.id then p else best)
-    t.me (members t)
+(* [best] or the member of [s] that beats it for [k]. A peer on both
+   sides never beats itself, so scanning the right side then the left
+   visits the candidates in [members] order without deduplicating. *)
+let closest_on s k ~excluded best =
+  let best = ref best in
+  for i = 0 to s.n - 1 do
+    let p = s.peers.(i) in
+    if Nodeid.closer ~key:k p.Peer.id !best.Peer.id && not (excluded p.Peer.id) then best := p
+  done;
+  !best
 
 let closest_excluding t k ~excluded =
-  let cands =
-    t.me :: List.filter (fun p -> not (excluded p.Peer.id)) (members t)
-  in
-  match cands with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best p -> if Nodeid.closer ~key:k p.Peer.id best.Peer.id then p else best)
-           first rest)
+  closest_on t.left k ~excluded (closest_on t.right k ~excluded t.me)
+
+let no_exclusion _ = false
+let closest t k = closest_excluding t k ~excluded:no_exclusion
 
 let would_admit t id =
-  if Nodeid.equal id t.me.Peer.id then false
-  else if mem t id then false
-  else begin
-    let cap = t.l / 2 in
-    let fits side dist =
-      List.length side < cap
-      ||
-      match last side with
-      | None -> true
-      | Some far -> Nodeid.compare (dist id) (dist far.Peer.id) < 0
-    in
-    let ccw x = Nodeid.cw_dist x t.me.Peer.id in
-    let cw x = Nodeid.cw_dist t.me.Peer.id x in
-    fits t.left ccw || fits t.right cw
-  end
+  let cap = t.l / 2 in
+  (not (Nodeid.equal id t.me.Peer.id))
+  && (not (mem t id))
+  && (search t.left id < cap || search t.right id < cap)
 
 let pp fmt t =
+  let side s = Array.to_list (Array.sub s.peers 0 s.n) in
   Format.fprintf fmt "@[<h>[%a] <- %a -> [%a]@]"
     (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ") Peer.pp)
-    (List.rev t.left) Peer.pp t.me
+    (List.rev (side t.left)) Peer.pp t.me
     (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ") Peer.pp)
-    t.right
+    (side t.right)

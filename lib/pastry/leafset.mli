@@ -4,7 +4,14 @@
     (numerically decreasing, mod 2^128), the right side clockwise. In
     overlays with at most [l] nodes the sides overlap ("wrap"); a wrapped
     leaf set knows every node in the ring and is considered complete even
-    when the sides are not full. *)
+    when the sides are not full.
+
+    Each side is a fixed array of l/2 slots sorted by directed distance
+    from [me], so membership and insertion rank are binary searches. The
+    size, the wrap flag and both arc ends are maintained on every change,
+    and the {!members} list is rebuilt at most once per change, so the
+    queries on the routing path ({!covers}, {!closest},
+    {!closest_excluding}, {!members}) neither allocate nor rescan. *)
 
 type t
 
@@ -24,7 +31,8 @@ val remove : t -> Nodeid.t -> bool
 val mem : t -> Nodeid.t -> bool
 
 val members : t -> Peer.t list
-(** All distinct peers (never includes [me]). *)
+(** All distinct peers (never includes [me]): the right side in order,
+    then the left-only members in order. *)
 
 val size : t -> int
 (** Number of distinct members. *)
@@ -57,8 +65,10 @@ val covers : t -> Nodeid.t -> bool
 val closest : t -> Nodeid.t -> Peer.t
 (** Member (including [me]) owning the key under {!Nodeid.closer}. *)
 
-val closest_excluding : t -> Nodeid.t -> excluded:(Nodeid.t -> bool) -> Peer.t option
-(** Like {!closest} but skipping excluded peers; [me] is never excluded. *)
+val closest_excluding : t -> Nodeid.t -> excluded:(Nodeid.t -> bool) -> Peer.t
+(** Like {!closest} but skipping excluded peers; [me] is never excluded,
+    so there is always an answer. [excluded] is consulted only for a peer
+    that would beat the best candidate so far. *)
 
 val would_admit : t -> Nodeid.t -> bool
 (** Would {!add} of this identifier change the leaf set? *)

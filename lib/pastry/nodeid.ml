@@ -39,76 +39,128 @@ let random rng = Repro_util.Rng.bytes rng size
 let of_int i =
   if i < 0 then invalid_arg "Nodeid.of_int: negative";
   let b = Bytes.make size '\000' in
-  let v = ref (Int64.of_int i) in
-  for k = size - 1 downto size - 8 do
-    Bytes.set b k (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
-    v := Int64.shift_right_logical !v 8
-  done;
-  Bytes.to_string b
+  Bytes.set_int64_be b 8 (Int64.of_int i);
+  Bytes.unsafe_to_string b
+
+(* ------------------------------------------------------------------ *)
+(* 128-bit arithmetic on the two big-endian 64-bit halves               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every value below is an [int64] local that the native compiler keeps
+   unboxed: the helpers are inlined and only ints, bools or a fresh
+   identifier leave a function, so comparisons allocate nothing. *)
+
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] hi t = if Sys.big_endian then get64 t 0 else bswap64 (get64 t 0)
+let[@inline] lo t = if Sys.big_endian then get64 t 8 else bswap64 (get64 t 8)
+
+(* unsigned 64-bit order *)
+let[@inline] ult (a : int64) (b : int64) = Int64.add a Int64.min_int < Int64.add b Int64.min_int
+
+(* sign of the unsigned comparison (ah, al) vs (bh, bl) *)
+let[@inline] cmp128 (ah : int64) (al : int64) (bh : int64) (bl : int64) =
+  if ah <> bh then if ult ah bh then -1 else 1
+  else if al = bl then 0
+  else if ult al bl then -1
+  else 1
+
+(* (ah, al) − (bh, bl) mod 2^128, one half at a time *)
+let[@inline] sub_hi ah al bh bl = Int64.sub (Int64.sub ah bh) (if ult al bl then 1L else 0L)
+let[@inline] sub_lo al bl = Int64.sub al bl
+
+(* ring distance of a directed difference d: min(d, −d), which is d
+   itself when the top bit is clear and −d otherwise *)
+let[@inline] ring_hi (dh : int64) dl =
+  if dh >= 0L then dh else Int64.sub (Int64.neg dh) (if dl = 0L then 0L else 1L)
+
+let[@inline] ring_lo (dh : int64) dl = if dh >= 0L then dl else Int64.neg dl
+
+let[@inline] of_halves h l =
+  let b = Bytes.create size in
+  Bytes.set_int64_be b 0 h;
+  Bytes.set_int64_be b 8 l;
+  Bytes.unsafe_to_string b
 
 let num_digits ~b =
   if b < 1 || b > 8 then invalid_arg "Nodeid.num_digits: b must be in 1..8";
   (bits + b - 1) / b
 
-let bit t k = (Char.code t.[k / 8] lsr (7 - (k mod 8))) land 1
-
 let digit ~b t i =
   let start = i * b in
   if start < 0 || start >= bits then invalid_arg "Nodeid.digit: index out of range";
-  let len = min b (bits - start) in
-  let v = ref 0 in
-  for k = start to start + len - 1 do
-    v := (!v lsl 1) lor bit t k
-  done;
-  !v
+  let stop = min (start + b) bits in
+  let mask = (1 lsl (stop - start)) - 1 in
+  if stop <= 64 then Int64.to_int (Int64.shift_right_logical (hi t) (64 - stop)) land mask
+  else if start >= 64 then Int64.to_int (Int64.shift_right_logical (lo t) (128 - stop)) land mask
+  else
+    (* the digit straddles bit 64: its high part ends [hi], its low part
+       starts [lo] *)
+    let low_bits = stop - 64 in
+    ((Int64.to_int (hi t) lsl low_bits)
+    lor Int64.to_int (Int64.shift_right_logical (lo t) (64 - low_bits)))
+    land mask
+
+(* leading zeros of a 32-bit value in [1, 2^32) *)
+let clz32 x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xFFFF0000 = 0 then begin n := 16; x := !x lsl 16 end;
+  if !x land 0xFF000000 = 0 then begin n := !n + 8; x := !x lsl 8 end;
+  if !x land 0xF0000000 = 0 then begin n := !n + 4; x := !x lsl 4 end;
+  if !x land 0xC0000000 = 0 then begin n := !n + 2; x := !x lsl 2 end;
+  if !x land 0x80000000 = 0 then !n + 1 else !n
+
+(* leading zeros of a nonzero 64-bit value *)
+let[@inline] clz64 x =
+  let top = Int64.to_int (Int64.shift_right_logical x 32) in
+  if top <> 0 then clz32 top else 32 + clz32 (Int64.to_int x land 0xFFFF_FFFF)
 
 let shared_prefix_length ~b a c =
   let n = num_digits ~b in
-  let rec go i =
-    if i >= n then n
-    else if digit ~b a i = digit ~b c i then go (i + 1)
-    else i
-  in
-  go 0
+  let xh = Int64.logxor (hi a) (hi c) in
+  if xh <> 0L then clz64 xh / b
+  else
+    let xl = Int64.logxor (lo a) (lo c) in
+    if xl <> 0L then (64 + clz64 xl) / b else n
 
 let add a c =
-  let r = Bytes.create size in
-  let carry = ref 0 in
-  for i = size - 1 downto 0 do
-    let s = Char.code a.[i] + Char.code c.[i] + !carry in
-    Bytes.set r i (Char.chr (s land 0xFF));
-    carry := s lsr 8
-  done;
-  Bytes.to_string r
+  let al = lo a and cl = lo c in
+  let l = Int64.add al cl in
+  let carry = if ult l al then 1L else 0L in
+  of_halves (Int64.add (Int64.add (hi a) (hi c)) carry) l
 
-let sub a c =
-  let r = Bytes.create size in
-  let borrow = ref 0 in
-  for i = size - 1 downto 0 do
-    let d = Char.code a.[i] - Char.code c.[i] - !borrow in
-    if d < 0 then begin
-      Bytes.set r i (Char.chr (d + 256));
-      borrow := 1
-    end
-    else begin
-      Bytes.set r i (Char.chr d);
-      borrow := 0
-    end
-  done;
-  Bytes.to_string r
+let sub a c = of_halves (sub_hi (hi a) (lo a) (hi c) (lo c)) (sub_lo (lo a) (lo c))
 
 let cw_dist a c = sub c a
 
 let ring_dist a c =
-  let d1 = sub c a and d2 = sub a c in
-  if String.compare d1 d2 <= 0 then d1 else d2
+  let ch = hi c and cl = lo c and ah = hi a and al = lo a in
+  let dh = sub_hi ch cl ah al and dl = sub_lo cl al in
+  of_halves (ring_hi dh dl) (ring_lo dh dl)
 
-let in_cw_arc ~from ~til x = String.compare (cw_dist from x) (cw_dist from til) <= 0
+let compare_cw_dist ~from a c =
+  let fh = hi from and fl = lo from in
+  let ah = hi a and al = lo a and ch = hi c and cl = lo c in
+  cmp128 (sub_hi ah al fh fl) (sub_lo al fl) (sub_hi ch cl fh fl) (sub_lo cl fl)
+
+let compare_ccw_dist ~from a c =
+  let fh = hi from and fl = lo from in
+  let ah = hi a and al = lo a and ch = hi c and cl = lo c in
+  cmp128 (sub_hi fh fl ah al) (sub_lo fl al) (sub_hi fh fl ch cl) (sub_lo fl cl)
+
+let in_cw_arc ~from ~til x = compare_cw_dist ~from x til <= 0
+
+let compare_ring_dist ~key a c =
+  let kh = hi key and kl = lo key in
+  let ah = hi a and al = lo a and ch = hi c and cl = lo c in
+  let dah = sub_hi kh kl ah al and dal = sub_lo kl al in
+  let dch = sub_hi kh kl ch cl and dcl = sub_lo kl cl in
+  cmp128 (ring_hi dah dal) (ring_lo dah dal) (ring_hi dch dcl) (ring_lo dch dcl)
 
 let closer ~key a c =
-  let da = ring_dist a key and dc = ring_dist c key in
-  let cmp = String.compare da dc in
-  if cmp <> 0 then cmp < 0 else String.compare a c < 0
+  let cmp = compare_ring_dist ~key a c in
+  cmp < 0 || (cmp = 0 && compare a c < 0)
 
 let to_float t =
   let acc = ref 0.0 in

@@ -2,7 +2,12 @@
 
     Node identifiers and object keys are drawn from the same circular
     128-bit space. Values are immutable 16-byte strings in big-endian
-    order, so plain [String.compare] is numeric comparison.
+    order, so plain [String.compare] is numeric comparison. Ring
+    arithmetic reads the two big-endian 64-bit halves: the comparisons
+    ({!closer}, {!in_cw_arc}, the [compare_*_dist] family) and
+    {!shared_prefix_length}/{!digit} allocate nothing; only the functions
+    returning a new identifier ({!add}, {!sub}, {!cw_dist}, {!ring_dist})
+    build one.
 
     Ring geometry: the clockwise distance from [a] to [b] is
     [(b − a) mod 2^128]; the ring distance is the smaller of the two
@@ -60,6 +65,19 @@ val cw_dist : t -> t -> t
 
 val ring_dist : t -> t -> t
 (** Minimum of the two directed distances. *)
+
+val compare_cw_dist : from:t -> t -> t -> int
+(** [compare_cw_dist ~from a b] compares [cw_dist from a] with
+    [cw_dist from b]: clockwise distance from [from]. *)
+
+val compare_ccw_dist : from:t -> t -> t -> int
+(** [compare_ccw_dist ~from a b] compares [cw_dist a from] with
+    [cw_dist b from]: counter-clockwise distance from [from]. *)
+
+val compare_ring_dist : key:t -> t -> t -> int
+(** [compare_ring_dist ~key a b] compares [ring_dist a key] with
+    [ring_dist b key]. Equal distances compare 0 (no identifier
+    tie-break; {!closer} adds one). *)
 
 val in_cw_arc : from:t -> til:t -> t -> bool
 (** [in_cw_arc ~from ~til x] — is [x] on the closed clockwise arc

@@ -11,10 +11,8 @@ let no_exclusion _ = false
 let next_hop_explained ?(excluded = no_exclusion) ~leafset ~table ~key () =
   let me = Leafset.me leafset in
   if Leafset.covers leafset key then
-    ( (match Leafset.closest_excluding leafset key ~excluded with
-      | None -> Deliver
-      | Some p -> if Nodeid.equal p.Peer.id me.Peer.id then Deliver else Forward p),
-      Via_leafset )
+    let p = Leafset.closest_excluding leafset key ~excluded in
+    ((if Nodeid.equal p.Peer.id me.Peer.id then Deliver else Forward p), Via_leafset)
   else begin
     let b = Routing_table.b table in
     let r = Nodeid.shared_prefix_length ~b key me.Peer.id in
@@ -27,28 +25,25 @@ let next_hop_explained ?(excluded = no_exclusion) ~leafset ~table ~key () =
     | Some p -> (Forward p, Via_table)
     | None ->
         (* fallback: any peer strictly closer to the key sharing a prefix of
-           length >= r; prefer longer shared prefixes, then ring proximity *)
-        let candidates =
-          Leafset.members leafset @ Routing_table.peers table
-        in
-        let my_dist = Nodeid.ring_dist me.Peer.id key in
-        let better best p =
-          if excluded p.Peer.id then best
-          else begin
-            let pl = Nodeid.shared_prefix_length ~b key p.Peer.id in
-            let pd = Nodeid.ring_dist p.Peer.id key in
-            if pl < r || Nodeid.compare pd my_dist >= 0 then best
-            else
-              match best with
-              | None -> Some (pl, pd, p)
-              | Some (bl, bd, _) ->
-                  if pl > bl || (pl = bl && Nodeid.compare pd bd < 0) then Some (pl, pd, p)
-                  else best
+           length >= r; prefer longer shared prefixes, then ring proximity.
+           Leaf-set members come first, so they win exact ties. *)
+        let best = ref me and best_len = ref (-1) in
+        let consider p =
+          let pl = Nodeid.shared_prefix_length ~b key p.Peer.id in
+          if
+            pl >= r
+            && Nodeid.compare_ring_dist ~key p.Peer.id me.Peer.id < 0
+            && (pl > !best_len
+               || (pl = !best_len && Nodeid.compare_ring_dist ~key p.Peer.id !best.Peer.id < 0))
+            && not (excluded p.Peer.id)
+          then begin
+            best := p;
+            best_len := pl
           end
         in
-        match List.fold_left better None candidates with
-        | Some (_, _, p) -> (Forward p, Via_closest)
-        | None -> (Deliver, Via_closest)
+        List.iter consider (Leafset.members leafset);
+        Routing_table.iter (fun e -> consider e.Routing_table.peer) table;
+        if !best_len < 0 then (Deliver, Via_closest) else (Forward !best, Via_closest)
   end
 
 let next_hop ?excluded ~leafset ~table ~key () =

@@ -48,12 +48,6 @@ let consider t peer ~rtt =
       | None ->
           install t r c { peer; rtt };
           true
-      | Some e when Nodeid.equal e.peer.Peer.id peer.Peer.id ->
-          if rtt < e.rtt then begin
-            t.table.(r).(c) <- Some { peer; rtt };
-            true
-          end
-          else false
       | Some e ->
           if rtt < e.rtt then begin
             t.table.(r).(c) <- Some { peer; rtt };
@@ -87,6 +81,8 @@ let entries t =
   |> List.concat_map (fun row -> Array.to_list row |> List.filter_map (fun x -> x))
 
 let peers t = List.map (fun e -> e.peer) (entries t)
+
+let iter f t = Array.iter (Array.iter (function Some e -> f e | None -> ())) t.table
 
 let count t = t.count
 

@@ -44,6 +44,9 @@ val entries : t -> entry list
 
 val peers : t -> Peer.t list
 
+val iter : (entry -> unit) -> t -> unit
+(** Visit the occupied entries in {!entries} order without building a list. *)
+
 val count : t -> int
 (** Number of occupied slots. *)
 

@@ -89,9 +89,9 @@ let test_closest_excluding () =
   let t = ls ~l:8 100 in
   List.iter (fun i -> ignore (Leafset.add t (peer i))) [ 90; 95; 105; 110 ];
   let excl id = Nodeid.equal id (Nodeid.of_int 105) in
-  match Leafset.closest_excluding t (Nodeid.of_int 104) ~excluded:excl with
-  | Some p -> Alcotest.(check bool) "next best" true (p.Peer.addr = 100 || p.Peer.addr = 110)
-  | None -> Alcotest.fail "expected candidate"
+  (* 105 excluded: me (distance 4) beats 110 (distance 6) *)
+  Alcotest.(check int) "next best" 100
+    (Leafset.closest_excluding t (Nodeid.of_int 104) ~excluded:excl).Peer.addr
 
 let test_would_admit_matches_add () =
   let rng = Rng.create 55 in
@@ -181,6 +181,193 @@ let qcheck_model_sides =
       List.length expected = List.length actual
       && List.for_all2 Nodeid.equal expected actual)
 
+(* ------------------------------------------------------------------ *)
+(* Reference model: sorted peer lists                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The original list implementation: each side a sorted [Peer.t list],
+   membership by [List.exists], [members] built with [@]. The library
+   keeps each side in a sorted array with maintained counts; every query
+   must agree with this model after any interleaving of adds and
+   removes. *)
+module Model = struct
+  type t = { l : int; me : Peer.t; mutable left : Peer.t list; mutable right : Peer.t list }
+
+  let create ~l ~me = { l; me; left = []; right = [] }
+  let side_mem side id = List.exists (fun p -> Nodeid.equal p.Peer.id id) side
+
+  let side_insert ~dist ~cap side peer =
+    if side_mem side peer.Peer.id then (side, false)
+    else begin
+      let d = dist peer.Peer.id in
+      let rec ins = function
+        | [] -> [ peer ]
+        | p :: rest ->
+            if Nodeid.compare d (dist p.Peer.id) < 0 then peer :: p :: rest else p :: ins rest
+      in
+      let trimmed = List.filteri (fun i _ -> i < cap) (ins side) in
+      (trimmed, side_mem trimmed peer.Peer.id)
+    end
+
+  let add t peer =
+    if Nodeid.equal peer.Peer.id t.me.Peer.id then false
+    else begin
+      let cap = t.l / 2 in
+      let left', c1 =
+        side_insert ~dist:(fun id -> Nodeid.cw_dist id t.me.Peer.id) ~cap t.left peer
+      in
+      let right', c2 =
+        side_insert ~dist:(fun id -> Nodeid.cw_dist t.me.Peer.id id) ~cap t.right peer
+      in
+      t.left <- left';
+      t.right <- right';
+      c1 || c2
+    end
+
+  let remove t id =
+    let had = side_mem t.left id || side_mem t.right id in
+    let keep p = not (Nodeid.equal p.Peer.id id) in
+    t.left <- List.filter keep t.left;
+    t.right <- List.filter keep t.right;
+    had
+
+  let mem t id = side_mem t.left id || side_mem t.right id
+
+  let members t =
+    let right_ids = List.map (fun p -> p.Peer.id) t.right in
+    t.right @ List.filter (fun p -> not (List.exists (Nodeid.equal p.Peer.id) right_ids)) t.left
+
+  let rec last = function [] -> None | [ x ] -> Some x | _ :: rest -> last rest
+
+  let wraps t =
+    t.left <> [] && t.right <> [] && List.exists (fun p -> side_mem t.right p.Peer.id) t.left
+
+  let complete t =
+    let cap = t.l / 2 in
+    (t.left = [] && t.right = [])
+    || (List.length t.left = cap && List.length t.right = cap)
+    || wraps t
+
+  let covers t k =
+    wraps t
+    ||
+    match (last t.left, last t.right) with
+    | None, None -> true
+    | Some lm, Some rm -> Nodeid.in_cw_arc ~from:lm.Peer.id ~til:rm.Peer.id k
+    | Some _, None | None, Some _ -> false
+
+  let closest_excluding t ~members k ~excluded =
+    List.fold_left
+      (fun best p -> if Nodeid.closer ~key:k p.Peer.id best.Peer.id then p else best)
+      t.me
+      (List.filter (fun p -> not (excluded p.Peer.id)) members)
+
+  let would_admit t id =
+    (not (Nodeid.equal id t.me.Peer.id))
+    && (not (mem t id))
+    &&
+    let cap = t.l / 2 in
+    let fits side dist =
+      List.length side < cap
+      || match last side with None -> true | Some far -> Nodeid.compare (dist id) (dist far.Peer.id) < 0
+    in
+    fits t.left (fun x -> Nodeid.cw_dist x t.me.Peer.id)
+    || fits t.right (fun x -> Nodeid.cw_dist t.me.Peer.id x)
+end
+
+let peer_str p = Printf.sprintf "%s@%d" (Nodeid.to_hex p.Peer.id) p.Peer.addr
+let opt_str = function Some p -> peer_str p | None -> "-"
+let list_str ps = String.concat " " (List.map peer_str ps)
+
+(* Random add/remove interleavings over a population of [pop] ids, checked
+   against [Model] after every operation. Adds sometimes re-announce a
+   known id under another address (the sides may then disagree on the
+   address). Returns how many checked states wrapped and how many did
+   not. *)
+let run_model_check ~l ~pop ~ops rng =
+  let me = Peer.make (Nodeid.random rng) 0 in
+  let t = Leafset.create ~l ~me and m = Model.create ~l ~me in
+  let ids = Array.init pop (fun _ -> Nodeid.random rng) in
+  let any_id () =
+    match Rng.int rng 20 with
+    | 0 -> me.Peer.id
+    | 1 -> Nodeid.random rng
+    | _ -> ids.(Rng.int rng pop)
+  in
+  let wrapped = ref 0 and unwrapped = ref 0 in
+  for step = 1 to ops do
+    (* one failure report per mismatch, no log line per passing check *)
+    let eq what show expected actual =
+      if expected <> actual then
+        Alcotest.failf "l=%d pop=%d step %d: %s: model %s, leafset %s" l pop step what
+          (show expected) (show actual)
+    in
+    let b = string_of_bool and i = string_of_int in
+    (if Rng.int rng 3 = 0 then begin
+       let id = any_id () in
+       eq "remove" b (Model.remove m id) (Leafset.remove t id)
+     end
+     else begin
+       let id = any_id () in
+       let addr = if Rng.int rng 10 = 0 then 1000 + step else Hashtbl.hash id land 0xFFFF in
+       let p = Peer.make id addr in
+       eq "add" b (Model.add m p) (Leafset.add t p)
+     end);
+    eq "members" list_str (Model.members m) (Leafset.members t);
+    eq "size" i (List.length (Model.members m)) (Leafset.size t);
+    eq "left size" i (List.length m.Model.left) (Leafset.left_size t);
+    eq "right size" i (List.length m.Model.right) (Leafset.right_size t);
+    eq "left neighbor" opt_str (List.nth_opt m.Model.left 0) (Leafset.left_neighbor t);
+    eq "right neighbor" opt_str (List.nth_opt m.Model.right 0) (Leafset.right_neighbor t);
+    eq "leftmost" opt_str (Model.last m.Model.left) (Leafset.leftmost t);
+    eq "rightmost" opt_str (Model.last m.Model.right) (Leafset.rightmost t);
+    eq "wraps" b (Model.wraps m) (Leafset.wraps t);
+    eq "complete" b (Model.complete m) (Leafset.complete t);
+    if Model.wraps m then incr wrapped else incr unwrapped;
+    (* keys: random, me, every member and one step either side of the
+       arc ends *)
+    let near id = [ Nodeid.add id (Nodeid.of_int 1); Nodeid.sub id (Nodeid.of_int 1) ] in
+    let keys =
+      Nodeid.random rng :: me.Peer.id
+      :: (List.map (fun p -> p.Peer.id) (Model.members m)
+         @ List.concat_map
+             (fun p -> near p.Peer.id)
+             (List.filter_map Fun.id [ Model.last m.Model.left; Model.last m.Model.right ]))
+    in
+    let excluded_ids = Hashtbl.create 16 in
+    Array.iter (fun id -> if Rng.int rng 3 = 0 then Hashtbl.replace excluded_ids id ()) ids;
+    let excluded = Hashtbl.mem excluded_ids in
+    let members = Model.members m in
+    List.iter
+      (fun k ->
+        eq "covers" b (Model.covers m k) (Leafset.covers t k);
+        eq "closest" peer_str
+          (Model.closest_excluding ~members m k ~excluded:(fun _ -> false))
+          (Leafset.closest t k);
+        eq "closest_excluding" peer_str
+          (Model.closest_excluding ~members m k ~excluded)
+          (Leafset.closest_excluding t k ~excluded))
+      keys;
+    let probe = any_id () in
+    eq "would_admit" b (Model.would_admit m probe) (Leafset.would_admit t probe);
+    eq "mem" b (Model.mem m probe) (Leafset.mem t probe)
+  done;
+  (!wrapped, !unwrapped)
+
+let test_model_interleavings l () =
+  let rng = Rng.create (7 * l) in
+  let wrapped = ref 0 and unwrapped = ref 0 in
+  for _ = 1 to 40 do
+    (* populations from well below l (every side holds everybody, the
+       set wraps) to well above it (full, disjoint sides) *)
+    let pop = 1 + Rng.int rng (3 * l) in
+    let w, u = run_model_check ~l ~pop ~ops:150 rng in
+    wrapped := !wrapped + w;
+    unwrapped := !unwrapped + u
+  done;
+  Alcotest.(check bool) "wrapped states seen" true (!wrapped > 100);
+  Alcotest.(check bool) "unwrapped states seen" true (!unwrapped > 100)
+
 let suite =
   [
     ( "leafset",
@@ -198,5 +385,7 @@ let suite =
         Alcotest.test_case "members dedup" `Quick test_members_dedup;
         QCheck_alcotest.to_alcotest qcheck_closest_oracle;
         QCheck_alcotest.to_alcotest qcheck_model_sides;
+        Alcotest.test_case "matches list model (l=8)" `Quick (test_model_interleavings 8);
+        Alcotest.test_case "matches list model (l=32)" `Quick (test_model_interleavings 32);
       ] );
   ]

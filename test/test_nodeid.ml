@@ -149,6 +149,170 @@ let qcheck_to_float_monotone =
       let fa = Nodeid.to_float a and fb = Nodeid.to_float b in
       if c < 0 then fa <= fb else if c > 0 then fa >= fb else fa = fb)
 
+(* ------------------------------------------------------------------ *)
+(* Reference model: byte-wise string arithmetic                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The original implementation, one byte at a time on the 16-byte
+   big-endian strings. The library computes on the two 64-bit halves;
+   every operation must agree with this model. *)
+module Ref = struct
+  let size = 16
+  let bits = 128
+
+  let num_digits ~b = (bits + b - 1) / b
+  let bit t k = (Char.code t.[k / 8] lsr (7 - (k mod 8))) land 1
+
+  let digit ~b t i =
+    let start = i * b in
+    let len = min b (bits - start) in
+    let v = ref 0 in
+    for k = start to start + len - 1 do
+      v := (!v lsl 1) lor bit t k
+    done;
+    !v
+
+  let shared_prefix_length ~b a c =
+    let n = num_digits ~b in
+    let rec go i =
+      if i >= n then n else if digit ~b a i = digit ~b c i then go (i + 1) else i
+    in
+    go 0
+
+  let add a c =
+    let r = Bytes.create size in
+    let carry = ref 0 in
+    for i = size - 1 downto 0 do
+      let s = Char.code a.[i] + Char.code c.[i] + !carry in
+      Bytes.set r i (Char.chr (s land 0xFF));
+      carry := s lsr 8
+    done;
+    Bytes.to_string r
+
+  let sub a c =
+    let r = Bytes.create size in
+    let borrow = ref 0 in
+    for i = size - 1 downto 0 do
+      let d = Char.code a.[i] - Char.code c.[i] - !borrow in
+      if d < 0 then begin
+        Bytes.set r i (Char.chr (d + 256));
+        borrow := 1
+      end
+      else begin
+        Bytes.set r i (Char.chr d);
+        borrow := 0
+      end
+    done;
+    Bytes.to_string r
+
+  let cw_dist a c = sub c a
+
+  let ring_dist a c =
+    let d1 = sub c a and d2 = sub a c in
+    if String.compare d1 d2 <= 0 then d1 else d2
+
+  let in_cw_arc ~from ~til x = String.compare (cw_dist from x) (cw_dist from til) <= 0
+
+  let closer ~key a c =
+    let da = ring_dist a key and dc = ring_dist c key in
+    let cmp = String.compare da dc in
+    if cmp <> 0 then cmp < 0 else String.compare a c < 0
+end
+
+let of_halves h l =
+  let b = Bytes.create 16 in
+  Bytes.set_int64_be b 0 h;
+  Bytes.set_int64_be b 8 l;
+  Nodeid.of_string (Bytes.to_string b)
+
+let raw = Nodeid.to_raw
+let sign c = compare c 0
+
+(* halves random 128-bit ids almost never produce: all-zero/all-one
+   words, the sign bit alone, and values one step from a carry or
+   borrow across bit 64 *)
+let special_half =
+  QCheck.Gen.oneofl
+    [ 0L; 1L; 2L; -1L; -2L; Int64.min_int; Int64.max_int; Int64.succ Int64.min_int; 0xFFL ]
+
+let gen_half = QCheck.Gen.(frequency [ (2, ui64); (1, special_half) ])
+
+let gen_id =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 of_halves ui64 ui64);
+        (3, map2 of_halves gen_half gen_half);
+        (1, return Nodeid.zero);
+        (1, return Nodeid.max_value);
+      ])
+
+let half_ring = of_halves Int64.min_int 0L
+
+(* (key, a, c) triples biased towards the edge cases of ring arithmetic *)
+let gen_triple =
+  QCheck.Gen.(
+    let* key = gen_id and* a = gen_id and* c = gen_id and* d = gen_id in
+    let* lo = gen_half in
+    oneofl
+      [
+        (key, a, c);
+        (* equal candidates, and a key equal to a candidate *)
+        (key, a, a);
+        (key, key, c);
+        (a, a, a);
+        (* candidates mirrored around the key: ring distances tie, so
+           only the identifier tie-break separates them *)
+        (key, Nodeid.of_string (Ref.sub (raw key) (raw d)), Nodeid.of_string (Ref.add (raw key) (raw d)));
+        (* antipodal: both directed distances are 2^127 *)
+        (key, Nodeid.of_string (Ref.add (raw key) (raw half_ring)), c);
+        (a, key, Nodeid.of_string (Ref.add (raw key) (raw half_ring)));
+        (* ids that differ only in the low half *)
+        (key, a, of_halves (String.get_int64_be (raw a) 0) lo);
+        (* one step either side of the key across bit 64 *)
+        (of_halves 5L 0L, of_halves 4L (-1L), of_halves 5L 1L);
+      ])
+
+let arb_triple =
+  QCheck.make
+    ~print:(fun (k, a, c) ->
+      Printf.sprintf "key=%s a=%s c=%s" (Nodeid.to_hex k) (Nodeid.to_hex a) (Nodeid.to_hex c))
+    gen_triple
+
+let qcheck_ref_arith =
+  QCheck.Test.make ~name:"add/sub/cw_dist/ring_dist match byte-wise model" ~count:2000
+    arb_triple (fun (_, a, c) ->
+      let same f g = String.equal (raw (f a c)) (g (raw a) (raw c)) in
+      same Nodeid.add Ref.add && same Nodeid.sub Ref.sub && same Nodeid.cw_dist Ref.cw_dist
+      && same Nodeid.ring_dist Ref.ring_dist)
+
+let qcheck_ref_order =
+  QCheck.Test.make ~name:"closer/in_cw_arc/comparators match byte-wise model" ~count:2000
+    arb_triple (fun (k, a, c) ->
+      let rk = raw k and ra = raw a and rc = raw c in
+      Nodeid.closer ~key:k a c = Ref.closer ~key:rk ra rc
+      && Nodeid.closer ~key:k c a = Ref.closer ~key:rk rc ra
+      && Nodeid.in_cw_arc ~from:k ~til:a c = Ref.in_cw_arc ~from:rk ~til:ra rc
+      && Nodeid.in_cw_arc ~from:a ~til:k c = Ref.in_cw_arc ~from:ra ~til:rk rc
+      && sign (Nodeid.compare_cw_dist ~from:k a c)
+         = sign (String.compare (Ref.cw_dist rk ra) (Ref.cw_dist rk rc))
+      && sign (Nodeid.compare_ccw_dist ~from:k a c)
+         = sign (String.compare (Ref.cw_dist ra rk) (Ref.cw_dist rc rk))
+      && sign (Nodeid.compare_ring_dist ~key:k a c)
+         = sign (String.compare (Ref.ring_dist ra rk) (Ref.ring_dist rc rk)))
+
+let qcheck_ref_digits =
+  QCheck.Test.make ~name:"prefix length and digits match byte-wise model (b=1..8)"
+    ~count:500 arb_triple (fun (k, a, c) ->
+      List.for_all
+        (fun b ->
+          Nodeid.shared_prefix_length ~b a c = Ref.shared_prefix_length ~b (raw a) (raw c)
+          && Nodeid.shared_prefix_length ~b k a = Ref.shared_prefix_length ~b (raw k) (raw a)
+          && List.for_all
+               (fun i -> Nodeid.digit ~b a i = Ref.digit ~b (raw a) i)
+               (List.init (Nodeid.num_digits ~b) Fun.id))
+        [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
 let suite =
   [
     ( "nodeid",
@@ -173,5 +337,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_digit_range;
         QCheck_alcotest.to_alcotest qcheck_closer_total;
         QCheck_alcotest.to_alcotest qcheck_to_float_monotone;
+        QCheck_alcotest.to_alcotest qcheck_ref_arith;
+        QCheck_alcotest.to_alcotest qcheck_ref_order;
+        QCheck_alcotest.to_alcotest qcheck_ref_digits;
       ] );
   ]
