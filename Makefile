@@ -1,13 +1,17 @@
 # Convenience wrappers around dune. `make help` lists targets.
 
 .PHONY: all build test bench bench-json bench-baseline bench-check profile \
-	perfbench tracedump fmt clean help
+	perfbench perfbench-ab tracedump fmt clean help
 
 # perfbench workload, seed and mode (0: end-to-end metrics, 1:
 # per-layer metrics); see BENCHMARK.json
 WORKLOAD ?= lookup-steady
 SEED ?= 1
 TRACE ?= 0
+# perfbench-ab: the revision compared against the working tree, and the
+# number of alternating pairs
+BASE ?= HEAD
+PAIRS ?= 10
 
 all: build
 
@@ -43,6 +47,14 @@ perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 20 --trace $(TRACE)
 
+# Paired A/B of one workload and seed: BASE (exported with git archive)
+# against the working tree, PAIRS alternating runs of --seconds 20
+# --trace 0 per side; prints medians, quartiles, pairs won on
+# node_s_per_s and any deterministic outcome that differs.
+perfbench-ab:
+	python3 bench/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS)
+
 tracedump:
 	dune exec bin/tracedump.exe -- --nodes 100 --out trace.jsonl
 
@@ -62,6 +74,7 @@ help:
 	@echo "make bench-check    micro-benchmarks gated against the baseline"
 	@echo "make profile        profiled fig6 quick run + run.json manifest"
 	@echo "make perfbench      benchmark one workload (WORKLOAD= SEED= TRACE=)"
+	@echo "make perfbench-ab   BASE vs working tree, alternating (BASE= WORKLOAD= SEED= PAIRS=)"
 	@echo "make tracedump      100-node traced churn run + trace summary"
 	@echo "make fmt            dune build @fmt (when .ocamlformat exists)"
 	@echo "make clean          dune clean"

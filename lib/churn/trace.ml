@@ -126,20 +126,15 @@ let synthetic rng profile ~scale ~duration =
   let dt = 10.0 in
   let sessions = ref [] in
   (* leave times of currently-active sessions, to track population *)
-  let leaves = Repro_util.Heap.create ~leq:(fun a b -> a <= b) () in
+  let leaves = Repro_util.Heap.create () in
   let population = ref 0 in
   let t = ref 0.0 in
   while !t < duration do
     (* expire sessions *)
-    let rec expire () =
-      match Repro_util.Heap.peek leaves with
-      | Some lt when lt <= !t ->
-          ignore (Repro_util.Heap.pop leaves);
-          decr population;
-          expire ()
-      | Some _ | None -> ()
-    in
-    expire ();
+    while (not (Repro_util.Heap.is_empty leaves)) && Repro_util.Heap.min_key leaves <= !t do
+      Repro_util.Heap.pop leaves;
+      decr population
+    done;
     let p = float_of_int !population in
     let tracking = (target !t -. p) /. relax in
     let replacement = p /. profile.session_mean in
@@ -149,7 +144,7 @@ let synthetic rng profile ~scale ~duration =
       let jt = !t +. Rng.float rng dt in
       let s = sample_session () in
       sessions := (jt, s) :: !sessions;
-      Repro_util.Heap.push leaves (jt +. s);
+      Repro_util.Heap.push leaves (jt +. s) ();
       incr population
     done;
     t := !t +. dt

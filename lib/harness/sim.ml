@@ -192,6 +192,9 @@ module Live = struct
     Obs.Registry.gauge_i r "overlay.join_failures" (fun () -> t.join_failures);
     r
 
+  (* netsim counts sends per class index, [M.class_index] *)
+  let class_names = Array.of_list (List.map M.class_name M.all_classes)
+
   (* record construction only; the public [create] below also arms the
      fault schedule (it needs [inject], defined after the crash path) *)
   let create_raw config ~n_endpoints =
@@ -219,7 +222,7 @@ module Live = struct
     let endpoint_of addr = addr mod n_endpoints in
     let net =
       Netsim.Net.create ~endpoint_of
-        ~classify:(fun m -> M.class_name (M.classify m))
+        ~classes:(class_names, fun m -> M.class_index (M.classify m))
         ~seq_of:(fun m ->
           match m.M.payload with M.Lookup l -> Some l.M.seq | _ -> None)
         ?priority_of:

@@ -94,6 +94,16 @@ let all_classes =
     C_maintenance;
   ]
 
+let class_index = function
+  | C_lookup -> 0
+  | C_lookup_ack -> 1
+  | C_distance_probe -> 2
+  | C_leafset -> 3
+  | C_rt_probe -> 4
+  | C_ack_retransmit -> 5
+  | C_join -> 6
+  | C_maintenance -> 7
+
 let is_control = function C_lookup -> false | _ -> true
 
 (* queueing priority under the netsim capacity model: keeping failure

@@ -97,6 +97,10 @@ type traffic_class =
 val classify : t -> traffic_class
 val class_name : traffic_class -> string
 val all_classes : traffic_class list
+
+val class_index : traffic_class -> int
+(** Position of the class in {!all_classes}. *)
+
 val is_control : traffic_class -> bool
 
 val priority : traffic_class -> int

@@ -239,11 +239,14 @@ let current_trt t = t.trt
 
 let now t = t.env.now ()
 
+(* distinct peers in the leaf set and routing table: both hold distinct
+   ids and never [me], so the leaf set plus the table entries outside it *)
 let m_unique t =
-  let ids = Hashtbl.create 64 in
-  List.iter (fun p -> Hashtbl.replace ids p.Peer.id ()) (Leafset.members t.leafset);
-  List.iter (fun p -> Hashtbl.replace ids p.Peer.id ()) (Routing_table.peers t.table);
-  Hashtbl.length ids
+  let m = ref (Leafset.size t.leafset) in
+  Routing_table.iter
+    (fun e -> if not (Leafset.mem t.leafset e.Routing_table.peer.Peer.id) then incr m)
+    t.table;
+  !m
 
 let estimated_n t = Tuning.estimate_n t.leafset
 let estimated_mu t = Tuning.estimate_mu t.tuning ~m:(m_unique t) ~now:(now t)
@@ -1180,7 +1183,7 @@ and start_periodics t =
         if t.active then begin
           let m = m_unique t in
           t.local_trt <- Tuning.local_trt t.tuning ~leafset:t.leafset ~m ~now:(now t);
-          t.trt <- Tuning.current_trt t.tuning ~leafset:t.leafset ~m ~now:(now t)
+          t.trt <- Tuning.current_trt t.tuning ~local:t.local_trt
         end;
         ignore (t.env.schedule ~delay:t.cfg.tuning_refresh_period (fun () -> tune_tick ()))
       end
@@ -1242,7 +1245,7 @@ and rt_probe_round t =
   if overloaded t then ()
   else begin
   let n = now t in
-  List.iter
+  Routing_table.iter
     (fun (e : Routing_table.entry) ->
       let j = e.Routing_table.peer in
       let fresh =
@@ -1261,7 +1264,7 @@ and rt_probe_round t =
         Hashtbl.replace t.last_rt_probe j.Peer.id n;
         rt_probe t j
       end)
-    (Routing_table.entries t.table)
+    t.table
   end
 
 and maintenance_round t =

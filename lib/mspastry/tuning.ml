@@ -102,8 +102,7 @@ let local_trt t ~leafset ~m ~now =
   let n = estimate_n leafset in
   solve_trt t.cfg ~n ~mu
 
-let current_trt t ~leafset ~m ~now =
-  let local = local_trt t ~leafset ~m ~now in
+let current_trt t ~local =
   let k = min t.n_remotes remote_size in
   let values = Array.make (k + 1) local in
   Array.blit t.remotes 0 values 0 k;

@@ -48,6 +48,6 @@ val solve_trt : Config.t -> n:float -> mu:float -> float
 val local_trt : t -> leafset:Pastry.Leafset.t -> m:int -> now:float -> float
 (** This node's own solution, from its current estimates. *)
 
-val current_trt : t -> leafset:Pastry.Leafset.t -> m:int -> now:float -> float
-(** Median of the remembered remote values and the local solution —
-    the Trt the node actually uses. *)
+val current_trt : t -> local:float -> float
+(** Median of the remembered remote values and [local], the node's own
+    {!local_trt} — the Trt the node actually uses. *)

@@ -32,7 +32,8 @@ type 'm t = {
   topology : Topology.t;
   rng : Repro_util.Rng.t;
   endpoint_of : int -> int;
-  classify : 'm -> string;
+  class_names : string array;
+  class_of : 'm -> int;
   seq_of : 'm -> int option;
   priority_of : ('m -> int) option;
   capacity : capacity option;
@@ -49,7 +50,7 @@ type 'm t = {
   mutable n_dropped_fault : int;
   mutable n_dropped_node : int;
   mutable n_dropped_congestion : int;
-  by_class : (string, int ref) Hashtbl.t;
+  by_class : int array; (* sends per class index *)
   trace : Obs.Trace.t;
 }
 
@@ -58,16 +59,24 @@ let validate_capacity c =
     invalid_arg "Net.capacity: service_rate must be > 0";
   if c.queue_limit < 1 then invalid_arg "Net.capacity: queue_limit must be >= 1"
 
-let create ?(endpoint_of = fun a -> a) ?(classify = fun _ -> "msg")
+let validate_classes names =
+  let distinct = List.sort_uniq String.compare (Array.to_list names) in
+  if List.length distinct <> Array.length names then
+    invalid_arg "Net.create: duplicate traffic class names"
+
+let create ?(endpoint_of = fun a -> a) ?(classes = ([| "msg" |], fun _ -> 0))
     ?(seq_of = fun _ -> None) ?priority_of ?capacity
     ?(trace = Obs.Trace.disabled) ~engine ~topology ~rng () =
   Option.iter validate_capacity capacity;
+  let class_names, class_of = classes in
+  validate_classes class_names;
   {
     engine;
     topology;
     rng;
     endpoint_of;
-    classify;
+    class_names = Array.copy class_names;
+    class_of;
     seq_of;
     priority_of;
     capacity;
@@ -84,7 +93,7 @@ let create ?(endpoint_of = fun a -> a) ?(classify = fun _ -> "msg")
     n_dropped_fault = 0;
     n_dropped_node = 0;
     n_dropped_congestion = 0;
-    by_class = Hashtbl.create 16;
+    by_class = Array.make (Array.length class_names) 0;
     trace;
   }
 
@@ -136,11 +145,6 @@ let delay t a b =
 let rtt t a b = 2.0 *. delay t a b
 
 let on_send t tap = t.taps <- tap :: t.taps
-
-let count_class t cls =
-  match Hashtbl.find_opt t.by_class cls with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.by_class cls (ref 1)
 
 (* every drop, whichever stage made it: one counter per cause, one trace
    reason *)
@@ -216,8 +220,9 @@ let slowdown = function
 let send_inner t ~src ~dst msg =
   let prof = !Profile.on in
   t.n_sent <- t.n_sent + 1;
-  let cls = t.classify msg in
-  count_class t cls;
+  let ci = t.class_of msg in
+  t.by_class.(ci) <- t.by_class.(ci) + 1;
+  let cls = t.class_names.(ci) in
   let now = Simkit.Engine.now t.engine in
   if Obs.Trace.enabled t.trace then
     Obs.Trace.emit t.trace
@@ -280,7 +285,9 @@ let n_dropped t =
   + t.n_dropped_congestion
 
 let sent_in_class t cls =
-  match Hashtbl.find_opt t.by_class cls with Some r -> !r | None -> 0
+  let n = ref 0 in
+  Array.iteri (fun i name -> if name = cls then n := t.by_class.(i)) t.class_names;
+  !n
 
 let stats t =
   {
@@ -292,6 +299,7 @@ let stats t =
     dropped_node = t.n_dropped_node;
     dropped_congestion = t.n_dropped_congestion;
     sent_by_class =
-      Hashtbl.fold (fun cls r acc -> (cls, !r) :: acc) t.by_class []
+      List.combine (Array.to_list t.class_names) (Array.to_list t.by_class)
+      |> List.filter (fun (_, n) -> n > 0)
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }

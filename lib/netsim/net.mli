@@ -39,8 +39,9 @@
 
 type 'm t
 
-(** Counter snapshot; [sent_by_class] is sorted by class name. Every
-    send ends in exactly one of [delivered] or a [dropped_*] counter. *)
+(** Counter snapshot; [sent_by_class] lists the classes sent at least
+    once, sorted by name. Every send ends in exactly one of [delivered]
+    or a [dropped_*] counter. *)
 type stats = {
   sent : int;
   delivered : int;
@@ -62,7 +63,7 @@ type capacity = { service_rate : float; queue_limit : int }
 
 val create :
   ?endpoint_of:(int -> int) ->
-  ?classify:('m -> string) ->
+  ?classes:string array * ('m -> int) ->
   ?seq_of:('m -> int option) ->
   ?priority_of:('m -> int) ->
   ?capacity:capacity ->
@@ -74,8 +75,11 @@ val create :
   'm t
 (** [endpoint_of] maps addresses to topology endpoints (default identity)
     — distinct addresses may share an endpoint; they then see a fixed
-    small LAN delay instead of zero. [classify] names a message's traffic
-    class for the per-class counters and trace events (default ["msg"]);
+    small LAN delay instead of zero. [classes] is [(names, class_of)]:
+    [class_of m] is the index in [names] of [m]'s traffic class, counted
+    per class and named in trace events (default one class, ["msg"]).
+    The names must be distinct, or [Invalid_argument] is raised; an
+    index outside [names] raises [Invalid_argument] at send time.
     [seq_of] extracts a lookup sequence number so trace [Send]/[Drop]
     events can be attributed to a lookup (default [None]).
 
@@ -137,6 +141,6 @@ val n_dropped : 'm t -> int
 (** All drops, whatever stage made them. *)
 
 val sent_in_class : 'm t -> string -> int
-(** Sends whose [classify] returned the given class name so far. *)
+(** Sends so far in the class of the given name (0 for an unknown name). *)
 
 val stats : 'm t -> stats

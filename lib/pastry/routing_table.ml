@@ -73,14 +73,27 @@ let remove t id =
           true
       | Some _ | None -> false)
 
-let row_entries t r =
-  Array.to_list t.table.(r) |> List.filter_map (fun x -> x)
+(* [f] of each occupied slot of [row], consed onto [acc] in column
+   order; only occupied slots allocate *)
+let cons_row f row acc =
+  let acc = ref acc in
+  for c = Array.length row - 1 downto 0 do
+    match row.(c) with Some e -> acc := f e :: !acc | None -> ()
+  done;
+  !acc
 
-let entries t =
-  Array.to_list t.table
-  |> List.concat_map (fun row -> Array.to_list row |> List.filter_map (fun x -> x))
+let row_entries t r = cons_row Fun.id t.table.(r) []
 
-let peers t = List.map (fun e -> e.peer) (entries t)
+(* row-major, like [iter] *)
+let collect f t =
+  let acc = ref [] in
+  for r = Array.length t.table - 1 downto 0 do
+    acc := cons_row f t.table.(r) !acc
+  done;
+  !acc
+
+let entries t = collect Fun.id t
+let peers t = collect (fun e -> e.peer) t
 
 let iter f t = Array.iter (Array.iter (function Some e -> f e | None -> ())) t.table
 
@@ -98,7 +111,7 @@ let pp fmt t =
   Format.fprintf fmt "@[<v>routing table of %a (%d entries)@," Nodeid.pp t.me t.count;
   Array.iteri
     (fun r row ->
-      let occupied = Array.to_list row |> List.filter_map (fun x -> x) in
+      let occupied = cons_row Fun.id row [] in
       if occupied <> [] then
         Format.fprintf fmt "row %2d: %a@," r
           (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f " ")

@@ -1,8 +1,10 @@
 (** Discrete-event simulation engine.
 
     A single-threaded virtual clock with a cancellable timer queue.
-    Simultaneous events fire in scheduling order (FIFO), which keeps runs
-    deterministic for a fixed seed.
+    Events fire in (time, scheduling sequence) order: simultaneous events
+    fire in the order they were scheduled (FIFO), which keeps runs
+    deterministic for a fixed seed. A cancelled event stays queued until
+    it reaches the head, where it is discarded.
 
     When {!Repro_obs.Profile} is enabled, heap operations and callback
     dispatch are attributed to the ["engine.heap"] / ["engine.dispatch"]
@@ -40,10 +42,12 @@ val now : t -> float
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] runs [f] at [now t +. max delay 0.]. The
-    callback runs with the clock set to its firing time. *)
+    callback runs with the clock set to its firing time. Raises
+    [Invalid_argument] on a NaN [delay]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** Absolute-time variant. Times before [now] fire immediately (at [now]). *)
+(** Absolute-time variant. Times before [now] fire immediately (at [now]).
+    Raises [Invalid_argument] on a NaN [time]. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)

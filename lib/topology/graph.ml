@@ -36,24 +36,21 @@ let dijkstra t src =
   let nn = n t in
   let dist = Array.make nn infinity in
   dist.(src) <- 0.0;
-  let heap = Repro_util.Heap.create ~leq:(fun (a, _) (b, _) -> a <= b) () in
-  Repro_util.Heap.push heap (0.0, src);
-  let rec loop () =
-    match Repro_util.Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if d <= dist.(u) then
-          Hashtbl.iter
-            (fun v w ->
-              let nd = d +. w in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Repro_util.Heap.push heap (nd, v)
-              end)
-            t.adj.(u);
-        loop ()
-  in
-  loop ();
+  let heap = Repro_util.Heap.create () in
+  Repro_util.Heap.push heap 0.0 src;
+  while not (Repro_util.Heap.is_empty heap) do
+    let d = Repro_util.Heap.min_key heap in
+    let u = Repro_util.Heap.pop heap in
+    if d <= dist.(u) then
+      Hashtbl.iter
+        (fun v w ->
+          let nd = d +. w in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            Repro_util.Heap.push heap nd v
+          end)
+        t.adj.(u)
+  done;
   dist
 
 let components t =

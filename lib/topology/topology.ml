@@ -6,7 +6,7 @@ type routed = {
   attach : int array; (* endpoint -> router *)
   lan : float array; (* endpoint -> access-link delay *)
   scale : float; (* multiplies router-graph distance into seconds *)
-  spt_cache : (int, float array) Hashtbl.t;
+  spt_cache : float array array; (* router -> its distances; [||] until computed *)
 }
 
 type kind = Constant of float | Routed of routed
@@ -20,12 +20,13 @@ let n_routers t =
   match t.kind with Constant _ -> 0 | Routed r -> Graph.n r.graph
 
 let spt r src =
-  match Hashtbl.find_opt r.spt_cache src with
-  | Some d -> d
-  | None ->
-      let d = Graph.dijkstra r.graph src in
-      Hashtbl.add r.spt_cache src d;
-      d
+  let d = r.spt_cache.(src) in
+  if Array.length d > 0 then d
+  else begin
+    let d = Graph.dijkstra r.graph src in
+    r.spt_cache.(src) <- d;
+    d
+  end
 
 let delay t e1 e2 =
   if e1 = e2 then 0.0
@@ -68,7 +69,8 @@ let make_routed ~name ~n_endpoints ~graph ~attach ~lan ~scale =
   {
     name;
     n_endpoints;
-    kind = Routed { graph; attach; lan; scale; spt_cache = Hashtbl.create 64 };
+    kind =
+      Routed { graph; attach; lan; scale; spt_cache = Array.make (Graph.n graph) [||] };
   }
 
 let transit_stub ?(transit_domains = 10) ?(routers_per_transit = 5)

@@ -62,6 +62,11 @@ let test_expected_classes () =
   check (M.Row_request { row = 0 }) "rt-maintenance";
   check (M.Slot_reply { row = 0; col = 0; entry = None }) "rt-maintenance"
 
+let test_class_index () =
+  List.iteri
+    (fun i c -> Alcotest.(check int) (M.class_name c) i (M.class_index c))
+    M.all_classes
+
 let test_make () =
   let m = M.make ~hop:5 ~sender:peer M.Heartbeat in
   Alcotest.(check (option int)) "hop tag" (Some 5) m.M.hop;
@@ -75,6 +80,8 @@ let suite =
         Alcotest.test_case "lookup classes" `Quick test_lookup_classes;
         Alcotest.test_case "class partition" `Quick test_class_partition;
         Alcotest.test_case "expected classes" `Quick test_expected_classes;
+        Alcotest.test_case "class index is the position in all_classes" `Quick
+          test_class_index;
         Alcotest.test_case "make" `Quick test_make;
       ] );
   ]

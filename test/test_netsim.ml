@@ -351,6 +351,40 @@ let test_handler_replacement () =
   Alcotest.(check int) "old handler silent" 0 !a;
   Alcotest.(check int) "new handler fired" 1 !b
 
+(* classes are counted by index and reported by name: [sent_by_class]
+   keeps the classes sent at least once, sorted by name, and trace
+   events carry the name *)
+let test_classes () =
+  let engine = Engine.create () in
+  let topology = Topology.constant ~n_endpoints:4 ~delay:0.01 in
+  let trace = Obs.Trace.create (Obs.Sink.memory ~capacity:100) in
+  let names = [| "zeta"; "alpha"; "unused" |] in
+  let net =
+    Net.create ~trace
+      ~classes:(names, fun m -> if m = "z" then 0 else 1)
+      ~engine ~topology ~rng:(Rng.create 1) ()
+  in
+  List.iter (fun m -> Net.send net ~src:0 ~dst:1 m) [ "z"; "a"; "a"; "z"; "a" ];
+  Engine.run_all engine;
+  Alcotest.(check (list (pair string int))) "sent by class, sorted by name"
+    [ ("alpha", 3); ("zeta", 2) ] (Net.stats net).Net.sent_by_class;
+  Alcotest.(check int) "zeta" 2 (Net.sent_in_class net "zeta");
+  Alcotest.(check int) "never sent" 0 (Net.sent_in_class net "unused");
+  Alcotest.(check int) "unknown name" 0 (Net.sent_in_class net "nope");
+  let send_classes =
+    List.filter_map
+      (fun (ev : Obs.Event.t) ->
+        match ev.Obs.Event.body with Obs.Event.Send { cls; _ } -> Some cls | _ -> None)
+      (Obs.Trace.events trace)
+  in
+  Alcotest.(check (list string)) "traced names" [ "zeta"; "alpha"; "alpha"; "zeta"; "alpha" ]
+    send_classes;
+  Alcotest.check_raises "duplicate names"
+    (Invalid_argument "Net.create: duplicate traffic class names") (fun () ->
+      ignore
+        (Net.create ~classes:([| "a"; "a" |], fun _ -> 0) ~engine ~topology
+           ~rng:(Rng.create 1) ()))
+
 let suite =
   [
     ( "netsim",
@@ -362,6 +396,7 @@ let suite =
         Alcotest.test_case "on_send tap" `Quick test_on_send_tap;
         Alcotest.test_case "endpoint mapping" `Quick test_endpoint_mapping;
         Alcotest.test_case "handler replacement" `Quick test_handler_replacement;
+        Alcotest.test_case "traffic classes by index" `Quick test_classes;
         Alcotest.test_case "capacity: queueing delay" `Quick
           test_capacity_queueing_delay;
         Alcotest.test_case "capacity: overflow drops" `Quick

@@ -108,14 +108,14 @@ let test_current_trt_median () =
   (* no local failures: local estimate = cap. Remote values pull the
      median down. *)
   List.iter (fun v -> Tuning.observe_remote t v) [ 50.0; 50.0; 50.0; 50.0; 50.0 ];
-  let trt = Tuning.current_trt t ~leafset:ls ~m:10 ~now:100.0 in
+  let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check (float 1e-6)) "median of remotes" 50.0 trt
 
 let test_current_trt_bounds () =
   let t = Tuning.create cfg ~now:0.0 in
   let ls = Leafset.create ~l:8 ~me:(Peer.make (Nodeid.of_int 0) 0) in
   List.iter (fun v -> Tuning.observe_remote t v) [ 1.0; 1.0; 1.0 ];
-  let trt = Tuning.current_trt t ~leafset:ls ~m:10 ~now:100.0 in
+  let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check bool) "floor enforced" true (trt >= 9.0)
 
 let test_observe_remote_ignores_garbage () =
@@ -125,7 +125,7 @@ let test_observe_remote_ignores_garbage () =
   Tuning.observe_remote t infinity;
   let ls = Leafset.create ~l:8 ~me:(Peer.make (Nodeid.of_int 0) 0) in
   (* only the local cap remains *)
-  let trt = Tuning.current_trt t ~leafset:ls ~m:10 ~now:100.0 in
+  let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check (float 1e-6)) "unaffected" cfg.Config.t_rt_max trt
 
 let test_current_trt_caps_at_max () =
@@ -133,7 +133,7 @@ let test_current_trt_caps_at_max () =
   let t = Tuning.create cfg ~now:0.0 in
   let ls = Leafset.create ~l:8 ~me:(Peer.make (Nodeid.of_int 0) 0) in
   List.iter (fun v -> Tuning.observe_remote t v) [ 1e6; 1e6; 1e6; 1e6; 1e6 ];
-  let trt = Tuning.current_trt t ~leafset:ls ~m:10 ~now:100.0 in
+  let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check (float 1e-6)) "capped at t_rt_max" cfg.Config.t_rt_max trt
 
 let test_observe_remote_ring_converges () =
@@ -148,7 +148,7 @@ let test_observe_remote_ring_converges () =
   for _ = 1 to 32 do
     Tuning.observe_remote t 50.0
   done;
-  let trt = Tuning.current_trt t ~leafset:ls ~m:10 ~now:100.0 in
+  let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check (float 1e-6)) "old regime forgotten" 50.0 trt;
   (* halfway through the switch the median still reflects the mix *)
   let t2 = Tuning.create cfg ~now:0.0 in
@@ -158,7 +158,7 @@ let test_observe_remote_ring_converges () =
   for _ = 1 to 8 do
     Tuning.observe_remote t2 50.0
   done;
-  let trt2 = Tuning.current_trt t2 ~leafset:ls ~m:10 ~now:100.0 in
+  let trt2 = Tuning.current_trt t2 ~local:(Tuning.local_trt t2 ~leafset:ls ~m:10 ~now:100.0) in
   Alcotest.(check (float 1e-6)) "mixed regime keeps old median" 200.0 trt2
 
 let qcheck_solve_in_bounds =
