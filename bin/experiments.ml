@@ -1,54 +1,25 @@
 (* CLI for regenerating the paper's tables and figures.
 
    Usage: experiments [EXPERIMENT] [--size quick|medium|full] [--seed N]
-   where EXPERIMENT is one of fig3 fig4 fig5 fig6 fig7 fig8 topology
-   ablation selftuning suppression structure massive-failure bursty-loss
-   all. *)
+   [--profile] [--manifest PATH]; `experiments --help` lists the
+   experiment names (Experiments.runners, plus all). *)
 
 open Cmdliner
 module E = Repro_experiments.Experiments
 
-let runners =
-  [
-    ("fig3", E.fig3);
-    ("fig4", E.fig4);
-    ("fig5", E.fig5);
-    ("fig6", E.fig6);
-    ("fig7", E.fig7);
-    ("fig8", E.fig8);
-    ("topology", E.topology_table);
-    ("ablation", E.ablation);
-    ("selftuning", E.selftuning);
-    ("suppression", E.suppression);
-    ("structure", E.structure_ablation);
-    ("apps", E.apps);
-    ("consistency", E.consistency);
-    ("massive-failure", E.massive_failure);
-    ("bursty-loss", E.bursty_loss);
-    ("fail-slow", E.fail_slow);
-    ("bursty-retries", E.bursty_retries);
-    ("congestion", E.congestion);
-    ("flash-crowd", E.flash_crowd);
-    ("adversary", E.adversary);
-    ("adversary-smoke", E.adversary_smoke);
-    ("congestion-smoke", E.congestion_smoke);
-    ("smoke", E.smoke);
-    ("all", E.all);
-  ]
+let runners = E.runners @ [ ("all", E.all) ]
 
 let experiment =
-  let doc = "Experiment to run: " ^ String.concat ", " (List.map fst runners) in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
+  let names = List.map fst runners in
+  let doc = "Experiment to run: " ^ String.concat ", " names in
+  Arg.(
+    value
+    & pos 0 (enum (List.map (fun n -> (n, n)) names)) "all"
+    & info [] ~docv:"EXPERIMENT" ~doc)
 
 let size =
-  let parse s =
-    match E.size_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Printf.sprintf "unknown size %S (quick|medium|full)" s))
-  in
-  let size_conv = Arg.conv (parse, E.pp_size) in
-  Arg.(
-    value & opt size_conv E.Quick & info [ "size" ] ~docv:"SIZE" ~doc:"quick, medium or full")
+  let sizes = Arg.enum [ ("quick", E.Quick); ("medium", E.Medium); ("full", E.Full) ] in
+  Arg.(value & opt sizes E.Quick & info [ "size" ] ~docv:"SIZE" ~doc:"quick, medium or full")
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"master RNG seed")
 
@@ -68,30 +39,21 @@ let manifest =
   Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"PATH" ~doc)
 
 let run name size seed profile manifest =
-  match List.assoc_opt name runners with
-  | Some f ->
-      E.set_manifest_out manifest;
-      if profile then begin
-        Repro_obs.Profile.reset ();
-        Repro_obs.Profile.set_enabled true
-      end;
-      f ~size ~seed ();
-      if profile then begin
-        Repro_obs.Profile.set_enabled false;
-        Repro_obs.Profile.pp_report Format.std_formatter
-          (Repro_obs.Profile.report ());
-        Format.pp_print_flush Format.std_formatter ()
-      end;
-      `Ok ()
-  | None ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown experiment %S; try one of: %s" name
-            (String.concat ", " (List.map fst runners)) )
+  E.set_manifest_out manifest;
+  if profile then begin
+    Repro_obs.Profile.reset ();
+    Repro_obs.Profile.set_enabled true
+  end;
+  (List.assoc name runners) size ~seed;
+  if profile then begin
+    Repro_obs.Profile.set_enabled false;
+    Repro_obs.Profile.pp_report Format.std_formatter (Repro_obs.Profile.report ());
+    Format.pp_print_flush Format.std_formatter ()
+  end
 
 let cmd =
   let doc = "Regenerate the MSPastry paper's tables and figures" in
   let info = Cmd.info "experiments" ~doc in
-  Cmd.v info Term.(ret (const run $ experiment $ size $ seed $ profile $ manifest))
+  Cmd.v info Term.(const run $ experiment $ size $ seed $ profile $ manifest)
 
 let () = exit (Cmd.eval cmd)

@@ -93,14 +93,11 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   Printf.printf "scenario: gnutella-calibrated churn, ~%d concurrent nodes, %.1f h\n"
     (Trace.max_concurrent churn) hours;
   Printf.printf "tracing:  %s (timer events %s)\n%!" out (if timers then "on" else "off");
-  let live = Sim.live_of_trace config ~trace:churn in
-  Sim.Live.run_until live (duration +. config.Sim.drain);
-  let registry = Sim.Live.registry live in
-  let reg_dump = Obs.Registry.dump registry in
+  let live = Sim.run config ~trace:churn in
+  let reg_dump = Obs.Registry.dump (Sim.Live.registry live) in
   let summary =
     Collector.summary ~since:0.0 ~until:infinity ~drain:0.0 (Sim.Live.collector live)
   in
-  Obs.Trace.close (Sim.Live.trace live);
 
   (* -- read the trace back ------------------------------------------- *)
   let events, bad = read_events out in

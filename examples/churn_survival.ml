@@ -25,8 +25,8 @@ let () =
     { Sim.default_config with topology = Sim.Gatech; warmup = 1800.0; seed = 7 }
   in
   Printf.printf "running 2 simulated hours of churn...\n%!";
-  let r = Sim.run config ~trace in
-  let s = r.Sim.summary in
+  let live = Sim.run config ~trace in
+  let s = Sim.Live.summary live in
 
   Printf.printf "\ndependability (measured after 30 min warmup):\n";
   Printf.printf "  lookups sent          %d\n" s.Collector.lookups_sent;
@@ -43,4 +43,4 @@ let () =
       Printf.printf "    %-18s %.4f\n" (Mspastry.Message.class_name c) v)
     s.Collector.control_by_class;
   Printf.printf "\njoins: %d completed (mean latency %.1f s), %d failed\n"
-    s.Collector.joins s.Collector.join_latency_mean r.Sim.join_failures
+    s.Collector.joins s.Collector.join_latency_mean (Sim.Live.join_failures live)

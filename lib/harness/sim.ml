@@ -70,15 +70,6 @@ let default_config =
     manifest_out = None;
   }
 
-type result = {
-  collector : Collector.t;
-  summary : Collector.summary;
-  duration : float;
-  join_failures : int;
-  nodes_created : int;
-  net_stats : Netsim.Net.stats;
-}
-
 (* set of active node addresses with O(1) random pick *)
 module Active_set = struct
   type t = { mutable addrs : int array; mutable n : int; index : (int, int) Hashtbl.t }
@@ -111,6 +102,8 @@ module Active_set = struct
 
     let pick t rng = if t.n = 0 then None else Some t.addrs.(Rng.int rng t.n)
 end
+
+let ph_summary = Obs.Profile.phase "metrics.summary"
 
 module Live = struct
   (* a fault that lasts: a link or node overlay, or compromised nodes with
@@ -713,6 +706,17 @@ module Live = struct
 
   let run_until t time = Simkit.Engine.run t.engine ~until:time
 
+  let summary ?since ?until t =
+    if !Obs.Profile.on then Obs.Profile.enter ph_summary;
+    let s =
+      Collector.summary
+        ~since:(Option.value since ~default:t.config.warmup)
+        ~until:(Option.value until ~default:t.lookup_end)
+        t.collector
+    in
+    if !Obs.Profile.on then Obs.Profile.leave ph_summary;
+    s
+
   (* ---- run manifest ---- *)
 
   let config_json (c : config) =
@@ -841,7 +845,6 @@ let schedule_trace live trace =
     (Churn.Trace.events trace)
 
 let ph_setup = Obs.Profile.phase "harness.setup"
-let ph_summary = Obs.Profile.phase "metrics.summary"
 
 let live_of_trace config ~trace =
   if !Obs.Profile.on then Obs.Profile.enter ph_setup;
@@ -859,16 +862,5 @@ let run config ~trace =
   let duration = Churn.Trace.duration trace in
   Live.run_until live (duration +. config.drain);
   Live.close live;
-  if !Obs.Profile.on then Obs.Profile.enter ph_summary;
-  let summary =
-    Collector.summary ~since:config.warmup ~until:duration live.Live.collector
-  in
-  if !Obs.Profile.on then Obs.Profile.leave ph_summary;
-  {
-    collector = live.Live.collector;
-    summary;
-    duration;
-    join_failures = live.Live.join_failures;
-    nodes_created = live.Live.next_addr;
-    net_stats = Netsim.Net.stats live.Live.net;
-  }
+  Collector.flush live.Live.collector ~time:duration;
+  live

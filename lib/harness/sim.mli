@@ -69,19 +69,6 @@ type config = {
 
 val default_config : config
 
-type result = {
-  collector : Overlay_metrics.Collector.t;
-  summary : Overlay_metrics.Collector.summary;  (** warmup → trace end *)
-  duration : float;
-  join_failures : int;  (** nodes whose join never completed *)
-  nodes_created : int;
-  net_stats : Netsim.Net.stats;  (** whole-run network counters *)
-}
-
-val run : config -> trace:Churn.Trace.t -> result
-(** Replay the trace to its end plus [config.drain], then close the
-    trace sink (flushing a JSONL file if one was configured). *)
-
 (** Access to live simulation internals, for integration tests and
     applications (e.g. Squirrel) that need to drive the overlay directly. *)
 module Live : sig
@@ -197,6 +184,14 @@ module Live : sig
   (** The live node registered at an address, if any. *)
 
   val run_until : t -> float -> unit
+
+  val summary :
+    ?since:float -> ?until:float -> t -> Overlay_metrics.Collector.summary
+  (** The collector's {!Overlay_metrics.Collector.summary} over
+      [\[since, until\]]; defaults: [config.warmup] to the end of the
+      trace the session replays (to the last recorded event when it
+      replays none). *)
+
   val join_failures : t -> int
   val nodes_created : t -> int
 
@@ -240,3 +235,9 @@ module Schedule = Repro_faults.Schedule
 val live_of_trace : config -> trace:Churn.Trace.t -> Live.t
 (** A {!Live} session with the trace's joins and crashes pre-scheduled
     (lookups stop at the trace's end); the caller drives the clock. *)
+
+val run : config -> trace:Churn.Trace.t -> Live.t
+(** {!live_of_trace}, replayed to the trace's end plus [config.drain]
+    and {!Live.close}d, with the collector's population credited up to
+    the trace's end (see {!Overlay_metrics.Collector.flush}) so its
+    windowed series cover the whole trace. *)

@@ -71,16 +71,20 @@ let record_send t ~time cls =
   if time > t.last_event then t.last_event <- time;
   Series.count (List.assq cls t.sends) ~time
 
-(* credit node-seconds from the last population change up to [time] *)
-let credit_population t ~time =
+(* credit node-seconds from the last population change up to [time]
+   into [series] *)
+let credit t series ~time =
   let rec go t0 =
     if t0 < time then begin
       let wend = Float.min ((floor (t0 /. t.window) +. 1.0) *. t.window) time in
-      Series.add t.pop_integral ~time:t0 (float_of_int t.cur_pop *. (wend -. t0));
+      Series.add series ~time:t0 (float_of_int t.cur_pop *. (wend -. t0));
       go wend
     end
   in
-  go t.pop_last_t;
+  go t.pop_last_t
+
+let credit_population t ~time =
+  credit t t.pop_integral ~time;
   t.pop_last_t <- Float.max t.pop_last_t time
 
 let set_population t ~time n =
@@ -193,12 +197,14 @@ let sum_series ~since ~until s =
   |> List.fold_left (fun acc (_, v) -> acc +. v) 0.0
 
 let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
-  (* flush population credit up to the summary horizon; with no explicit
-     horizon, use the last recorded send so numerator and denominator of
-     the per-node rates cover the same span *)
+  (* credit population up to the summary horizon in a copy, so that a
+     query leaves later ones unchanged; with no explicit horizon, use the
+     last recorded send so numerator and denominator of the per-node
+     rates cover the same span *)
   let horizon = if Float.is_finite until then until else Float.max t.pop_last_t t.last_event in
-  credit_population t ~time:horizon;
-  let node_seconds = sum_series ~since ~until t.pop_integral in
+  let pop = Series.copy t.pop_integral in
+  credit t pop ~time:horizon;
+  let node_seconds = sum_series ~since ~until pop in
   let lookup_cutoff = until -. drain in
   let sent = ref 0
   and delivered = ref 0
@@ -241,7 +247,7 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
       0.0 t.sends
   in
   let lookup_msgs = sum_series ~since ~until (List.assq M.C_lookup t.sends) in
-  let span = (Float.min until t.pop_last_t -. since) in
+  let span = Float.min until (Float.max t.pop_last_t horizon) -. since in
   let joins = List.length !(t.join_lat) in
   let in_span time = time >= since && time <= until in
   let susp = List.filter (fun (time, _) -> in_span time) t.suspicions in

@@ -109,7 +109,9 @@ type summary = {
 val summary : ?since:float -> ?until:float -> ?drain:float -> t -> summary
 (** Aggregate over [\[since, until\]] (defaults: whole run). Lookups sent
     within [drain] seconds of [until] (default 30 s) are excluded from
-    loss accounting — they may still legitimately be in flight. *)
+    loss accounting — they may still legitimately be in flight. The
+    population credited up to [until] is not stored (see {!flush}), so a
+    query leaves later queries unchanged. *)
 
 val rdp_series : t -> (float * float) array
 (** Windowed mean RDP over time. *)

@@ -21,6 +21,12 @@ let add t ~time v =
   t.samples <- t.samples + 1
 
 let count t ~time = add t ~time 1.0
+
+let copy t =
+  let cells = Hashtbl.create (Hashtbl.length t.cells) in
+  Hashtbl.iter (fun idx c -> Hashtbl.add cells idx { c with sum = c.sum }) t.cells;
+  { t with cells }
+
 let window t = t.window
 
 let sorted_cells t =

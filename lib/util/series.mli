@@ -16,6 +16,9 @@ val add : t -> time:float -> float -> unit
 val count : t -> time:float -> unit
 (** Shorthand for [add t ~time 1.0] — counting events per window. *)
 
+val copy : t -> t
+(** An independent series with the same samples. *)
+
 val window : t -> float
 
 val means : t -> (float * float) array

@@ -52,6 +52,25 @@ let test_control_rates () =
   Alcotest.(check (float 1e-6)) "leafset class" 0.5 (List.assoc M.C_leafset by_class);
   Alcotest.(check (float 1e-6)) "rt class empty" 0.0 (List.assoc M.C_rt_probe by_class)
 
+let test_summary_leaves_state () =
+  (* a query must not change what a later one returns: the population
+     credited up to one summary's horizon is not stored *)
+  let c = Collector.create ~window:10.0 () in
+  Collector.set_population c ~time:0.0 5;
+  for i = 0 to 19 do
+    Collector.record_send c ~time:(float_of_int i) M.C_leafset
+  done;
+  let check label =
+    let s = Collector.summary ~until:15.0 c in
+    Alcotest.(check (float 1e-9)) (label ^ ": mean population") 5.0
+      s.Collector.mean_population;
+    Alcotest.(check (float 1e-9)) (label ^ ": control rate") (20.0 /. 75.0)
+      s.Collector.control_per_node_per_s
+  in
+  check "first query";
+  ignore (Collector.summary ~until:20.0 c);
+  check "after a longer query"
+
 let test_lookup_not_control () =
   let c = Collector.create ~window:10.0 () in
   Collector.set_population c ~time:0.0 1;
@@ -206,6 +225,8 @@ let suite =
         Alcotest.test_case "incorrect and duplicates" `Quick test_incorrect_and_duplicates;
         Alcotest.test_case "drain exclusion" `Quick test_drain_exclusion;
         Alcotest.test_case "control rates" `Quick test_control_rates;
+        Alcotest.test_case "summary leaves the collector unchanged" `Quick
+          test_summary_leaves_state;
         Alcotest.test_case "lookup is not control" `Quick test_lookup_not_control;
         Alcotest.test_case "population series" `Quick test_population_series;
         Alcotest.test_case "join latencies" `Quick test_join_latencies;

@@ -182,12 +182,10 @@ let test_churn_consistency () =
   let config =
     { (flat_config ~lookup_rate:0.05 ()) with Sim.warmup = 600.0; drain = 60.0 }
   in
-  let r = Sim.run config ~trace in
-  Alcotest.(check int) "zero incorrect deliveries" 0
-    r.Sim.summary.Collector.incorrect_deliveries;
-  Alcotest.(check bool) "low loss" true (r.Sim.summary.Collector.loss_rate < 0.01);
-  Alcotest.(check bool) "lookups actually ran" true
-    (r.Sim.summary.Collector.lookups_sent > 500)
+  let s = Live.summary (Sim.run config ~trace) in
+  Alcotest.(check int) "zero incorrect deliveries" 0 s.Collector.incorrect_deliveries;
+  Alcotest.(check bool) "low loss" true (s.Collector.loss_rate < 0.01);
+  Alcotest.(check bool) "lookups actually ran" true (s.Collector.lookups_sent > 500)
 
 let test_link_loss_reliability () =
   (* 3% link loss: per-hop acks keep end-to-end loss tiny *)
@@ -197,8 +195,8 @@ let test_link_loss_reliability () =
   let config =
     { (flat_config ~lookup_rate:0.05 ~loss:0.03 ()) with Sim.warmup = 300.0 }
   in
-  let r = Sim.run config ~trace in
-  Alcotest.(check bool) "loss under 1%" true (r.Sim.summary.Collector.loss_rate < 0.01)
+  let s = Live.summary (Sim.run config ~trace) in
+  Alcotest.(check bool) "loss under 1%" true (s.Collector.loss_rate < 0.01)
 
 let test_acks_matter_under_loss () =
   (* same run with per-hop acks disabled loses far more *)
@@ -206,15 +204,18 @@ let test_acks_matter_under_loss () =
     Churn.Trace.poisson (Rng.create 6) ~n_avg:40 ~session_mean:1800.0 ~duration:1800.0
   in
   let base = { (flat_config ~lookup_rate:0.05 ~loss:0.03 ()) with Sim.warmup = 300.0 } in
-  let with_acks = Sim.run base ~trace in
+  let with_acks = Live.summary (Sim.run base ~trace) in
   let without =
-    Sim.run
-      { base with Sim.pastry = { base.Sim.pastry with Mspastry.Config.per_hop_acks = false } }
-      ~trace
+    Live.summary
+      (Sim.run
+         {
+           base with
+           Sim.pastry = { base.Sim.pastry with Mspastry.Config.per_hop_acks = false };
+         }
+         ~trace)
   in
   Alcotest.(check bool) "acks reduce loss" true
-    (with_acks.Sim.summary.Collector.loss_rate
-    < without.Sim.summary.Collector.loss_rate /. 2.0)
+    (with_acks.Collector.loss_rate < without.Collector.loss_rate /. 2.0)
 
 let test_self_tuning_converges () =
   let trace =
@@ -262,11 +263,10 @@ let test_suppression_reduces_probes () =
       Churn.Trace.poisson (Rng.create 10) ~n_avg:40 ~session_mean:1800.0 ~duration:1800.0
     in
     let config = { (flat_config ~lookup_rate:rate ()) with Sim.warmup = 600.0 } in
-    let r = Sim.run config ~trace in
     List.fold_left
       (fun acc (c, v) ->
         match c with Mspastry.Message.C_rt_probe -> acc +. v | _ -> acc)
-      0.0 r.Sim.summary.Collector.control_by_class
+      0.0 (Live.summary (Sim.run config ~trace)).Collector.control_by_class
   in
   let quiet = run 0.0 in
   let busy = run 0.5 in
@@ -279,17 +279,16 @@ let test_graceful_leaves () =
     Churn.Trace.poisson (Rng.create 5) ~n_avg:60 ~session_mean:900.0 ~duration:3600.0
   in
   let base = { (flat_config ~lookup_rate:0.05 ()) with Sim.warmup = 600.0 } in
-  let crashes = Sim.run base ~trace in
+  let crashes = Live.summary (Sim.run base ~trace) in
   let graceful =
-    Sim.run { base with Sim.graceful_leave_fraction = 1.0 } ~trace
+    Live.summary (Sim.run { base with Sim.graceful_leave_fraction = 1.0 } ~trace)
   in
   Alcotest.(check int) "graceful: zero incorrect" 0
-    graceful.Sim.summary.Collector.incorrect_deliveries;
-  Alcotest.(check bool) "graceful: low loss" true
-    (graceful.Sim.summary.Collector.loss_rate < 0.01);
+    graceful.Collector.incorrect_deliveries;
+  Alcotest.(check bool) "graceful: low loss" true (graceful.Collector.loss_rate < 0.01);
   Alcotest.(check bool) "announcements do not raise control traffic" true
-    (graceful.Sim.summary.Collector.control_per_node_per_s
-    < crashes.Sim.summary.Collector.control_per_node_per_s *. 1.25)
+    (graceful.Collector.control_per_node_per_s
+    < crashes.Collector.control_per_node_per_s *. 1.25)
 
 let test_simulation_determinism () =
   let run () =
@@ -297,17 +296,14 @@ let test_simulation_determinism () =
       Churn.Trace.poisson (Rng.create 11) ~n_avg:40 ~session_mean:1200.0 ~duration:1800.0
     in
     let config = { (flat_config ~lookup_rate:0.05 ()) with Sim.warmup = 300.0 } in
-    Sim.run config ~trace
+    Live.summary (Sim.run config ~trace)
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "same lookups" a.Sim.summary.Collector.lookups_sent
-    b.Sim.summary.Collector.lookups_sent;
-  Alcotest.(check (float 1e-12)) "same rdp" a.Sim.summary.Collector.rdp_mean
-    b.Sim.summary.Collector.rdp_mean;
-  Alcotest.(check (float 1e-12)) "same control" a.Sim.summary.Collector.control_msgs
-    b.Sim.summary.Collector.control_msgs;
-  Alcotest.(check int) "same joins" a.Sim.summary.Collector.joins
-    b.Sim.summary.Collector.joins
+  Alcotest.(check int) "same lookups" a.Collector.lookups_sent b.Collector.lookups_sent;
+  Alcotest.(check (float 1e-12)) "same rdp" a.Collector.rdp_mean b.Collector.rdp_mean;
+  Alcotest.(check (float 1e-12)) "same control" a.Collector.control_msgs
+    b.Collector.control_msgs;
+  Alcotest.(check int) "same joins" a.Collector.joins b.Collector.joins
 
 let test_node_env_misuse () =
   (* config validation surfaces through Node.create *)
