@@ -105,6 +105,36 @@ type id_challenge = {
   mutable c_timer : Simkit.Engine.event_id option;
 }
 
+(* a peer's timestamps. An all-float record holds its floats unboxed, so
+   an update allocates nothing and a peer costs no box per time. They
+   start at [neg_infinity]: "never" is infinitely long ago. *)
+type times = {
+  mutable last_heard : float;
+  mutable last_sent : float;
+  mutable excluded_until : float; (* per-hop-ack exclusion (§3.2) *)
+  mutable last_measured : float; (* last distance measurement started *)
+  mutable last_rt_probe : float;
+  mutable distrust_until : float;
+      (* routing suspect (misrouter). Unlike [susp], a direct message
+         does NOT clear distrust: Byzantine peers are fully alive, so
+         liveness is no exoneration. *)
+}
+
+(* everything the node keeps about one peer, so each received or sent
+   message and each probe gate costs one lookup. A record is created on
+   the first write and never removed, so timers may hold on to it. *)
+type peer_state = {
+  times : times;
+  mutable rto : Rto.t option; (* per-hop ack timer, from the first routed hop *)
+  mutable susp : susp option;
+  mutable ls_probe : probe_state option;
+  mutable rt_probe : probe_state option;
+  mutable verified : int option; (* the address this id proved itself at *)
+  mutable forged : bool; (* failed verification *)
+  mutable challenge : int option; (* nonce of the outstanding challenge *)
+  mutable dprobe : dprobe option;
+}
+
 type t = {
   cfg : Config.t;
   env : env;
@@ -114,10 +144,12 @@ type t = {
   mutable was_active : bool;
   leafset : Leafset.t;
   table : Routing_table.t;
-  ls_probes : (Nodeid.t, probe_state) Hashtbl.t;
-  rt_probes : (Nodeid.t, probe_state) Hashtbl.t;
+  peers : peer_state Nodeid.Tbl.t;
+  mutable ls_probing : int; (* peers with an [ls_probe] *)
+  mutable rt_probing : int; (* peers with an [rt_probe] *)
   failed : (Nodeid.t, unit) Hashtbl.t;
-  suspicion : (Nodeid.t, susp) Hashtbl.t;
+  (* Fig 2's failed_i. Polymorphic, unlike [peers]: its fold order is the
+     [failed] list on the wire, so another hash would change messages. *)
   e2e : (int, e2e_state) Hashtbl.t; (* lookup seq -> pending retry state *)
   delivered_seqs : (int * int, unit) Hashtbl.t; (* (origin addr, seq) *)
   mutable on_suspicion : (target:int -> unit) option;
@@ -125,15 +157,8 @@ type t = {
   mutable adversary : adversary option;
   mutable on_progress_suspect : (target:int -> unit) option;
   mutable on_poison_reject : (target:int -> unit) option;
-  verified : (Nodeid.t, int) Hashtbl.t; (* id -> address it proved at *)
-  forged : (Nodeid.t, unit) Hashtbl.t; (* ids that failed verification *)
   id_challenges : (int, id_challenge) Hashtbl.t; (* nonce -> pending *)
-  challenge_by_id : (Nodeid.t, int) Hashtbl.t;
   mutable next_nonce : int;
-  distrust : (Nodeid.t, float) Hashtbl.t;
-  (* routing suspects (misrouters) -> expiry. Unlike [suspicion], a
-     direct message does NOT clear distrust: Byzantine peers are fully
-     alive, so liveness is no exoneration. *)
   join_admits : float Queue.t; (* join-admission stamps, oldest first *)
   poisoned_at : (int, float) Hashtbl.t;
   (* adversary-only: victim addr -> last poison volley. One volley per
@@ -141,15 +166,8 @@ type t = {
      each probe the victim sends at a planted entry would trigger a
      fresh volley, and the feedback loop melts the network (a louder
      attack, but one that stops modelling a stealthy adversary). *)
-  last_heard : (Nodeid.t, float) Hashtbl.t;
-  last_sent : (Nodeid.t, float) Hashtbl.t;
-  rtos : (Nodeid.t, Rto.t) Hashtbl.t;
-  excluded : (Nodeid.t, float) Hashtbl.t; (* id -> exclusion expiry *)
   pending : (int, pending_hop) Hashtbl.t;
   mutable next_hop_id : int;
-  dprobes : (Nodeid.t, dprobe) Hashtbl.t;
-  last_measured : (Nodeid.t, float) Hashtbl.t;
-  last_rt_probe : (Nodeid.t, float) Hashtbl.t;
   dprobe_by_seq : (int, dprobe) Hashtbl.t;
   mutable next_dprobe_seq : int;
   dprobe_queue : (unit -> unit) Queue.t;
@@ -181,10 +199,10 @@ let create ~cfg ~env ~id ~addr =
     was_active = false;
     leafset = Leafset.create ~l:cfg.l ~me;
     table = Routing_table.create ~b:cfg.b ~me:id;
-    ls_probes = Hashtbl.create 16;
-    rt_probes = Hashtbl.create 16;
+    peers = Nodeid.Tbl.create 64;
+    ls_probing = 0;
+    rt_probing = 0;
     failed = Hashtbl.create 16;
-    suspicion = Hashtbl.create 16;
     e2e = Hashtbl.create 16;
     delivered_seqs = Hashtbl.create 64;
     on_suspicion = None;
@@ -192,23 +210,12 @@ let create ~cfg ~env ~id ~addr =
     adversary = None;
     on_progress_suspect = None;
     on_poison_reject = None;
-    verified = Hashtbl.create 8;
-    forged = Hashtbl.create 8;
     id_challenges = Hashtbl.create 8;
-    challenge_by_id = Hashtbl.create 8;
     next_nonce = 0;
-    distrust = Hashtbl.create 8;
     join_admits = Queue.create ();
     poisoned_at = Hashtbl.create 8;
-    last_heard = Hashtbl.create 64;
-    last_sent = Hashtbl.create 64;
-    rtos = Hashtbl.create 64;
-    excluded = Hashtbl.create 8;
     pending = Hashtbl.create 16;
     next_hop_id = 0;
-    dprobes = Hashtbl.create 16;
-    last_measured = Hashtbl.create 64;
-    last_rt_probe = Hashtbl.create 64;
     dprobe_by_seq = Hashtbl.create 16;
     next_dprobe_seq = 0;
     dprobe_queue = Queue.create ();
@@ -239,6 +246,47 @@ let current_trt t = t.trt
 
 let now t = t.env.now ()
 
+(* the peer's record, created on first use *)
+let peer t id =
+  match Nodeid.Tbl.find t.peers id with
+  | ps -> ps
+  | exception Not_found ->
+      let ps =
+        {
+          times =
+            {
+              last_heard = neg_infinity;
+              last_sent = neg_infinity;
+              excluded_until = neg_infinity;
+              last_measured = neg_infinity;
+              last_rt_probe = neg_infinity;
+              distrust_until = neg_infinity;
+            };
+          rto = None;
+          susp = None;
+          ls_probe = None;
+          rt_probe = None;
+          verified = None;
+          forged = false;
+          challenge = None;
+          dprobe = None;
+        }
+      in
+      Nodeid.Tbl.add t.peers id ps;
+      ps
+
+let suspected ps n = match ps.susp with Some s -> s.s_until > n | None -> false
+
+(* [failed] is empty most of the time: skip hashing the id then *)
+let is_failed t id = Hashtbl.length t.failed > 0 && Hashtbl.mem t.failed id
+let unfail t id = if Hashtbl.length t.failed > 0 then Hashtbl.remove t.failed id
+
+(* the peers whose record satisfies [keep], in identifier order (the
+   table's own order follows its hash) *)
+let peers_where t keep =
+  Nodeid.Tbl.fold (fun id ps acc -> if keep ps then id :: acc else acc) t.peers []
+  |> List.sort Nodeid.compare
+
 (* distinct peers in the leaf set and routing table: both hold distinct
    ids and never [me], so the leaf set plus the table entries outside it *)
 let m_unique t =
@@ -251,7 +299,7 @@ let m_unique t =
 let estimated_n t = Tuning.estimate_n t.leafset
 let estimated_mu t = Tuning.estimate_mu t.tuning ~m:(m_unique t) ~now:(now t)
 let failed_set t = Hashtbl.fold (fun id () acc -> id :: acc) t.failed []
-let pending_probes t = Hashtbl.length t.ls_probes + Hashtbl.length t.rt_probes
+let pending_probes t = t.ls_probing + t.rt_probing
 let pending_hops t = Hashtbl.length t.pending
 let pending_e2e t = Hashtbl.length t.e2e
 let set_on_suspicion t f = t.on_suspicion <- Some f
@@ -274,39 +322,22 @@ let overloaded t =
 
 let suspected_set t =
   let n = now t in
-  Hashtbl.fold
-    (fun id s acc -> if s.s_until > n then id :: acc else acc)
-    t.suspicion []
+  peers_where t (fun ps -> suspected ps n)
 
-let rto_of t id =
-  match Hashtbl.find_opt t.rtos id with
+let rto_of t ps =
+  match ps.rto with
   | Some r -> r
   | None ->
       let r =
         Rto.create ~initial:t.cfg.hop_rto_initial ~min:t.cfg.hop_rto_min
           ~max:t.cfg.hop_rto_max
       in
-      Hashtbl.add t.rtos id r;
+      ps.rto <- Some r;
       r
 
 let send_msg ?hop t (dst : Peer.t) payload =
-  Hashtbl.replace t.last_sent dst.Peer.id (now t);
+  (peer t dst.Peer.id).times.last_sent <- now t;
   t.env.send ~dst:dst.Peer.addr (M.make ?hop ~sender:t.me payload)
-
-let is_suspected t id =
-  match Hashtbl.find_opt t.suspicion id with
-  | Some s -> s.s_until > now t
-  | None -> false
-
-let is_excluded t id =
-  (match Hashtbl.find_opt t.excluded id with
-  | Some expiry when expiry > now t -> true
-  | Some _ ->
-      Hashtbl.remove t.excluded id;
-      false
-  | None -> false)
-  || Hashtbl.mem t.failed id
-  || is_suspected t id
 
 let cancel_timer t = function Some ev -> t.env.cancel ev | None -> ()
 
@@ -318,7 +349,7 @@ let emit_probe t (target : Peer.t) kind =
     emit_ev t (Obs.Event.Probe { addr = t.me.Peer.addr; target = target.Peer.addr; kind })
 
 (* quarantine a peer that exhausted probe retries: gossip cannot
-   reinstall it (probe/admission gates check [is_suspected]) until the
+   reinstall it (probe/admission gates check [suspected]) until the
    backoff expires, and each relapse doubles the backoff. Only a direct
    message from the peer ([note_alive]) clears the entry. Callers use
    [suspect_and_revalidate], which also schedules an active re-probe at
@@ -327,13 +358,13 @@ let emit_probe t (target : Peer.t) kind =
    make a false eviction permanent. *)
 let suspect_peer t (j : Peer.t) =
   if t.cfg.suspicion_backoff > 0.0 then begin
+    let ps = peer t j.Peer.id in
     let backoff =
-      match Hashtbl.find_opt t.suspicion j.Peer.id with
+      match ps.susp with
       | Some s -> Float.min t.cfg.suspicion_backoff_max (2.0 *. s.s_backoff)
       | None -> t.cfg.suspicion_backoff
     in
-    Hashtbl.replace t.suspicion j.Peer.id
-      { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
+    ps.susp <- Some { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
     if traced t then
       emit_ev t
         (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
@@ -354,35 +385,20 @@ let suspect_peer t (j : Peer.t) =
 let self_forgery t (p : Peer.t) =
   p.Peer.addr = t.me.Peer.addr && not (Nodeid.equal p.Peer.id t.me.Peer.id)
 
-let is_distrusted t id =
-  match Hashtbl.find_opt t.distrust id with
-  | Some expiry when expiry > now t -> true
-  | Some _ ->
-      Hashtbl.remove t.distrust id;
-      false
-  | None -> false
-
 let distrusted_set t =
   let n = now t in
-  Hashtbl.fold
-    (fun id expiry acc -> if expiry > n then id :: acc else acc)
-    t.distrust []
+  peers_where t (fun ps -> ps.times.distrust_until > n)
 
 (* a regressive forward is evidence of misrouting: exclude the forwarder
    from this node's routing decisions for a while. Kept out of the
    liveness suspicion list — misrouters answer probes, so [note_alive]
    would instantly exonerate them there. *)
 let distrust_peer t (j : Peer.t) ~seq ~hops =
-  Hashtbl.replace t.distrust j.Peer.id (now t +. t.cfg.exclusion_period);
+  (peer t j.Peer.id).times.distrust_until <- now t +. t.cfg.exclusion_period;
   if traced t then
     emit_ev t
       (Obs.Event.Progress_suspect { addr = t.me.Peer.addr; suspect = j.Peer.addr; seq; hops });
   match t.on_progress_suspect with Some f -> f ~target:j.Peer.addr | None -> ()
-
-let verified_peer t (p : Peer.t) =
-  match Hashtbl.find_opt t.verified p.Peer.id with
-  | Some addr -> addr = p.Peer.addr
-  | None -> false
 
 (* Gossip verification funnel: run [k] (an admission into the leaf set
    or routing table) only once the node at the advertised address has
@@ -393,32 +409,32 @@ let verified_peer t (p : Peer.t) =
    path admits gossip exactly as the paper does. *)
 let with_verified t (p : Peer.t) k =
   if self_forgery t p then ()
-  else if
-    (not t.cfg.verify_gossip)
-    || Nodeid.equal p.Peer.id t.me.Peer.id
-    || verified_peer t p
-  then k ()
-  else if Hashtbl.mem t.forged p.Peer.id || is_distrusted t p.Peer.id then ()
+  else if (not t.cfg.verify_gossip) || Nodeid.equal p.Peer.id t.me.Peer.id then k ()
   else
-    match Hashtbl.find_opt t.challenge_by_id p.Peer.id with
-    | Some nonce -> (
-        match Hashtbl.find_opt t.id_challenges nonce with
-        | Some c -> c.c_ks <- k :: c.c_ks
-        | None -> ())
-    | None ->
-        let nonce = t.next_nonce in
-        t.next_nonce <- nonce + 1;
-        let c = { c_claimed = p; c_ks = [ k ]; c_timer = None } in
-        Hashtbl.replace t.id_challenges nonce c;
-        Hashtbl.replace t.challenge_by_id p.Peer.id nonce;
-        (* unanswered challenges (crashed peer, lost packet) just lapse:
-           no admission, no penalty — the next advertisement retries *)
-        c.c_timer <-
-          Some
-            (t.env.schedule ~delay:t.cfg.t_out (fun () ->
-                 Hashtbl.remove t.id_challenges nonce;
-                 Hashtbl.remove t.challenge_by_id p.Peer.id));
-        send_msg t p (M.Id_challenge { nonce })
+    let ps = peer t p.Peer.id in
+    let verified = match ps.verified with Some addr -> addr = p.Peer.addr | None -> false in
+    if verified then k ()
+    else if ps.forged || ps.times.distrust_until > now t then ()
+    else
+      match ps.challenge with
+      | Some nonce -> (
+          match Hashtbl.find_opt t.id_challenges nonce with
+          | Some c -> c.c_ks <- k :: c.c_ks
+          | None -> ())
+      | None ->
+          let nonce = t.next_nonce in
+          t.next_nonce <- nonce + 1;
+          let c = { c_claimed = p; c_ks = [ k ]; c_timer = None } in
+          Hashtbl.replace t.id_challenges nonce c;
+          ps.challenge <- Some nonce;
+          (* unanswered challenges (crashed peer, lost packet) just lapse:
+             no admission, no penalty — the next advertisement retries *)
+          c.c_timer <-
+            Some
+              (t.env.schedule ~delay:t.cfg.t_out (fun () ->
+                   Hashtbl.remove t.id_challenges nonce;
+                   ps.challenge <- None));
+          send_msg t p (M.Id_challenge { nonce })
 
 let handle_id_response t ~sender ~nonce ~id =
   match Hashtbl.find_opt t.id_challenges nonce with
@@ -426,18 +442,19 @@ let handle_id_response t ~sender ~nonce ~id =
   | Some c ->
       cancel_timer t c.c_timer;
       Hashtbl.remove t.id_challenges nonce;
-      Hashtbl.remove t.challenge_by_id c.c_claimed.Peer.id;
       let claimed = c.c_claimed in
+      let ps = peer t claimed.Peer.id in
+      ps.challenge <- None;
       if Nodeid.equal id claimed.Peer.id && sender.Peer.addr = claimed.Peer.addr
       then begin
-        Hashtbl.replace t.verified claimed.Peer.id claimed.Peer.addr;
+        ps.verified <- Some claimed.Peer.addr;
         List.iter (fun k -> k ()) (List.rev c.c_ks)
       end
       else begin
         (* the node at that address cannot prove the advertised id: the
            entry was fabricated. Remember the forgery so repeated gossip
            cannot even cost us another challenge. *)
-        Hashtbl.replace t.forged claimed.Peer.id ();
+        ps.forged <- true;
         if traced t then
           emit_ev t
             (Obs.Event.Poison_rejected
@@ -488,7 +505,7 @@ let rec start_next_dprobe t =
 
 and finish_dprobe t d =
   cancel_timer t d.d_finish;
-  Hashtbl.remove t.dprobes d.d_target.Peer.id;
+  (peer t d.d_target.Peer.id).dprobe <- None;
   Hashtbl.iter (fun seq _ -> Hashtbl.remove t.dprobe_by_seq seq) d.d_sent_at;
   t.dprobes_running <- t.dprobes_running - 1;
   let result =
@@ -515,7 +532,7 @@ and launch_dprobe t target ~total ~announce ~on_done =
       d_finish = None;
     }
   in
-  Hashtbl.replace t.dprobes target.Peer.id d;
+  (peer t target.Peer.id).dprobe <- Some d;
   t.dprobes_running <- t.dprobes_running + 1;
   emit_probe t target "distance";
   let send_sample () =
@@ -536,12 +553,12 @@ and launch_dprobe t target ~total ~announce ~on_done =
   d.d_finish <- Some (t.env.schedule ~delay:finish_at (fun () -> if t.alive then finish_dprobe t d))
 
 and request_dprobe t target ~total ~announce ~on_done =
+  let probing () = Option.is_some (peer t target.Peer.id).dprobe in
   if Nodeid.equal target.Peer.id t.me.Peer.id then on_done None
-  else if Hashtbl.mem t.dprobes target.Peer.id then on_done None
+  else if probing () then on_done None
   else begin
     let start () =
-      if Hashtbl.mem t.dprobes target.Peer.id then on_done None
-      else launch_dprobe t target ~total ~announce ~on_done
+      if probing () then on_done None else launch_dprobe t target ~total ~announce ~on_done
     in
     if t.dprobes_running < t.cfg.max_concurrent_distance_probes then start ()
     else Queue.push start t.dprobe_queue
@@ -568,21 +585,21 @@ and maybe_measure ?(fill_only = false) t target ~announce =
               | None -> true
               | Some _ -> not fill_only))
     in
-    let recently =
-      match Hashtbl.find_opt t.last_measured target.Peer.id with
-      | Some ts -> now t -. ts < t.cfg.rt_maintenance_period /. 2.0
-      | None -> false
+    (* measured recently, or quarantined *)
+    let held_back () =
+      match Nodeid.Tbl.find t.peers target.Peer.id with
+      | ps ->
+          let n = now t in
+          n -. ps.times.last_measured < t.cfg.rt_maintenance_period /. 2.0
+          || suspected ps n
+      | exception Not_found -> false
     in
-    if
-      needed && (not recently)
-      && (not (Hashtbl.mem t.failed target.Peer.id))
-      && not (is_suspected t target.Peer.id)
-    then
+    if needed && (not (held_back ())) && not (is_failed t target.Peer.id) then
       (* every routing-table ingestion funnels through here: with
          verify_gossip on, the advertised identity must prove itself
          before we spend distance probes on it (let alone install it) *)
       with_verified t target (fun () ->
-          Hashtbl.replace t.last_measured target.Peer.id (now t);
+          (peer t target.Peer.id).times.last_measured <- now t;
           request_dprobe t target ~total:t.cfg.distance_probe_count ~announce
             ~on_done:(fun result ->
               match result with
@@ -598,17 +615,19 @@ let leaf_members_payload t = Leafset.members t.leafset
 let failed_payload t = Hashtbl.fold (fun id () acc -> id :: acc) t.failed []
 
 let rec probe t (j : Peer.t) =
-  if
-    (not (Nodeid.equal j.Peer.id t.me.Peer.id))
-    && (not (self_forgery t j))
-    && (not (Hashtbl.mem t.ls_probes j.Peer.id))
-    && (not (Hashtbl.mem t.failed j.Peer.id))
-    && not (is_suspected t j.Peer.id)
-  then begin
-    let st = { p_peer = j; p_retries = 0; p_timer = None } in
-    Hashtbl.replace t.ls_probes j.Peer.id st;
-    emit_probe t j "leafset";
-    send_ls_probe t st
+  if (not (Nodeid.equal j.Peer.id t.me.Peer.id)) && not (self_forgery t j) then begin
+    let ps = peer t j.Peer.id in
+    if
+      Option.is_none ps.ls_probe
+      && (not (is_failed t j.Peer.id))
+      && not (suspected ps (now t))
+    then begin
+      let st = { p_peer = j; p_retries = 0; p_timer = None } in
+      ps.ls_probe <- Some st;
+      t.ls_probing <- t.ls_probing + 1;
+      emit_probe t j "leafset";
+      send_ls_probe t st
+    end
   end
 
 and probe_copies t retries =
@@ -698,20 +717,22 @@ and sustain_forgery t (prober : Peer.t) ~(target : Nodeid.t) ~rt =
   | Some _ | None -> ()
 
 and probe_timeout t st =
-  if Hashtbl.mem t.ls_probes st.p_peer.Peer.id then begin
+  let j = st.p_peer in
+  let ps = peer t j.Peer.id in
+  if Option.is_some ps.ls_probe then begin
     if st.p_retries < t.cfg.max_probe_retries then begin
       st.p_retries <- st.p_retries + 1;
       send_ls_probe t st
     end
     else begin
-      let j = st.p_peer in
       let was_member = Leafset.mem t.leafset j.Peer.id in
       ignore (Leafset.remove t.leafset j.Peer.id);
       ignore (Routing_table.remove t.table j.Peer.id);
       Hashtbl.replace t.failed j.Peer.id ();
       suspect_and_revalidate t j;
       Tuning.record_failure t.tuning ~now:(now t);
-      Hashtbl.remove t.ls_probes j.Peer.id;
+      ps.ls_probe <- None;
+      t.ls_probing <- t.ls_probing - 1;
       (* §4.1: announce a confirmed leaf-set failure to the other members,
          which both informs them and solicits replacement candidates *)
       if was_member && t.active then
@@ -721,7 +742,7 @@ and probe_timeout t st =
   end
 
 and done_probing t =
-  if Hashtbl.length t.ls_probes = 0 then begin
+  if t.ls_probing = 0 then begin
     if Leafset.complete t.leafset then begin
       Hashtbl.reset t.failed;
       if not t.active then activate t
@@ -739,7 +760,7 @@ and schedule_repair t =
   end
 
 and repair t =
-  if Hashtbl.length t.ls_probes = 0 && not (Leafset.complete t.leafset) then begin
+  if t.ls_probing = 0 && not (Leafset.complete t.leafset) then begin
     let half = t.cfg.l / 2 in
     (* sides that still have members: iterate outwards (Fig 2) *)
     (match Leafset.leftmost t.leafset with
@@ -753,8 +774,7 @@ and repair t =
     let known () =
       Routing_table.peers t.table @ Leafset.members t.leafset
       |> List.filter (fun p ->
-             (not (Nodeid.equal p.Peer.id t.me.Peer.id))
-             && not (Hashtbl.mem t.failed p.Peer.id))
+             (not (Nodeid.equal p.Peer.id t.me.Peer.id)) && not (is_failed t p.Peer.id))
     in
     (* the known peer nearest in one direction; the first wins ties *)
     let nearest cmp =
@@ -782,15 +802,18 @@ and repair t =
 (* ------------------------------------------------------------------ *)
 
 and rt_probe t (j : Peer.t) =
+  if not (Nodeid.equal j.Peer.id t.me.Peer.id) then rt_probe_peer t j (peer t j.Peer.id)
+
+and rt_probe_peer t j ps =
   if
-    (not (Nodeid.equal j.Peer.id t.me.Peer.id))
-    && (not (Hashtbl.mem t.rt_probes j.Peer.id))
-    && (not (Hashtbl.mem t.ls_probes j.Peer.id))
-    && (not (Hashtbl.mem t.failed j.Peer.id))
-    && not (is_suspected t j.Peer.id)
+    Option.is_none ps.rt_probe
+    && Option.is_none ps.ls_probe
+    && (not (is_failed t j.Peer.id))
+    && not (suspected ps (now t))
   then begin
     let st = { p_peer = j; p_retries = 0; p_timer = None } in
-    Hashtbl.replace t.rt_probes j.Peer.id st;
+    ps.rt_probe <- Some st;
+    t.rt_probing <- t.rt_probing + 1;
     emit_probe t j "rt";
     send_rt_probe t st
   end
@@ -804,14 +827,16 @@ and send_rt_probe t st =
       (t.env.schedule ~delay:t.cfg.t_out (fun () -> if t.alive then rt_probe_timeout t st))
 
 and rt_probe_timeout t st =
-  if Hashtbl.mem t.rt_probes st.p_peer.Peer.id then begin
+  let j = st.p_peer in
+  let ps = peer t j.Peer.id in
+  if Option.is_some ps.rt_probe then begin
     if st.p_retries < t.cfg.max_probe_retries then begin
       st.p_retries <- st.p_retries + 1;
       send_rt_probe t st
     end
     else begin
-      let j = st.p_peer in
-      Hashtbl.remove t.rt_probes j.Peer.id;
+      ps.rt_probe <- None;
+      t.rt_probing <- t.rt_probing - 1;
       ignore (Routing_table.remove t.table j.Peer.id);
       Hashtbl.replace t.failed j.Peer.id ();
       Tuning.record_failure t.tuning ~now:(now t);
@@ -821,7 +846,7 @@ and rt_probe_timeout t st =
         (* it was also a leaf — escalate to the leaf-set machinery
            (suspicion waits for the leaf probes' own verdict, which would
            otherwise be gated) *)
-        Hashtbl.remove t.failed j.Peer.id;
+        unfail t j.Peer.id;
         probe t j
       end
       else suspect_and_revalidate t j
@@ -838,7 +863,7 @@ and rt_probe_timeout t st =
    passively. *)
 and suspect_and_revalidate t (j : Peer.t) =
   suspect_peer t j;
-  match Hashtbl.find_opt t.suspicion j.Peer.id with
+  match (peer t j.Peer.id).susp with
   | None -> ()
   | Some s ->
       let expiry = s.s_until in
@@ -847,39 +872,50 @@ and suspect_and_revalidate t (j : Peer.t) =
              if t.alive then revalidate_suspect t j ~expiry))
 
 and revalidate_suspect t (j : Peer.t) ~expiry =
-  match Hashtbl.find_opt t.suspicion j.Peer.id with
+  match (peer t j.Peer.id).susp with
   | Some s
     when Float.equal s.s_until expiry
          && (s.s_backoff < t.cfg.suspicion_backoff_max
              || Leafset.would_admit t.leafset j.Peer.id) ->
       (* the [failed] entry would gate the probe; this IS the retry *)
-      Hashtbl.remove t.failed j.Peer.id;
+      unfail t j.Peer.id;
       probe t j
   | Some _ | None -> ()
 
 (* a direct message from [sender] is proof of liveness: resolve suspicion *)
 and note_alive t (sender : Peer.t) =
-  let id = sender.Peer.id in
-  Hashtbl.replace t.last_heard id (now t);
-  Hashtbl.remove t.excluded id;
-  Hashtbl.remove t.failed id;
-  (if Hashtbl.mem t.suspicion id then begin
-     Hashtbl.remove t.suspicion id;
-     if traced t then
-       emit_ev t
-         (Obs.Event.Unsuspected { addr = t.me.Peer.addr; target = sender.Peer.addr })
-   end);
-  match Hashtbl.find_opt t.rt_probes id with
+  let ps = peer t sender.Peer.id in
+  ps.times.last_heard <- now t;
+  ps.times.excluded_until <- neg_infinity;
+  unfail t sender.Peer.id;
+  (match ps.susp with
+  | Some _ ->
+      ps.susp <- None;
+      if traced t then
+        emit_ev t
+          (Obs.Event.Unsuspected { addr = t.me.Peer.addr; target = sender.Peer.addr })
+  | None -> ());
+  match ps.rt_probe with
   | Some st ->
       cancel_timer t st.p_timer;
-      Hashtbl.remove t.rt_probes id
+      ps.rt_probe <- None;
+      t.rt_probing <- t.rt_probing - 1
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Routed messages, per-hop acks (§3.2)                                 *)
 (* ------------------------------------------------------------------ *)
 
-and routed_excluded t id = is_excluded t id || is_distrusted t id
+(* excluded after a missed ack, failed, suspected or distrusted *)
+and routed_excluded t id =
+  match Nodeid.Tbl.find t.peers id with
+  | ps ->
+      let n = now t in
+      ps.times.excluded_until > n
+      || is_failed t id
+      || suspected ps n
+      || ps.times.distrust_until > n
+  | exception Not_found -> is_failed t id
 
 and send_routed t (next : Peer.t) payload ~key ~reroutes =
   let wants_acks =
@@ -900,7 +936,7 @@ and send_routed t (next : Peer.t) payload ~key ~reroutes =
       }
     in
     Hashtbl.replace t.pending hop_id ph;
-    let rto = Rto.timeout (rto_of t next.Peer.id) in
+    let rto = Rto.timeout (rto_of t (peer t next.Peer.id)) in
     ph.h_timer <-
       Some (t.env.schedule ~delay:rto (fun () -> if t.alive then hop_timeout t hop_id));
     send_msg ~hop:hop_id t next payload
@@ -924,7 +960,7 @@ and hop_timeout t hop_id =
              });
       (* temporarily exclude the silent node and check on it; only the
          probe machinery may declare it faulty *)
-      Hashtbl.replace t.excluded j.Peer.id (now t +. t.cfg.exclusion_period);
+      (peer t j.Peer.id).times.excluded_until <- now t +. t.cfg.exclusion_period;
       if Leafset.mem t.leafset j.Peer.id then probe t j else rt_probe t j;
       if ph.h_reroutes >= t.cfg.max_hop_reroutes then begin
         match ph.h_payload with
@@ -1065,9 +1101,8 @@ and deliver_at_root t (l : M.lookup) =
   else t.env.deliver l
 
 and own_rows_from t r0 =
-  let rows = Routing_table.rows t.table in
   let acc = ref [] in
-  for r = rows - 1 downto r0 do
+  for r = Routing_table.used_rows t.table - 1 downto r0 do
     let entries =
       Routing_table.row_entries t.table r
       |> List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt))
@@ -1133,7 +1168,7 @@ and activate t =
 and announce_rows t =
   (* §2: after initializing its table, the joiner sends row r to every
      node in that row (announcing itself and gossiping the row) *)
-  for r = 0 to Routing_table.rows t.table - 1 do
+  for r = 0 to Routing_table.used_rows t.table - 1 do
     let entries = Routing_table.row_entries t.table r in
     if entries <> [] then begin
       let payload_entries =
@@ -1200,9 +1235,9 @@ and heartbeat_round t =
         let fresh =
           t.cfg.probe_suppression
           &&
-          match Hashtbl.find_opt t.last_sent ln.Peer.id with
-          | Some ts -> n -. ts < t.cfg.t_ls
-          | None -> false
+          match Nodeid.Tbl.find t.peers ln.Peer.id with
+          | ps -> n -. ps.times.last_sent < t.cfg.t_ls
+          | exception Not_found -> false
         in
         if not fresh then send_msg t ln M.Heartbeat
     | None -> ());
@@ -1218,10 +1253,12 @@ and heartbeat_round t =
           t.prev_right <- Some rn.Peer.id;
           t.right_since <- n
         end;
-        let last =
-          Float.max t.right_since
-            (match Hashtbl.find_opt t.last_heard rn.Peer.id with Some v -> v | None -> 0.0)
+        let heard =
+          match Nodeid.Tbl.find t.peers rn.Peer.id with
+          | ps -> ps.times.last_heard
+          | exception Not_found -> neg_infinity
         in
+        let last = Float.max t.right_since heard in
         if n -. last > t.cfg.t_ls +. t.cfg.t_out then probe t rn
     | None -> ()
   end
@@ -1232,9 +1269,9 @@ and heartbeat_round t =
         let fresh =
           t.cfg.probe_suppression
           &&
-          match Hashtbl.find_opt t.last_heard m.Peer.id with
-          | Some ts -> n -. ts < t.cfg.t_ls
-          | None -> false
+          match Nodeid.Tbl.find t.peers m.Peer.id with
+          | ps -> n -. ps.times.last_heard < t.cfg.t_ls
+          | exception Not_found -> false
         in
         if not fresh then probe t m)
       (Leafset.members t.leafset)
@@ -1247,22 +1284,15 @@ and rt_probe_round t =
   let n = now t in
   Routing_table.iter
     (fun (e : Routing_table.entry) ->
+      (* table entries are never [me], so this is [rt_probe] without
+         its self check *)
       let j = e.Routing_table.peer in
-      let fresh =
-        t.cfg.probe_suppression
-        &&
-        match Hashtbl.find_opt t.last_heard j.Peer.id with
-        | Some ts -> n -. ts < t.trt
-        | None -> false
-      in
-      let recently_probed =
-        match Hashtbl.find_opt t.last_rt_probe j.Peer.id with
-        | Some ts -> n -. ts < t.trt
-        | None -> false
-      in
+      let ps = peer t j.Peer.id in
+      let fresh = t.cfg.probe_suppression && n -. ps.times.last_heard < t.trt in
+      let recently_probed = n -. ps.times.last_rt_probe < t.trt in
       if (not fresh) && not recently_probed then begin
-        Hashtbl.replace t.last_rt_probe j.Peer.id n;
-        rt_probe t j
+        ps.times.last_rt_probe <- n;
+        rt_probe_peer t j ps
       end)
     t.table
   end
@@ -1273,7 +1303,7 @@ and maintenance_round t =
   if overloaded t then ()
   else
     (* ask one node per row for its matching row; probe unknown entries *)
-    for r = 0 to Routing_table.rows t.table - 1 do
+    for r = 0 to Routing_table.used_rows t.table - 1 do
       match Routing_table.row_entries t.table r with
       | [] -> ()
       | entries ->
@@ -1432,10 +1462,10 @@ and handle t ~src:_ (msg : M.t) =
     | M.Repair_reply { candidates } ->
         List.iter
           (fun p ->
-            if Leafset.would_admit t.leafset p.Peer.id && not (Hashtbl.mem t.failed p.Peer.id)
+            if Leafset.would_admit t.leafset p.Peer.id && not (is_failed t p.Peer.id)
             then probe t p)
           candidates;
-        if Hashtbl.length t.ls_probes = 0 then done_probing t
+        if t.ls_probing = 0 then done_probing t
     | M.Goodbye ->
         (* the sender vouches for its own departure: evict immediately and
            start repair, skipping probe verification *)
@@ -1443,7 +1473,7 @@ and handle t ~src:_ (msg : M.t) =
         ignore (Routing_table.remove t.table sender.Peer.id);
         Hashtbl.replace t.failed sender.Peer.id ();
         Tuning.record_failure t.tuning ~now:(now t);
-        if Hashtbl.length t.ls_probes = 0 then done_probing t
+        if t.ls_probing = 0 then done_probing t
     | M.Nn_request ->
         (* admission control: seed discovery is the front door of a join
            — under overload (or a drained join-rate window), stay silent
@@ -1470,7 +1500,7 @@ and handle_hop_ack t hop_id =
       if traced t then
         emit_ev t
           (Obs.Event.Hop_ack { addr = t.me.Peer.addr; dst = ph.h_dst.Peer.addr; rtt });
-      Rto.observe (rto_of t ph.h_dst.Peer.id) rtt
+      Rto.observe (rto_of t (peer t ph.h_dst.Peer.id)) rtt
 
 and handle_dprobe_reply t probe_seq =
   match Hashtbl.find_opt t.dprobe_by_seq probe_seq with
@@ -1537,7 +1567,7 @@ and handle_join_reply t ~rows ~leaf =
       (* the root knew nobody: we are the second node; probe the root *)
       ()
     else List.iter (fun p -> probe t p) members;
-    if Hashtbl.length t.ls_probes = 0 then done_probing t
+    if t.ls_probing = 0 then done_probing t
   end
 
 and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
@@ -1548,7 +1578,7 @@ and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
      attack's entry point. verify_gossip closes it: admission waits for
      a direct identity challenge of the advertised (id, address) pair. *)
   with_verified t sender (fun () ->
-      Hashtbl.remove t.failed sender.Peer.id;
+      unfail t sender.Peer.id;
       ignore (Leafset.add t.leafset sender);
       maybe_measure ~fill_only:true t sender ~announce:true);
   (* verify claimed failures of our own members before evicting them *)
@@ -1569,7 +1599,7 @@ and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
   List.iter
     (fun (p : Peer.t) ->
       if
-        (not (Hashtbl.mem t.failed p.Peer.id))
+        (not (is_failed t p.Peer.id))
         && (not (Nodeid.equal p.Peer.id t.me.Peer.id))
         && Leafset.would_admit t.leafset p.Peer.id
       then probe t p)
@@ -1581,10 +1611,12 @@ and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
     maybe_poison t sender
   end
   else begin
-    match Hashtbl.find_opt t.ls_probes sender.Peer.id with
+    let ps = peer t sender.Peer.id in
+    match ps.ls_probe with
     | Some st ->
         cancel_timer t st.p_timer;
-        Hashtbl.remove t.ls_probes sender.Peer.id;
+        ps.ls_probe <- None;
+        t.ls_probing <- t.ls_probing - 1;
         done_probing t
     | None -> ()
   end
@@ -1721,8 +1753,7 @@ and e2e_timeout t seq =
         (if t.cfg.progress_check then
            match st.e_first_hop with
            | Some fh ->
-               Hashtbl.replace t.distrust fh.Peer.id
-                 (now t +. t.cfg.exclusion_period);
+               (peer t fh.Peer.id).times.distrust_until <- now t +. t.cfg.exclusion_period;
                if traced t then
                  emit_ev t
                    (Obs.Event.Route_diverted

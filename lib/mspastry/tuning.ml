@@ -9,10 +9,18 @@ type t = {
   mutable n_failures : int;
   remotes : float array;
   mutable n_remotes : int; (* total observed; ring index = n mod size *)
+  sorted : float array; (* [current_trt]'s work array: the remotes plus the local value *)
 }
 
 let create cfg ~now =
-  { cfg; history = [ now ]; n_failures = 0; remotes = Array.make remote_size 0.0; n_remotes = 0 }
+  {
+    cfg;
+    history = [ now ];
+    n_failures = 0;
+    remotes = Array.make remote_size 0.0;
+    n_remotes = 0;
+    sorted = Array.make (remote_size + 1) 0.0;
+  }
 
 let record_failure t ~now =
   t.n_failures <- t.n_failures + 1;
@@ -73,26 +81,34 @@ let expected_hops ~b ~n =
   let h = (base -. 1.0) /. base *. (log n /. log base) in
   Float.max 1.0 h
 
-let raw_loss_rate (cfg : Config.t) ~trt ~n ~mu =
-  let r = float_of_int (cfg.max_probe_retries + 1) in
-  let detect_ls = cfg.t_ls +. (r *. cfg.t_out) in
-  let detect_rt = trt +. (r *. cfg.t_out) in
+(* the raw loss rate split at Trt: [h] and [p_last] depend only on N and
+   µ, so the solver computes them once and bisects over [loss_at] *)
+let retries (cfg : Config.t) = float_of_int (cfg.max_probe_retries + 1)
+
+let hops_and_p_last (cfg : Config.t) ~n ~mu =
   let h = expected_hops ~b:cfg.b ~n in
-  let p_last = pf ~t_detect:detect_ls ~mu in
-  let p_rt = pf ~t_detect:detect_rt ~mu in
+  (h, pf ~t_detect:(cfg.t_ls +. (retries cfg *. cfg.t_out)) ~mu)
+
+let loss_at (cfg : Config.t) ~h ~p_last ~mu trt =
+  let p_rt = pf ~t_detect:(trt +. (retries cfg *. cfg.t_out)) ~mu in
   1.0 -. ((1.0 -. p_last) *. ((1.0 -. p_rt) ** (h -. 1.0)))
 
-let trt_floor (cfg : Config.t) = float_of_int (cfg.max_probe_retries + 1) *. cfg.t_out
+let raw_loss_rate cfg ~trt ~n ~mu =
+  let h, p_last = hops_and_p_last cfg ~n ~mu in
+  loss_at cfg ~h ~p_last ~mu trt
+
+let trt_floor (cfg : Config.t) = retries cfg *. cfg.t_out
 
 let solve_trt (cfg : Config.t) ~n ~mu =
+  let h, p_last = hops_and_p_last cfg ~n ~mu in
   let lo = trt_floor cfg and hi = cfg.t_rt_max in
-  if raw_loss_rate cfg ~trt:lo ~n ~mu >= cfg.lr_target then lo
-  else if raw_loss_rate cfg ~trt:hi ~n ~mu <= cfg.lr_target then hi
+  if loss_at cfg ~h ~p_last ~mu lo >= cfg.lr_target then lo
+  else if loss_at cfg ~h ~p_last ~mu hi <= cfg.lr_target then hi
   else begin
     let lo = ref lo and hi = ref hi in
     for _ = 1 to 60 do
       let mid = (!lo +. !hi) /. 2.0 in
-      if raw_loss_rate cfg ~trt:mid ~n ~mu > cfg.lr_target then hi := mid else lo := mid
+      if loss_at cfg ~h ~p_last ~mu mid > cfg.lr_target then hi := mid else lo := mid
     done;
     !lo
   end
@@ -102,9 +118,28 @@ let local_trt t ~leafset ~m ~now =
   let n = estimate_n leafset in
   solve_trt t.cfg ~n ~mu
 
+(* [Repro_util.Stats.median] of [a.(0 .. len-1)], sorted in place by
+   insertion on the unboxed floats: the same order as [Array.sort
+   compare] for the finite values the tuner holds, and the same
+   interpolation arithmetic *)
+let median_in_place (a : float array) len =
+  for i = 1 to len - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  let rank = 0.5 *. float_of_int (len - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. floor rank in
+  (a.(lo) *. (1.0 -. frac)) +. (a.(hi) *. frac)
+
 let current_trt t ~local =
   let k = min t.n_remotes remote_size in
-  let values = Array.make (k + 1) local in
-  Array.blit t.remotes 0 values 0 k;
-  let med = Repro_util.Stats.median values in
+  Array.blit t.remotes 0 t.sorted 0 k;
+  t.sorted.(k) <- local;
+  let med = median_in_place t.sorted (k + 1) in
   Float.max (trt_floor t.cfg) (Float.min t.cfg.t_rt_max med)

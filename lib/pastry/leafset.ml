@@ -5,7 +5,8 @@
 type side = {
   peers : Peer.t array; (* capacity l/2 *)
   mutable n : int;
-  cmp : Nodeid.t -> Nodeid.t -> int; (* distance order from me *)
+  from : Nodeid.t; (* me *)
+  cw : bool; (* ordered by clockwise distance (right) or counter-clockwise (left) *)
 }
 
 type t = {
@@ -19,12 +20,12 @@ type t = {
 
 let create ~l ~me =
   if l < 2 || l mod 2 <> 0 then invalid_arg "Leafset.create: l must be even and >= 2";
-  let side cmp = { peers = Array.make (l / 2) me; n = 0; cmp } in
+  let side cw = { peers = Array.make (l / 2) me; n = 0; from = me.Peer.id; cw } in
   {
     l;
     me;
-    left = side (Nodeid.compare_ccw_dist ~from:me.Peer.id);
-    right = side (Nodeid.compare_cw_dist ~from:me.Peer.id);
+    left = side false;
+    right = side true;
     shared = 0;
     view = None;
   }
@@ -33,13 +34,22 @@ let me t = t.me
 let l t = t.l
 
 (* rank of [id] on [s]: the index of the first member not strictly
-   closer to [me] — where [id] sits if it is a member *)
+   closer to [me] — where [id] sits if it is a member. One loop per
+   direction calls its comparator directly, not through a closure. *)
 let search s id =
   let lo = ref 0 and hi = ref s.n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if s.cmp s.peers.(mid).Peer.id id < 0 then lo := mid + 1 else hi := mid
-  done;
+  if s.cw then
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Nodeid.compare_cw_dist ~from:s.from s.peers.(mid).Peer.id id < 0 then lo := mid + 1
+      else hi := mid
+    done
+  else
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Nodeid.compare_ccw_dist ~from:s.from s.peers.(mid).Peer.id id < 0 then lo := mid + 1
+      else hi := mid
+    done;
   !lo
 
 let holds s i id = i < s.n && Nodeid.equal s.peers.(i).Peer.id id
@@ -153,11 +163,16 @@ let closest_excluding t k ~excluded =
 let no_exclusion _ = false
 let closest t k = closest_excluding t k ~excluded:no_exclusion
 
+(* at most one search per side answers both "already a member?" and
+   "would it rank inside the capacity?" *)
 let would_admit t id =
-  let cap = t.l / 2 in
   (not (Nodeid.equal id t.me.Peer.id))
-  && (not (mem t id))
-  && (search t.left id < cap || search t.right id < cap)
+  &&
+  let il = search t.left id in
+  (not (holds t.left il id))
+  &&
+  let ir = search t.right id in
+  (not (holds t.right ir id)) && (il < t.l / 2 || ir < t.l / 2)
 
 let pp fmt t =
   let side s = Array.to_list (Array.sub s.peers 0 s.n) in

@@ -162,6 +162,15 @@ let closer ~key a c =
   let cmp = compare_ring_dist ~key a c in
   cmp < 0 || (cmp = 0 && compare a c < 0)
 
+(* identifiers are uniformly random, so their low half is a uniform
+   hash (the table uses only its low bits) *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash t = Int64.to_int (lo t)
+end)
+
 let to_float t =
   let acc = ref 0.0 in
   for i = 0 to size - 1 do

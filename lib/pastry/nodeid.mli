@@ -88,6 +88,12 @@ val closer : key:t -> t -> t -> bool
     [b]? Smaller ring distance wins; equal distance falls back to the
     numerically smaller identifier. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Identifier-keyed tables: {!equal} on keys and the low 64 bits as the
+    hash, so a lookup neither walks the string generically nor allocates.
+    Iteration order follows the hash; nothing that reaches a message or
+    an output may depend on it. *)
+
 val to_float : t -> float
 (** Approximate magnitude as a float in [\[0, 2^128)] — used for
     estimating network size from leaf-set density. *)

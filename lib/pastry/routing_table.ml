@@ -4,19 +4,29 @@ type t = {
   b : int;
   me : Nodeid.t;
   table : entry option array array; (* rows x cols *)
+  row_count : int array; (* occupied slots per row *)
   mutable count : int;
+  mutable used : int; (* rows [0, used) hold every entry; row used-1 is occupied *)
 }
 
 let create ~b ~me =
   if b < 1 || b > 8 then invalid_arg "Routing_table.create: b must be in 1..8";
   let rows = Nodeid.num_digits ~b in
   let cols = 1 lsl b in
-  { b; me; table = Array.make_matrix rows cols None; count = 0 }
+  {
+    b;
+    me;
+    table = Array.make_matrix rows cols None;
+    row_count = Array.make rows 0;
+    count = 0;
+    used = 0;
+  }
 
 let b t = t.b
 let rows t = Array.length t.table
 let cols t = Array.length t.table.(0)
 let me t = t.me
+let used_rows t = t.used
 
 let slot_of t id =
   if Nodeid.equal id t.me then None
@@ -37,7 +47,12 @@ let find t id =
       | Some _ | None -> None)
 
 let install t r c e =
-  if t.table.(r).(c) = None then t.count <- t.count + 1;
+  (match t.table.(r).(c) with
+  | Some _ -> ()
+  | None ->
+      t.count <- t.count + 1;
+      t.row_count.(r) <- t.row_count.(r) + 1;
+      if r >= t.used then t.used <- r + 1);
   t.table.(r).(c) <- Some e
 
 let consider t peer ~rtt =
@@ -70,6 +85,10 @@ let remove t id =
       | Some e when Nodeid.equal e.peer.Peer.id id ->
           t.table.(r).(c) <- None;
           t.count <- t.count - 1;
+          t.row_count.(r) <- t.row_count.(r) - 1;
+          while t.used > 0 && t.row_count.(t.used - 1) = 0 do
+            t.used <- t.used - 1
+          done;
           true
       | Some _ | None -> false)
 
@@ -82,20 +101,23 @@ let cons_row f row acc =
   done;
   !acc
 
-let row_entries t r = cons_row Fun.id t.table.(r) []
+let row_entries t r = if t.row_count.(r) = 0 then [] else cons_row Fun.id t.table.(r) []
 
 (* row-major, like [iter] *)
 let collect f t =
   let acc = ref [] in
-  for r = Array.length t.table - 1 downto 0 do
-    acc := cons_row f t.table.(r) !acc
+  for r = t.used - 1 downto 0 do
+    if t.row_count.(r) > 0 then acc := cons_row f t.table.(r) !acc
   done;
   !acc
 
 let entries t = collect Fun.id t
 let peers t = collect (fun e -> e.peer) t
 
-let iter f t = Array.iter (Array.iter (function Some e -> f e | None -> ())) t.table
+let iter f t =
+  for r = 0 to t.used - 1 do
+    if t.row_count.(r) > 0 then Array.iter (function Some e -> f e | None -> ()) t.table.(r)
+  done
 
 let count t = t.count
 

@@ -4,7 +4,13 @@
     the first [r] digits with the local node and has [c] as digit [r].
     Proximity-aware: each entry remembers the measured round-trip delay to
     the peer, and {!consider} only replaces an entry with a strictly
-    closer one (proximity neighbour selection). *)
+    closer one (proximity neighbour selection).
+
+    The table counts the occupied slots of each row and tracks its
+    highest occupied row, so walks over the entries ({!iter},
+    {!entries}, {!peers}) visit only rows [0 .. used_rows - 1] and skip
+    empty ones: in an overlay of N nodes only about log_{2^b} N rows are
+    ever occupied. *)
 
 type t
 
@@ -17,6 +23,10 @@ val rows : t -> int
 val cols : t -> int
 val me : t -> Nodeid.t
 
+val used_rows : t -> int
+(** One more than the index of the highest occupied row (0 for an empty
+    table): rows from [used_rows] on are empty. *)
+
 val slot_of : t -> Nodeid.t -> (int * int) option
 (** Row/column where this identifier belongs; [None] for the local id. *)
 
@@ -28,10 +38,9 @@ val consider : t -> Peer.t -> rtt:float -> bool
     occupant. Returns [true] when the table changed. *)
 
 val set : t -> Peer.t -> rtt:float -> bool
-(** Unconditional install into the peer's slot (used when the previous
-    occupant was evicted); still refuses to evict a closer occupant with
-    the same identifier semantics as [consider] except occupancy by a
-    different peer is overwritten. Returns [true] when the table changed. *)
+(** Unconditional install into the peer's slot: whatever occupies it,
+    closer or not, is overwritten. Callers that must not evict check the
+    slot first. Returns [false] only for the local id. *)
 
 val remove : t -> Nodeid.t -> bool
 (** Evict the entry holding exactly this identifier. *)

@@ -433,6 +433,83 @@ let test_receiver_acks_hop () =
   Alcotest.(check int) "ack sent back" 1 (List.length acks);
   Alcotest.(check int) "delivered locally (we are root)" 1 (List.length s.delivered)
 
+(* [p] introduces itself with a leaf-set probe *)
+let greet node (p : Peer.t) =
+  Node.handle node ~src:p.Peer.addr
+    (M.make ~sender:p (M.Ls_probe { leaf = []; failed = []; trt = 30.0; target = hexid "a0" }))
+
+(* a direct message is proof of liveness: it lifts the per-hop-ack
+   exclusion, cancels the peer's routing-table probe and clears a failed
+   mark. l = 2 keeps the leaf set from covering the key, so the lookup
+   takes the routing table; no reroutes keeps the other peers quiet. *)
+let test_direct_message_lifts_exclusion () =
+  let cfg = { cfg with Config.l = 2; max_hop_reroutes = 0 } in
+  let s = make_script () in
+  let node = Node.create ~cfg ~env:(env_of s) ~id:(hexid "a0") ~addr:0 in
+  Node.bootstrap node;
+  let right = Peer.make (hexid "b0") 1 and left = Peer.make (hexid "90") 2 in
+  let far = Peer.make (hexid "f0") 4 in
+  greet node right;
+  greet node left;
+  Node.handle node ~src:4 (M.make ~sender:far (M.Rtt_report { rtt = 0.05 }));
+  ignore (take_sent s);
+  let key = hexid "f8" in
+  (* the destination of lookup [seq], and its hop tag *)
+  let route seq =
+    Node.lookup node ~key ~seq;
+    match
+      List.filter_map
+        (fun (dst, (m : M.t)) ->
+          match m.M.payload with
+          | M.Lookup l when l.M.seq = seq -> Some (dst, m.M.hop)
+          | _ -> None)
+        (take_sent s)
+    with
+    | [ (dst, Some hop) ] -> (dst, hop)
+    | _ -> Alcotest.failf "lookup %d: expected one tagged hop" seq
+  in
+  let far_id = Nodeid.to_hex far.Peer.id in
+  Alcotest.(check int) "routed through the table entry" 4 (fst (route 1));
+  (* no ack: [far] is excluded and probed *)
+  advance s 0.6;
+  Alcotest.(check int) "rt probe outstanding" 1 (Node.pending_probes node);
+  let dst, hop_id = route 2 in
+  Alcotest.(check int) "excluded hop routed around" 1 dst;
+  Node.handle node ~src:1 (M.make ~sender:right (M.Hop_ack { hop_id }));
+  Node.handle node ~src:4 (M.make ~sender:far M.Heartbeat);
+  Alcotest.(check int) "rt probe cancelled" 0 (Node.pending_probes node);
+  Alcotest.(check int) "exclusion lifted" 4 (fst (route 3));
+  (* unacked again, and the probe exhausts its retries: [far] is marked
+     failed, quarantined and evicted *)
+  advance s 0.6;
+  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
+  Alcotest.(check (list string)) "failed mark" [ far_id ]
+    (List.map Nodeid.to_hex (Node.failed_set node));
+  Alcotest.(check (list string)) "quarantined" [ far_id ]
+    (List.map Nodeid.to_hex (Node.suspected_set node));
+  Node.handle node ~src:4 (M.make ~sender:far (M.Rtt_report { rtt = 0.05 }));
+  Alcotest.(check (list string)) "failed mark cleared" []
+    (List.map Nodeid.to_hex (Node.failed_set node));
+  Alcotest.(check (list string)) "quarantine lifted" []
+    (List.map Nodeid.to_hex (Node.suspected_set node));
+  Alcotest.(check int) "routed through it again" 4 (fst (route 4))
+
+(* the sets come out in identifier order, whatever order the peers were
+   met in *)
+let test_suspected_set_sorted () =
+  let s, node, other = active_pair () in
+  let d = Peer.make (hexid "d0") 3 and c = Peer.make (hexid "c0") 2 in
+  greet node d;
+  greet node c;
+  ignore (take_sent s);
+  let failed = [ d.Peer.id; c.Peer.id ] in
+  Node.handle node ~src:1
+    (M.make ~sender:other (M.Ls_probe { leaf = []; failed; trt = 30.0; target = hexid "a0" }));
+  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
+  Alcotest.(check (list string)) "both suspects, sorted"
+    [ Nodeid.to_hex c.Peer.id; Nodeid.to_hex d.Peer.id ]
+    (List.map Nodeid.to_hex (Node.suspected_set node))
+
 (* ---------------- misc handlers ---------------- *)
 
 let test_rt_probe_replied () =
@@ -707,6 +784,9 @@ let suite =
         Alcotest.test_case "unreliable lookups unacked" `Quick
           test_unreliable_lookup_unacked;
         Alcotest.test_case "receiver acks hops" `Quick test_receiver_acks_hop;
+        Alcotest.test_case "direct message lifts exclusion, probe and failed mark" `Quick
+          test_direct_message_lifts_exclusion;
+        Alcotest.test_case "suspected set sorted" `Quick test_suspected_set_sorted;
         Alcotest.test_case "rt probe replied" `Quick test_rt_probe_replied;
         Alcotest.test_case "distance probe replied" `Quick test_distance_probe_replied;
         Alcotest.test_case "rtt report installs entry" `Quick test_rtt_report_installs;

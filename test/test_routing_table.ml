@@ -127,6 +127,108 @@ let qcheck_all_b_values =
           !ok)
         [ 1; 2; 3; 4; 5; 8 ])
 
+(* Random consider/set/remove/update_rtt sequences against a reference
+   model: the same slots in a plain matrix, every query a scan of all
+   rows and columns. Half the ids share at least 28 digits with [me], so
+   the top rows fill and empty again: a bound on the occupied rows
+   lowered past a non-empty row would silently drop entries from the
+   walks. *)
+let qcheck_matches_full_scan_model =
+  QCheck.Test.make ~name:"matches a full-scan reference model" ~count:300 QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let me = Nodeid.random rng in
+      let me_hex = Nodeid.to_hex me and hex = "0123456789abcdef" in
+      (* an id sharing exactly [p] leading digits with [me] *)
+      let id_sharing p =
+        let own = String.index hex me_hex.[p] in
+        Nodeid.of_hex
+          (String.init 32 (fun i ->
+               if i < p then me_hex.[i]
+               else if i = p then hex.[(own + 1 + Rng.int rng 15) land 15]
+               else hex.[Rng.int rng 16]))
+      in
+      let pool =
+        Array.init 24 (fun k ->
+            let p = if Rng.bool rng then 28 + Rng.int rng 4 else Rng.int rng 32 in
+            Peer.make (id_sharing p) k)
+      in
+      let rtts = [| 0.01; 0.05; 0.1; 0.2; infinity |] in
+      let t = Rt.create ~b:4 ~me in
+      let rows = Rt.rows t and cols = Rt.cols t in
+      let model = Array.make_matrix rows cols None in
+      let scan f =
+        let acc = ref [] in
+        for r = rows - 1 downto 0 do
+          for c = cols - 1 downto 0 do
+            match model.(r).(c) with
+            | Some e when f r e -> acc := e :: !acc
+            | Some _ | None -> ()
+          done
+        done;
+        !acc
+      in
+      let holding id = scan (fun _ (e : Rt.entry) -> Nodeid.equal e.Rt.peer.Peer.id id) in
+      let slot (p : Peer.t) =
+        let r = Nodeid.shared_prefix_length ~b:4 me p.Peer.id in
+        (r, Nodeid.digit ~b:4 p.Peer.id r)
+      in
+      let expect what b =
+        if not b then QCheck.Test.fail_reportf "%s differs from the model" what
+      in
+      for _ = 1 to 80 do
+        let k = Rng.int rng (Array.length pool) in
+        let rtt = rtts.(Rng.int rng (Array.length rtts)) in
+        let p = pool.(k) in
+        (match Rng.int rng 6 with
+        | 0 | 1 ->
+            let r, c = slot p in
+            let changed =
+              match model.(r).(c) with
+              | Some (e : Rt.entry) when rtt >= e.Rt.rtt -> false
+              | Some _ | None ->
+                  model.(r).(c) <- Some { Rt.peer = p; rtt };
+                  true
+            in
+            expect "consider" (Rt.consider t p ~rtt = changed)
+        | 2 ->
+            let r, c = slot p in
+            model.(r).(c) <- Some { Rt.peer = p; rtt };
+            expect "set" (Rt.set t p ~rtt)
+        | 3 | 4 ->
+            let present = holding p.Peer.id <> [] in
+            let r, c = slot p in
+            if present then model.(r).(c) <- None;
+            expect "remove" (Rt.remove t p.Peer.id = present)
+        | _ ->
+            let r, c = slot p in
+            (match holding p.Peer.id with
+            | [ e ] -> model.(r).(c) <- Some { e with Rt.rtt }
+            | _ -> ());
+            Rt.update_rtt t p.Peer.id rtt);
+        let all = scan (fun _ _ -> true) in
+        let top = List.fold_left (fun m e -> max m (fst (slot e.Rt.peer) + 1)) 0 all in
+        let walked = ref [] in
+        Rt.iter (fun e -> walked := e :: !walked) t;
+        expect "entries" (Rt.entries t = all);
+        expect "peers" (Rt.peers t = List.map (fun e -> e.Rt.peer) all);
+        expect "iter order" (List.rev !walked = all);
+        expect "count" (Rt.count t = List.length all);
+        expect "used_rows" (Rt.used_rows t = top);
+        for r = 0 to rows - 1 do
+          expect "row_entries" (Rt.row_entries t r = scan (fun r' _ -> r' = r));
+          for c = 0 to cols - 1 do
+            expect "get" (Rt.get t r c = model.(r).(c))
+          done
+        done;
+        Array.iter
+          (fun (q : Peer.t) ->
+            expect "find"
+              (Rt.find t q.Peer.id = match holding q.Peer.id with [ e ] -> Some e | _ -> None))
+          pool
+      done;
+      true)
+
 let suite =
   [
     ( "routing-table",
@@ -143,5 +245,6 @@ let suite =
         Alcotest.test_case "update rtt" `Quick test_update_rtt;
         QCheck_alcotest.to_alcotest qcheck_slot_matches_prefix;
         QCheck_alcotest.to_alcotest qcheck_all_b_values;
+        QCheck_alcotest.to_alcotest qcheck_matches_full_scan_model;
       ] );
   ]

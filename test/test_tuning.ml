@@ -168,6 +168,85 @@ let qcheck_solve_in_bounds =
       let trt = Tuning.solve_trt cfg ~n ~mu in
       trt >= 9.0 -. 1e-9 && trt <= cfg.Config.t_rt_max +. 1e-9)
 
+(* The solver and the median must reproduce the straightforward
+   computations bit for bit: a rounding difference would change a node's
+   probing period and with it every later event. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let floor_of (cfg : Config.t) = float_of_int (cfg.max_probe_retries + 1) *. cfg.t_out
+
+(* §4.1's raw loss rate, written out in full *)
+let reference_loss (cfg : Config.t) ~trt ~n ~mu =
+  let r = float_of_int (cfg.max_probe_retries + 1) in
+  let h = Tuning.expected_hops ~b:cfg.b ~n in
+  let p_last = Tuning.pf ~t_detect:(cfg.t_ls +. (r *. cfg.t_out)) ~mu in
+  let p_rt = Tuning.pf ~t_detect:(trt +. (r *. cfg.t_out)) ~mu in
+  1.0 -. ((1.0 -. p_last) *. ((1.0 -. p_rt) ** (h -. 1.0)))
+
+(* bisection straight over [raw_loss_rate] *)
+let reference_solve (cfg : Config.t) ~n ~mu =
+  let loss trt = Tuning.raw_loss_rate cfg ~trt ~n ~mu in
+  let lo = floor_of cfg and hi = cfg.t_rt_max in
+  if loss lo >= cfg.lr_target then lo
+  else if loss hi <= cfg.lr_target then hi
+  else begin
+    let lo = ref lo and hi = ref hi in
+    for _ = 1 to 60 do
+      let mid = (!lo +. !hi) /. 2.0 in
+      if loss mid > cfg.lr_target then hi := mid else lo := mid
+    done;
+    !lo
+  end
+
+(* n log-uniform in [2, 1e5]; µ = 0, high enough to hit the floor, or
+   log-uniform down to where the cap holds *)
+let arb_n_mu =
+  let open QCheck.Gen in
+  let n = map (fun e -> 2.0 *. (10.0 ** e)) (float_range 0.0 (log10 5e4)) in
+  let mu =
+    frequency
+      [
+        (1, return 0.0);
+        (1, float_range 0.01 0.1);
+        (4, map (fun e -> 10.0 ** e) (float_range (-10.0) (-1.0)));
+      ]
+  in
+  QCheck.make ~print:QCheck.Print.(pair float float) (pair n mu)
+
+let qcheck_solve_matches_reference =
+  QCheck.Test.make ~name:"solve_trt = bisection over raw_loss_rate, bit for bit" ~count:500
+    arb_n_mu (fun (n, mu) ->
+      let trt = Tuning.solve_trt cfg ~n ~mu in
+      same_bits trt (reference_solve cfg ~n ~mu)
+      && same_bits (Tuning.raw_loss_rate cfg ~trt ~n ~mu) (reference_loss cfg ~trt ~n ~mu))
+
+(* observations with duplicates and garbage; up to 70 of them, so the
+   32-slot ring is sometimes part full and sometimes wrapped *)
+let arb_observations =
+  let open QCheck.Gen in
+  let v =
+    frequency
+      [
+        (3, oneofl [ 9.0; 30.0; 30.0; 120.0; 600.0; 3600.0; 1e6 ]);
+        (3, float_range 1.0 5000.0);
+        (1, oneofl [ 0.0; -5.0; nan; infinity ]);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair (list float) float)
+    (pair (list_size (int_bound 70) v) (float_range 9.0 3600.0))
+
+let qcheck_current_trt_is_stats_median =
+  QCheck.Test.make ~name:"current_trt = clamped Stats.median, bit for bit" ~count:500
+    arb_observations (fun (obs, local) ->
+      let t = Tuning.create cfg ~now:0.0 in
+      List.iter (Tuning.observe_remote t) obs;
+      let kept = List.filter (fun v -> v > 0.0 && Float.is_finite v) obs in
+      let ring = List.filteri (fun i _ -> i >= List.length kept - 32) kept in
+      let med = Repro_util.Stats.median (Array.of_list (ring @ [ local ])) in
+      same_bits (Tuning.current_trt t ~local)
+        (Float.max (floor_of cfg) (Float.min cfg.Config.t_rt_max med)))
+
 let suite =
   [
     ( "tuning",
@@ -190,5 +269,7 @@ let suite =
         Alcotest.test_case "remote ring buffer converges" `Quick
           test_observe_remote_ring_converges;
         QCheck_alcotest.to_alcotest qcheck_solve_in_bounds;
+        QCheck_alcotest.to_alcotest qcheck_solve_matches_reference;
+        QCheck_alcotest.to_alcotest qcheck_current_trt_is_stats_median;
       ] );
   ]
