@@ -17,9 +17,14 @@ It prints each side's median and quartiles for every end-to-end metric,
 how many pairs the working tree won on node_s_per_s (higher is better,
 ties count for neither side), and every deterministic outcome or
 attempted/failed count that differs between the sides (the seed fixes
-them, so any difference is a behaviour change). The exit code is nonzero
-when a run cannot complete, the benchmark differs between the sides, or
-a deterministic outcome differs.
+them, so any difference is a behaviour change). It then compares the
+run manifests each side's last run wrote
+(perfbench/_work/out/<workload>-seed<k>-time.run.json): their counters,
+histograms and engine statistics must be equal, while the git label and
+the wall-clock profile are ignored; it prints every path that differs.
+The exit code is nonzero when a run cannot complete, the benchmark
+differs between the sides, or a deterministic outcome, counter,
+histogram or engine statistic differs.
 """
 
 import argparse
@@ -36,6 +41,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # end-to-end metric is a deterministic outcome of the seed
 TIMED = ("node_s_per_s", "setup_s", "peak_heap_mb")
 CLAIMED = "node_s_per_s"
+# the run-manifest sections a seed fixes; "git" and "profile" are not
+MANIFEST_SECTIONS = ("counters", "histograms", "engine")
 
 
 def git(*args):
@@ -64,10 +71,46 @@ def run_side(root, args):
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode not in (0, 1) or not lines:
+    meta = [l for l in lines if l.startswith("meta: ")]
+    if proc.returncode not in (0, 1) or not lines or not meta:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit("perfbench_ab: %s failed in %s" % (" ".join(cmd), root))
-    return json.loads(lines[-1])
+    r = json.loads(lines[-1])
+    r["sim_seeds"] = json.loads(meta[-1][len("meta: "):])["sim_seeds"]
+    return r
+
+
+def manifest(root, workload, seed):
+    path = os.path.join(root, "perfbench", "_work", "out",
+                        "%s-seed%d-time.run.json" % (workload, seed))
+    with open(path) as f:
+        return json.load(f)
+
+
+def differing_paths(base, work, path):
+    """Dotted paths at which two JSON values differ, with both values."""
+    if isinstance(base, dict) and isinstance(work, dict):
+        out = []
+        for k in sorted(set(base) | set(work)):
+            sub = "%s.%s" % (path, k)
+            if k not in base or k not in work:
+                out.append("%s: only on the %s side" % (sub, "base" if k in base else "work"))
+            else:
+                out += differing_paths(base[k], work[k], sub)
+        return out
+    if base == work:
+        return []
+    return ["%s: base %s, work %s" % (path, json.dumps(base), json.dumps(work))]
+
+
+def manifest_differences(roots, workload, seeds):
+    out = []
+    for seed in seeds:
+        b, w = (manifest(roots[side], workload, seed) for side in ("base", "work"))
+        for section in MANIFEST_SECTIONS:
+            out += differing_paths(b.get(section), w.get(section),
+                                   "seed%d.%s" % (seed, section))
+    return out
 
 
 def quartiles(xs):
@@ -107,6 +150,8 @@ def main():
                 print("pair %d %-4s %s %.6g%s" % (
                     i + 1, side, CLAIMED, r["metrics"][CLAIMED]["value"],
                     "" if r["correct"] else "  (correctness check failed)"), flush=True)
+        manifests = manifest_differences(roots, args.workload,
+                                         results["work"][-1]["sim_seeds"])
     base, work = results["base"], results["work"]
     print("\n%s vs working tree, %s seed %d, %d pairs (median [q1, q3])" % (
         args.base, args.workload, args.seed, args.pairs))
@@ -131,9 +176,14 @@ def main():
     if differ:
         print("deterministic outcomes that differ between the sides:")
         print("\n".join(differ))
-        return 1
-    print("deterministic outcomes and attempted/failed counts identical on both sides")
-    return 0
+    else:
+        print("deterministic outcomes and attempted/failed counts identical on both sides")
+    if manifests:
+        print("run-manifest counters, histograms or engine statistics that differ:")
+        print("\n".join("  " + d for d in manifests))
+    else:
+        print("run-manifest counters, histograms and engine statistics identical on both sides")
+    return 1 if differ or manifests else 0
 
 
 if __name__ == "__main__":

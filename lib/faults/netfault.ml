@@ -24,6 +24,25 @@ let uniform ~rate =
           if Rng.float rng 1.0 < rate then Lose { uniform = true } else Pass);
     }
 
+(* Per-link state keyed by one int, [(src lsl 31) lor dst]. OCaml's
+   generic int hash would keep only [(src lsr 1) lxor dst] and [src]'s
+   parity of that key, so a multiplicative mix folds every bit into the
+   low ones the table indexes by. *)
+module Links = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = (k lxor (k lsr 31)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
+let link_key name src dst =
+  if (src lor dst) lsr 31 <> 0 then
+    invalid_arg (Printf.sprintf "Netfault.%s: endpoint outside [0, 2^31)" name);
+  (src lsl 31) lor dst
+
 let gilbert_elliott ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_good_to_bad
     ~p_bad_to_good () =
   check_prob "gilbert_elliott" loss_good;
@@ -39,14 +58,14 @@ let gilbert_elliott ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_good_to_bad
     if p_good_to_bad = 0.0 then 0.0
     else p_good_to_bad /. (p_good_to_bad +. p_bad_to_good)
   in
-  let in_bad : (int * int, bool ref) Hashtbl.t = Hashtbl.create 256 in
+  let in_bad : bool ref Links.t = Links.create 256 in
   let state rng src dst =
-    let key = (src, dst) in
-    match Hashtbl.find_opt in_bad key with
-    | Some r -> r
-    | None ->
+    let key = link_key "gilbert_elliott" src dst in
+    match Links.find in_bad key with
+    | r -> r
+    | exception Not_found ->
         let r = ref (pi_bad > 0.0 && Rng.float rng 1.0 < pi_bad) in
-        Hashtbl.add in_bad key r;
+        Links.add in_bad key r;
         r
   in
   {
@@ -79,19 +98,20 @@ let bursty ~avg_loss ~burst =
   end
 
 let blackhole ?(symmetric = false) ~links () =
-  let dead = Hashtbl.create 16 in
+  let dead = Links.create 16 in
   List.iter
     (fun (a, b) ->
-      Hashtbl.replace dead (a, b) ();
-      if symmetric then Hashtbl.replace dead (b, a) ())
+      Links.replace dead (link_key "blackhole" a b) ();
+      if symmetric then Links.replace dead (link_key "blackhole" b a) ())
     links;
   {
     desc =
-      Printf.sprintf "blackhole(%d %s links)" (Hashtbl.length dead)
+      Printf.sprintf "blackhole(%d %s links)" (Links.length dead)
         (if symmetric then "symmetric" else "directional");
     decide =
       (fun ~rng:_ ~time:_ ~src ~dst ->
-        if Hashtbl.mem dead (src, dst) then Lose { uniform = false } else Pass);
+        if Links.mem dead (link_key "blackhole" src dst) then Lose { uniform = false }
+        else Pass);
   }
 
 let partition ~group_of =

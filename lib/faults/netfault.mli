@@ -48,7 +48,8 @@ val gilbert_elliott :
     drop with the current state's loss probability ([loss_good] default 0,
     [loss_bad] default 1), then transition. Each link's chain starts from
     the stationary distribution, so the long-run average loss holds even
-    on lightly-used links. *)
+    on lightly-used links. Endpoints must lie in [\[0, 2^31)]; {!decide}
+    raises [Invalid_argument] for any other. *)
 
 val bursty : avg_loss:float -> burst:float -> t
 (** A {!gilbert_elliott} channel parameterised by observables: long-run
@@ -61,7 +62,9 @@ val bursty : avg_loss:float -> burst:float -> t
 val blackhole : ?symmetric:bool -> links:(int * int) list -> unit -> t
 (** Fail the given [(src, dst)] endpoint links completely. Directional by
     default — an asymmetric failure drops A→B while B→A still delivers;
-    [symmetric:true] also fails every reverse direction. *)
+    [symmetric:true] also fails every reverse direction. Endpoints, in
+    [links] and at {!decide}, must lie in [\[0, 2^31)]; any other raises
+    [Invalid_argument]. *)
 
 val partition : group_of:(int -> int) -> t
 (** Split the network: a message is lost iff [group_of src <> group_of

@@ -644,15 +644,17 @@ and probe_copies t retries =
   if overloaded t then 1 else min 512 (pow 1 retries)
 
 and send_ls_probe t st =
+  let payload =
+    M.Ls_probe
+      {
+        leaf = leaf_members_payload t;
+        failed = failed_payload t;
+        trt = t.local_trt;
+        target = st.p_peer.Peer.id;
+      }
+  in
   for _ = 1 to probe_copies t st.p_retries do
-    send_msg t st.p_peer
-      (M.Ls_probe
-         {
-           leaf = leaf_members_payload t;
-           failed = failed_payload t;
-           trt = t.local_trt;
-           target = st.p_peer.Peer.id;
-         })
+    send_msg t st.p_peer payload
   done;
   maybe_poison t st.p_peer;
   st.p_timer <-

@@ -37,10 +37,12 @@ type 'm t = {
   seq_of : 'm -> int option;
   priority_of : ('m -> int) option;
   capacity : capacity option;
-  handlers : (int, src:int -> 'm -> unit) Hashtbl.t;
+  (* indexed by address, grown on demand; [None] where nothing is
+     registered (or queued) *)
+  mutable handlers : (src:int -> 'm -> unit) option array;
   mutable link : Netfault.t;
   mutable node : Nodefault.t;
-  cap_states : (int, cap_state) Hashtbl.t;
+  mutable cap_states : cap_state option array;
   mutable taps : (time:float -> src:int -> dst:int -> 'm -> unit) list;
   mutable queue_taps : (addr:int -> cls:string -> delay:float -> unit) list;
   mutable n_sent : int;
@@ -80,10 +82,10 @@ let create ?(endpoint_of = fun a -> a) ?(classes = ([| "msg" |], fun _ -> 0))
     seq_of;
     priority_of;
     capacity;
-    handlers = Hashtbl.create 256;
+    handlers = Array.make 256 None;
     link = Netfault.none;
     node = Nodefault.none;
-    cap_states = Hashtbl.create 256;
+    cap_states = Array.make 256 None;
     taps = [];
     queue_taps = [];
     n_sent = 0;
@@ -104,19 +106,35 @@ let set_faults t ~link ~node =
   t.link <- link;
   t.node <- node
 
+(* per-address slots: reads past the end (or below 0) are empty, and a
+   write grows the array to at least twice its length *)
+let slot a i = if i >= 0 && i < Array.length a then a.(i) else None
+
+let grown a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (2 * Array.length a) (i + 1)) None in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let check_addr fn addr = if addr < 0 then invalid_arg ("Net." ^ fn ^ ": negative address")
+
 let cap_state t addr =
-  match Hashtbl.find_opt t.cap_states addr with
+  match slot t.cap_states addr with
   | Some st -> st
   | None ->
+      check_addr "send" addr;
       let st = { hi_until = 0.0; all_until = 0.0 } in
-      Hashtbl.add t.cap_states addr st;
+      t.cap_states <- grown t.cap_states addr;
+      t.cap_states.(addr) <- Some st;
       st
 
 let queue_occupancy t ~addr =
   match t.capacity with
   | None -> 0
   | Some cap -> (
-      match Hashtbl.find_opt t.cap_states addr with
+      match slot t.cap_states addr with
       | None -> 0
       | Some st ->
           let backlog = st.all_until -. Simkit.Engine.now t.engine in
@@ -125,11 +143,14 @@ let queue_occupancy t ~addr =
 
 let on_queue t tap = t.queue_taps <- tap :: t.queue_taps
 
-let register t ~addr handler = Hashtbl.replace t.handlers addr handler
+let register t ~addr handler =
+  check_addr "register" addr;
+  t.handlers <- grown t.handlers addr;
+  t.handlers.(addr) <- Some handler
 
 let unregister t ~addr =
-  Hashtbl.remove t.handlers addr;
-  Hashtbl.remove t.cap_states addr
+  if Option.is_some (slot t.handlers addr) then t.handlers.(addr) <- None;
+  if Option.is_some (slot t.cap_states addr) then t.cap_states.(addr) <- None
 
 (* distinct addresses on the same endpoint are LAN neighbours, not the
    same machine *)
@@ -172,7 +193,7 @@ let deliver t ~src ~dst ~cls msg () =
   (match Nodefault.decide t.node ~time:now ~dir:Nodefault.Recv ~addr:dst with
   | Nodefault.Mute -> drop t ~time:now ~src ~dst ~cls msg Node_fault
   | Nodefault.Pass | Nodefault.Slow _ -> (
-      match Hashtbl.find_opt t.handlers dst with
+      match slot t.handlers dst with
       | Some handler ->
           t.n_delivered <- t.n_delivered + 1;
           if Obs.Trace.enabled t.trace then

@@ -1,7 +1,9 @@
 (** Packet-level network simulation on top of a topology.
 
-    Endpoints register message handlers under small-integer addresses
-    (the topology's endpoint indices). A sent message is delivered after
+    Endpoints register message handlers under small non-negative integer
+    addresses (the topology's endpoint indices); handlers and queue
+    states live in arrays indexed by address, grown to the largest one
+    used. A sent message is delivered after
     the topology's one-way propagation delay unless one stage of the
     fault pipeline drops it. Every send runs the same stages in a fixed
     order, and each drop is counted (and traced) under the stage that
@@ -118,7 +120,8 @@ val on_queue : 'm t -> (addr:int -> cls:string -> delay:float -> unit) -> unit
     model. *)
 
 val register : 'm t -> addr:int -> (src:int -> 'm -> unit) -> unit
-(** Attach (or replace) the message handler for an endpoint. *)
+(** Attach (or replace) the message handler for an endpoint. Raises
+    [Invalid_argument] for a negative address. *)
 
 val unregister : 'm t -> addr:int -> unit
 (** Crash the endpoint: undelivered and future messages to it vanish. *)
@@ -126,7 +129,10 @@ val unregister : 'm t -> addr:int -> unit
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 (** Fire-and-forget unicast. [src] must equal the sender's own address —
     it is what the receiver's handler sees. Sending to self delivers on
-    the next event-loop step with zero delay. *)
+    the next event-loop step with zero delay. A message to an address
+    with no handler, including one above every registered address, is
+    dropped as dead at delivery time; with a capacity model, a negative
+    [dst] raises [Invalid_argument]. *)
 
 val delay : 'm t -> int -> int -> float
 val rtt : 'm t -> int -> int -> float

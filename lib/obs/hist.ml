@@ -40,7 +40,8 @@ let index t v =
 
 let add t v =
   if not (v >= 0.0) (* catches nan too *) then invalid_arg "Hist.add";
-  t.counts.(index t v) <- t.counts.(index t v) + 1;
+  let i = index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v;
   if v < t.minv then t.minv <- v;

@@ -7,11 +7,27 @@
     when the sides are not full.
 
     Each side is a fixed array of l/2 slots sorted by directed distance
-    from [me], so membership and insertion rank are binary searches. The
-    size, the wrap flag and both arc ends are maintained on every change,
-    and the {!members} list is rebuilt at most once per change, so the
-    queries on the routing path ({!covers}, {!closest},
-    {!closest_excluding}, {!members}) neither allocate nor rescan. *)
+    from [me], kept beside a flat buffer of those distances (two native
+    64-bit halves each, {!Nodeid.store_dist}). A search computes the
+    query's distance once, answers "past the farthest member" with one
+    comparison and otherwise binary-searches the flat halves, so the
+    searches behind {!would_admit}, {!mem}, {!add} and {!remove} never
+    dereference a member. The size, the wrap flag and both arc ends are
+    maintained on every change, and the {!members} list is rebuilt at
+    most once per change. None of the queries on the routing path
+    ({!covers}, {!closest}, {!closest_excluding}, {!members},
+    {!would_admit}) allocates.
+
+    {!closest_excluding} is O(log l) when the set does not wrap, both
+    sides are non-empty and the arc (the leftmost member's
+    counter-clockwise plus the rightmost's clockwise distance) is below
+    2^127: [me] and every member then lie on one line shorter than half
+    the ring, on which ring distance is distance along the line. For a
+    key within one side's span, the owner is the nearer, by
+    {!Nodeid.closer}, of the first non-excluded member at or beyond the
+    key's rank and the last one below it (or [me]). Every other case
+    (a wrapped set, an arc of 2^127 or more, a key past both ends) scans
+    all members. *)
 
 type t
 
@@ -67,8 +83,11 @@ val closest : t -> Nodeid.t -> Peer.t
 
 val closest_excluding : t -> Nodeid.t -> excluded:(Nodeid.t -> bool) -> Peer.t
 (** Like {!closest} but skipping excluded peers; [me] is never excluded,
-    so there is always an answer. [excluded] is consulted only for a peer
-    that would beat the best candidate so far. *)
+    so there is always an answer. [excluded] must be pure: which members
+    it is asked about depends on the path taken. On the binary-search
+    path it is consulted for the members next to the key's rank, outward
+    until one on each side is not excluded; on the scan path, for each
+    member that would beat the best candidate so far. *)
 
 val would_admit : t -> Nodeid.t -> bool
 (** Would {!add} of this identifier change the leaf set? *)

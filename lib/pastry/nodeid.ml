@@ -162,6 +162,41 @@ let closer ~key a c =
   let cmp = compare_ring_dist ~key a c in
   cmp < 0 || (cmp = 0 && compare a c < 0)
 
+(* Directed distances stored in flat buffers: two native-order 64-bit
+   halves per distance. These take and return no [int64], so they
+   allocate nothing even where they are not inlined (a call that passes
+   or returns an [int64] boxes it). *)
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let dist_bytes = 16
+
+let[@inline] store_dist b off ~cw ~from x =
+  let fh = hi from and fl = lo from and xh = hi x and xl = lo x in
+  if cw then begin
+    bytes_set64 b off (sub_hi xh xl fh fl);
+    bytes_set64 b (off + 8) (sub_lo xl fl)
+  end
+  else begin
+    bytes_set64 b off (sub_hi fh fl xh xl);
+    bytes_set64 b (off + 8) (sub_lo fl xl)
+  end
+
+let[@inline] compare_dist a aoff b boff =
+  cmp128 (bytes_get64 a aoff) (bytes_get64 a (aoff + 8)) (bytes_get64 b boff)
+    (bytes_get64 b (boff + 8))
+
+(* both halves' top bits clear means both distances are below 2^127, so
+   their sum fits and is below 2^127 iff its top bit is clear *)
+let[@inline] dist_sum_below_half a aoff b boff =
+  let ah = bytes_get64 a aoff and bh = bytes_get64 b boff in
+  ah >= 0L && bh >= 0L
+  &&
+  let al = bytes_get64 a (aoff + 8) in
+  let l = Int64.add al (bytes_get64 b (boff + 8)) in
+  Int64.add (Int64.add ah bh) (if ult l al then 1L else 0L) >= 0L
+
 (* identifiers are uniformly random, so their low half is a uniform
    hash (the table uses only its low bits) *)
 module Tbl = Hashtbl.Make (struct

@@ -4,10 +4,11 @@
     128-bit space. Values are immutable 16-byte strings in big-endian
     order, so plain [String.compare] is numeric comparison. Ring
     arithmetic reads the two big-endian 64-bit halves: the comparisons
-    ({!closer}, {!in_cw_arc}, the [compare_*_dist] family) and
-    {!shared_prefix_length}/{!digit} allocate nothing; only the functions
-    returning a new identifier ({!add}, {!sub}, {!cw_dist}, {!ring_dist})
-    build one.
+    ({!closer}, {!in_cw_arc}, the [compare_*_dist] family),
+    {!shared_prefix_length}/{!digit} and the stored-distance helpers
+    ({!store_dist}, {!compare_dist}, {!dist_sum_below_half}) allocate
+    nothing; only the functions returning a new identifier ({!add},
+    {!sub}, {!cw_dist}, {!ring_dist}) build one.
 
     Ring geometry: the clockwise distance from [a] to [b] is
     [(b − a) mod 2^128]; the ring distance is the smaller of the two
@@ -87,6 +88,30 @@ val closer : key:t -> t -> t -> bool
 (** [closer ~key a b] — does [a] strictly win ownership of [key] against
     [b]? Smaller ring distance wins; equal distance falls back to the
     numerically smaller identifier. *)
+
+(** {2 Directed distances in flat buffers}
+
+    A stored distance is two native-order 64-bit halves, high then low,
+    at [off] and [off + 8] of a [Bytes.t], so a sorted run of them can be
+    searched without touching the identifiers they came from. These are
+    the 128-bit half arithmetic outside this module: they take and return
+    no [int64], so they allocate nothing whether or not the compiler
+    inlines them across modules. *)
+
+val dist_bytes : int
+(** Bytes per stored distance (16). *)
+
+val store_dist : Bytes.t -> int -> cw:bool -> from:t -> t -> unit
+(** [store_dist b off ~cw ~from x] writes the directed distance of [x]
+    from [from] at [off]: clockwise ([cw_dist from x]) when [cw],
+    counter-clockwise ([cw_dist x from]) otherwise. *)
+
+val compare_dist : Bytes.t -> int -> Bytes.t -> int -> int
+(** [compare_dist a aoff b boff] compares two stored distances as
+    unsigned 128-bit numbers. *)
+
+val dist_sum_below_half : Bytes.t -> int -> Bytes.t -> int -> bool
+(** Is the sum of two stored distances below 2^127 (without wrapping)? *)
 
 module Tbl : Hashtbl.S with type key = t
 (** Identifier-keyed tables: {!equal} on keys and the low 64 bits as the

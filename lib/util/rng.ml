@@ -1,21 +1,28 @@
-type t = { mutable state : int64 }
+(* the SplitMix64 state as 8 raw bytes: a mutable [int64] field would
+   hold a box, and every draw would allocate a new one *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let bits64 t =
-  let z = Int64.add t.state golden in
-  t.state <- z;
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] bits64 t =
+  let z = Int64.add (get64 t 0) golden in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = bits64 t in
-  { state = s }
-
-let copy t = { state = t.state }
+let split t = of_state (bits64 t)
+let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -1,18 +1,35 @@
 type cell = { mutable sum : float; mutable n : int }
-type t = { window : float; cells : (int, cell) Hashtbl.t; mutable total : float; mutable samples : int }
+
+type t = {
+  window : float;
+  cells : (int, cell) Hashtbl.t;
+  mutable total : float;
+  mutable samples : int;
+  (* the window [add] last wrote: samples mostly arrive in time order *)
+  mutable last_idx : int;
+  mutable last : cell option;
+}
 
 let create ~window =
   if window <= 0.0 then invalid_arg "Series.create";
-  { window; cells = Hashtbl.create 64; total = 0.0; samples = 0 }
+  { window; cells = Hashtbl.create 64; total = 0.0; samples = 0; last_idx = 0; last = None }
 
 let add t ~time v =
   let idx = int_of_float (floor (time /. t.window)) in
   let cell =
-    match Hashtbl.find_opt t.cells idx with
-    | Some c -> c
-    | None ->
-        let c = { sum = 0.0; n = 0 } in
-        Hashtbl.add t.cells idx c;
+    match t.last with
+    | Some c when t.last_idx = idx -> c
+    | Some _ | None ->
+        let c =
+          match Hashtbl.find_opt t.cells idx with
+          | Some c -> c
+          | None ->
+              let c = { sum = 0.0; n = 0 } in
+              Hashtbl.add t.cells idx c;
+              c
+        in
+        t.last_idx <- idx;
+        t.last <- Some c;
         c
   in
   cell.sum <- cell.sum +. v;
@@ -25,7 +42,7 @@ let count t ~time = add t ~time 1.0
 let copy t =
   let cells = Hashtbl.create (Hashtbl.length t.cells) in
   Hashtbl.iter (fun idx c -> Hashtbl.add cells idx { c with sum = c.sum }) t.cells;
-  { t with cells }
+  { t with cells; last = None }
 
 let window t = t.window
 

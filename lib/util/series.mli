@@ -11,7 +11,8 @@ val create : window:float -> t
     at time 0. *)
 
 val add : t -> time:float -> float -> unit
-(** Record one sample. *)
+(** Record one sample. A sample in the same window as the previous one
+    skips the window lookup; times may arrive in any order. *)
 
 val count : t -> time:float -> unit
 (** Shorthand for [add t ~time 1.0] — counting events per window. *)

@@ -114,6 +114,65 @@ let test_blackhole_directional () =
   Alcotest.(check bool) "symmetric reverse lost" true
     (decide1 s ~src:1 ~dst:0 = faulted)
 
+(* The Gilbert–Elliott channel keyed by [(src, dst)] tuples, as the
+   model was first written: one lazily created state per link, drawn
+   from the stationary distribution, then loss and transition draws in
+   the same order. *)
+let reference_gilbert_elliott ~loss_bad ~p_good_to_bad ~p_bad_to_good =
+  let pi_bad = p_good_to_bad /. (p_good_to_bad +. p_bad_to_good) in
+  let in_bad = Hashtbl.create 16 in
+  fun ~rng ~src ~dst ->
+    let bad =
+      match Hashtbl.find_opt in_bad (src, dst) with
+      | Some r -> r
+      | None ->
+          let r = ref (Rng.float rng 1.0 < pi_bad) in
+          Hashtbl.add in_bad (src, dst) r;
+          r
+    in
+    let lost = !bad && Rng.float rng 1.0 < loss_bad in
+    (bad :=
+       if !bad then not (Rng.float rng 1.0 < p_bad_to_good)
+       else Rng.float rng 1.0 < p_good_to_bad);
+    if lost then Netfault.Lose { uniform = false } else Netfault.Pass
+
+let test_gilbert_elliott_matches_reference () =
+  (* (0, 0) and (2, 1) pack to 0 and 2^32 + 1, which OCaml's generic
+     hash maps to the same value *)
+  Alcotest.(check int) "packed keys collide under Hashtbl.hash" (Hashtbl.hash 0)
+    (Hashtbl.hash ((2 lsl 31) lor 1));
+  let p_good_to_bad = 0.2 and p_bad_to_good = 0.3 and loss_bad = 0.9 in
+  let model = Netfault.gilbert_elliott ~loss_bad ~p_good_to_bad ~p_bad_to_good () in
+  let reference = reference_gilbert_elliott ~loss_bad ~p_good_to_bad ~p_bad_to_good in
+  let links = [| (0, 0); (2, 1); (1, 2); (0, 1); (1, 0); (3, 1); (1 lsl 30, 7) |] in
+  let pick = Rng.create 5 and rng_m = Rng.create 9 and rng_r = Rng.create 9 in
+  for i = 1 to 5000 do
+    let src, dst =
+      if i mod 3 = 0 then (Rng.int pick 64, Rng.int pick 64) else Rng.pick pick links
+    in
+    let expected = reference ~rng:rng_r ~src ~dst in
+    let actual = Netfault.decide model ~rng:rng_m ~time:(float_of_int i) ~src ~dst in
+    if expected <> actual then Alcotest.failf "step %d, link (%d, %d): verdicts differ" i src dst
+  done
+
+let test_link_endpoint_range () =
+  let ge = Netfault.bursty ~avg_loss:0.1 ~burst:2.0 in
+  let bh = Netfault.blackhole ~links:[ (0, 1) ] () in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (src, dst) ->
+      let name = Printf.sprintf "(%d, %d)" src dst in
+      rejects ("gilbert-elliott " ^ name) (fun () -> decide1 ge ~src ~dst);
+      rejects ("blackhole " ^ name) (fun () -> decide1 bh ~src ~dst);
+      rejects ("blackhole links " ^ name) (fun () -> Netfault.blackhole ~links:[ (src, dst) ] ()))
+    [ (-1, 0); (0, -1); (1 lsl 31, 0); (0, 1 lsl 31) ];
+  Alcotest.(check bool) "largest endpoint accepted" true
+    (decide1 bh ~src:((1 lsl 31) - 1) ~dst:((1 lsl 31) - 1) = Netfault.Pass)
+
 let test_partition_model () =
   let f = Netfault.partition ~group_of:(fun e -> e mod 2) in
   Alcotest.(check bool) "cross-group lost" true (decide1 f ~src:0 ~dst:1 = faulted);
@@ -336,5 +395,8 @@ let suite =
         Alcotest.test_case "live partition episode" `Slow test_live_partition_episode;
         Alcotest.test_case "live massive failure recovers" `Slow
           test_live_massive_failure_recovers;
+        Alcotest.test_case "gilbert-elliott matches tuple-keyed reference" `Quick
+          test_gilbert_elliott_matches_reference;
+        Alcotest.test_case "link endpoint range" `Quick test_link_endpoint_range;
       ] );
   ]

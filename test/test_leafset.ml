@@ -10,6 +10,21 @@ let ls ?(l = 8) me_i =
 
 let ids_of peers = List.map (fun p -> Nodeid.to_hex p.Peer.id) peers
 
+(* x / 2 as an unsigned 128-bit number *)
+let half x =
+  let s = Nodeid.to_raw x in
+  Nodeid.of_string
+    (String.init 16 (fun i ->
+         let carry = if i = 0 then 0 else Char.code s.[i - 1] land 1 in
+         Char.chr ((carry lsl 7) lor (Char.code s.[i] lsr 1))))
+
+let top_bit x = Char.code (Nodeid.to_raw x).[0] land 0x80 <> 0
+
+(* the midpoint of the shorter arc between a and b *)
+let between a b =
+  let d = Nodeid.cw_dist a b in
+  if top_bit d then Nodeid.add b (half (Nodeid.cw_dist b a)) else Nodeid.add a (half d)
+
 let test_create_validation () =
   Alcotest.check_raises "odd l" (Invalid_argument "Leafset.create: l must be even and >= 2")
     (fun () -> ignore (ls ~l:3 0))
@@ -107,6 +122,38 @@ let test_would_admit_matches_add () =
     Alcotest.(check bool) "would_admit = add changes" predicted actual
   done
 
+(* the queries on the routing path read the flat distances and allocate
+   nothing, whether or not the compiler inlines Nodeid across modules *)
+let test_queries_allocate_nothing () =
+  let rng = Rng.create 77 in
+  let me = Peer.make (Nodeid.random rng) 0 in
+  let t = Leafset.create ~l:32 ~me in
+  let pop = Array.init 150 (fun k -> Peer.make (Nodeid.random rng) (k + 1)) in
+  Array.iter (fun p -> ignore (Leafset.add t p)) pop;
+  let keys = Array.init 64 (fun k -> between me.Peer.id pop.(k).Peer.id) in
+  let excluded id = Char.code (Nodeid.to_raw id).[15] land 7 = 0 in
+  let words f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. 1000.0
+  in
+  let check name f = Alcotest.(check (float 0.01)) name 0.0 (words f) in
+  let i = ref 0 in
+  let next () =
+    incr i;
+    !i land 63
+  in
+  check "closest_excluding" (fun () ->
+      ignore (Leafset.closest_excluding t keys.(next ()) ~excluded));
+  check "would_admit" (fun () -> ignore (Leafset.would_admit t keys.(next ())));
+  check "mem" (fun () -> ignore (Leafset.mem t pop.(next ()).Peer.id));
+  check "remove + add" (fun () ->
+      let p = pop.(next ()) in
+      if Leafset.remove t p.Peer.id then ignore (Leafset.add t p))
+
 let test_members_dedup () =
   let t = ls 100 in
   ignore (Leafset.add t (peer 10));
@@ -118,20 +165,27 @@ let test_members_dedup () =
 (* brute-force oracle comparison for closest *)
 let qcheck_closest_oracle =
   QCheck.Test.make ~name:"closest matches brute force" ~count:200
-    QCheck.(pair small_int (list_of_size (QCheck.Gen.int_range 1 12) small_int))
-    (fun (seed, _) ->
+    QCheck.(pair small_int (int_range 1 96))
+    (fun (seed, pop) ->
       let rng = Rng.create seed in
       let me = Nodeid.random rng in
       let t = Leafset.create ~l:32 ~me:(Peer.make me 0) in
-      let members = List.init 10 (fun k -> Peer.make (Nodeid.random rng) (k + 1)) in
-      List.iter (fun p -> ignore (Leafset.add t p)) members;
-      let key = Nodeid.random rng in
+      for k = 1 to pop do
+        ignore (Leafset.add t (Peer.make (Nodeid.random rng) k))
+      done;
+      (* up to l members the set wraps and holds everybody; above l it
+         does not, and a random key mostly falls outside its arc, so half
+         the keys sit between [me] and a member *)
+      let candidates = Peer.make me 0 :: Leafset.members t in
+      let key =
+        if Rng.bool rng then Nodeid.random rng
+        else between me (Rng.pick rng (Array.of_list candidates)).Peer.id
+      in
       let best = Leafset.closest t key in
-      (* with l=32 and 10 members nothing is evicted: compare against all *)
-      List.for_all
-        (fun p ->
-          Peer.equal p best || not (Nodeid.closer ~key p.Peer.id best.Peer.id))
-        (Peer.make me 0 :: members))
+      List.exists (Peer.equal best) candidates
+      && List.for_all
+           (fun p -> Peer.equal p best || not (Nodeid.closer ~key p.Peer.id best.Peer.id))
+           candidates)
 
 (* model-based check: after any sequence of adds, each side must equal
    the closest-per-side prefix of a naive sorted model. (Removals are
@@ -279,22 +333,41 @@ let peer_str p = Printf.sprintf "%s@%d" (Nodeid.to_hex p.Peer.id) p.Peer.addr
 let opt_str = function Some p -> peer_str p | None -> "-"
 let list_str ps = String.concat " " (List.map peer_str ps)
 
+(* Unwrapped, both sides non-empty, and the arc leftmost → me → rightmost
+   shorter than half the ring: the states in which closest_excluding
+   binary-searches a line instead of scanning *)
+let on_line m =
+  (not (Model.wraps m))
+  &&
+  match (Model.last m.Model.left, Model.last m.Model.right) with
+  | Some lm, Some rm ->
+      let a = Nodeid.cw_dist lm.Peer.id m.Model.me.Peer.id
+      and b = Nodeid.cw_dist m.Model.me.Peer.id rm.Peer.id in
+      (not (top_bit a)) && (not (top_bit b)) && not (top_bit (Nodeid.add a b))
+  | _ -> false
+
 (* Random add/remove interleavings over a population of [pop] ids, checked
    against [Model] after every operation. Adds sometimes re-announce a
    known id under another address (the sides may then disagree on the
-   address). Returns how many checked states wrapped and how many did
-   not. *)
-let run_model_check ~l ~pop ~ops rng =
+   address). [prefill] adds that many population ids first, checking
+   only the adds. Returns how many checked states wrapped and how many
+   did not, and how many were {!on_line} and how many not. *)
+let run_model_check ?(prefill = 0) ~l ~pop ~ops rng =
   let me = Peer.make (Nodeid.random rng) 0 in
   let t = Leafset.create ~l ~me and m = Model.create ~l ~me in
   let ids = Array.init pop (fun _ -> Nodeid.random rng) in
+  for k = 1 to prefill do
+    let p = Peer.make ids.(Rng.int rng pop) k in
+    if Model.add m p <> Leafset.add t p then
+      Alcotest.failf "l=%d pop=%d prefill %d: add differs" l pop k
+  done;
   let any_id () =
     match Rng.int rng 20 with
     | 0 -> me.Peer.id
     | 1 -> Nodeid.random rng
     | _ -> ids.(Rng.int rng pop)
   in
-  let wrapped = ref 0 and unwrapped = ref 0 in
+  let wrapped = ref 0 and unwrapped = ref 0 and line = ref 0 and off_line = ref 0 in
   for step = 1 to ops do
     (* one failure report per mismatch, no log line per passing check *)
     let eq what show expected actual =
@@ -324,15 +397,32 @@ let run_model_check ~l ~pop ~ops rng =
     eq "wraps" b (Model.wraps m) (Leafset.wraps t);
     eq "complete" b (Model.complete m) (Leafset.complete t);
     if Model.wraps m then incr wrapped else incr unwrapped;
-    (* keys: random, me, every member and one step either side of the
-       arc ends *)
-    let near id = [ Nodeid.add id (Nodeid.of_int 1); Nodeid.sub id (Nodeid.of_int 1) ] in
+    if on_line m then incr line else incr off_line;
+    (* keys: random, me, every member, one step either side of the arc
+       ends, both middles of each gap between ring-adjacent points (an
+       even gap gives equal ring distances, so the identifier tie-break
+       decides) and the middle between me and each member *)
+    let one = Nodeid.of_int 1 in
+    let near id = [ Nodeid.add id one; Nodeid.sub id one ] in
+    let member_ids = List.map (fun p -> p.Peer.id) (Model.members m) in
+    let ring = List.sort_uniq Nodeid.compare (me.Peer.id :: member_ids) in
+    let middles a b =
+      let mid = Nodeid.add a (half (Nodeid.cw_dist a b)) in
+      [ mid; Nodeid.add mid one ]
+    in
+    let rec gaps = function
+      | a :: (b :: _ as rest) -> middles a b @ gaps rest
+      | [ a ] -> middles a (List.hd ring)
+      | [] -> []
+    in
     let keys =
       Nodeid.random rng :: me.Peer.id
-      :: (List.map (fun p -> p.Peer.id) (Model.members m)
+      :: (member_ids
          @ List.concat_map
              (fun p -> near p.Peer.id)
-             (List.filter_map Fun.id [ Model.last m.Model.left; Model.last m.Model.right ]))
+             (List.filter_map Fun.id [ Model.last m.Model.left; Model.last m.Model.right ])
+         @ gaps ring
+         @ List.map (between me.Peer.id) member_ids)
     in
     let excluded_ids = Hashtbl.create 16 in
     Array.iter (fun id -> if Rng.int rng 3 = 0 then Hashtbl.replace excluded_ids id ()) ids;
@@ -352,21 +442,93 @@ let run_model_check ~l ~pop ~ops rng =
     eq "would_admit" b (Model.would_admit m probe) (Leafset.would_admit t probe);
     eq "mem" b (Model.mem m probe) (Leafset.mem t probe)
   done;
-  (!wrapped, !unwrapped)
+  (!wrapped, !unwrapped, !line, !off_line)
 
 let test_model_interleavings l () =
   let rng = Rng.create (7 * l) in
-  let wrapped = ref 0 and unwrapped = ref 0 in
+  let wrapped = ref 0 and unwrapped = ref 0 and line = ref 0 and off_line = ref 0 in
   for _ = 1 to 40 do
     (* populations from well below l (every side holds everybody, the
        set wraps) to well above it (full, disjoint sides) *)
     let pop = 1 + Rng.int rng (3 * l) in
-    let w, u = run_model_check ~l ~pop ~ops:150 rng in
+    let w, u, ln, off = run_model_check ~l ~pop ~ops:150 rng in
     wrapped := !wrapped + w;
-    unwrapped := !unwrapped + u
+    unwrapped := !unwrapped + u;
+    line := !line + ln;
+    off_line := !off_line + off
+  done;
+  (* populations of 4l to 8l, mostly present from the start: the arc
+     shrinks below half the ring, where closest_excluding searches *)
+  for _ = 1 to 10 do
+    let pop = (4 + Rng.int rng 5) * l in
+    let w, u, ln, off = run_model_check ~l ~pop ~prefill:pop ~ops:150 rng in
+    wrapped := !wrapped + w;
+    unwrapped := !unwrapped + u;
+    line := !line + ln;
+    off_line := !off_line + off
   done;
   Alcotest.(check bool) "wrapped states seen" true (!wrapped > 100);
-  Alcotest.(check bool) "unwrapped states seen" true (!unwrapped > 100)
+  Alcotest.(check bool) "unwrapped states seen" true (!unwrapped > 100);
+  Alcotest.(check bool) "binary-search (line) states seen" true (!line >= 100);
+  Alcotest.(check bool) "scan states seen" true (!off_line >= 100)
+
+(* Arcs of 2^127 − 1 (binary search), 2^127 and 2^127 + 1 (scan), each
+   side's two farthest members excluded, against the model for keys at,
+   between, next to and beyond every member. The right end sits at
+   2^126 + 2^63, so the arc's low halves carry from 2^127 on. *)
+let test_half_ring_boundary () =
+  let one = Nodeid.of_int 1 in
+  let quarter = Nodeid.of_hex "40000000000000000000000000000000" in
+  let right_far = Nodeid.of_hex "40000000000000008000000000000000" in
+  let left_far = Nodeid.sub (Nodeid.add quarter quarter) right_far in
+  let me = Peer.make (Nodeid.of_hex "0123456789abcdef0123456789abcdef") 0 in
+  let rng = Rng.create 3 in
+  List.iter
+    (fun (span, left_far) ->
+      let fractions far = [ half (half (half far)); half (half far); half far; far ] in
+      let right = List.map (Nodeid.add me.Peer.id) (fractions right_far) in
+      let left = List.map (Nodeid.sub me.Peer.id) (fractions left_far) in
+      let t = Leafset.create ~l:8 ~me and m = Model.create ~l:8 ~me in
+      List.iteri
+        (fun k id ->
+          let p = Peer.make id (k + 1) in
+          ignore (Model.add m p);
+          ignore (Leafset.add t p))
+        (right @ left);
+      let ctx what = Printf.sprintf "span %s: %s" span what in
+      Alcotest.(check bool) (ctx "unwrapped") false (Leafset.wraps t);
+      Alcotest.(check int) (ctx "left full") 4 (Leafset.left_size t);
+      Alcotest.(check int) (ctx "right full") 4 (Leafset.right_size t);
+      let far_ids = [ List.nth right 2; List.nth right 3; List.nth left 2; List.nth left 3 ] in
+      let excluded id = List.exists (Nodeid.equal id) far_ids in
+      let points = me.Peer.id :: (right @ left) in
+      let keys =
+        List.concat_map
+          (fun a ->
+            a :: Nodeid.add a one :: Nodeid.sub a one
+            :: Nodeid.add a quarter :: Nodeid.sub a quarter
+            :: List.map (between a) points)
+          points
+        @ List.init 200 (fun _ -> Nodeid.random rng)
+      in
+      let members = Model.members m in
+      List.iter
+        (fun k ->
+          let check what excluded =
+            let expected = Model.closest_excluding m ~members k ~excluded in
+            let actual = Leafset.closest_excluding t k ~excluded in
+            if not (Peer.equal expected actual) then
+              Alcotest.failf "%s, key %s: model %s, leafset %s" (ctx what) (Nodeid.to_hex k)
+                (peer_str expected) (peer_str actual)
+          in
+          check "closest" (fun _ -> false);
+          check "closest_excluding" excluded)
+        keys)
+    [
+      ("2^127 - 1", Nodeid.sub left_far one);
+      ("2^127", left_far);
+      ("2^127 + 1", Nodeid.add left_far one);
+    ]
 
 let suite =
   [
@@ -387,5 +549,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_model_sides;
         Alcotest.test_case "matches list model (l=8)" `Quick (test_model_interleavings 8);
         Alcotest.test_case "matches list model (l=32)" `Quick (test_model_interleavings 32);
+        Alcotest.test_case "closest_excluding at half-ring arcs" `Quick test_half_ring_boundary;
+        Alcotest.test_case "routing-path queries allocate nothing" `Quick
+          test_queries_allocate_nothing;
       ] );
   ]

@@ -35,6 +35,37 @@ let test_unregistered_dropped () =
   Alcotest.(check int) "sent" 1 (Net.n_sent net);
   Alcotest.(check int) "delivered" 0 (Net.n_delivered net)
 
+let test_register_negative_rejected () =
+  let _, net = make () in
+  Alcotest.check_raises "negative address" (Invalid_argument "Net.register: negative address")
+    (fun () -> Net.register net ~addr:(-1) (fun ~src:_ _ -> ()))
+
+let test_send_above_registered () =
+  let engine = Engine.create () in
+  let topology = Topology.constant ~n_endpoints:8 ~delay:0.01 in
+  let net =
+    Net.create ~endpoint_of:(fun a -> a mod 8) ~engine ~topology ~rng:(Rng.create 1) ()
+  in
+  Net.register net ~addr:1 (fun ~src:_ _ -> ());
+  Net.send net ~src:1 ~dst:5000 "nobody";
+  Engine.run_all engine;
+  let s = Net.stats net in
+  Alcotest.(check int) "dropped_dead" 1 s.Net.dropped_dead;
+  Alcotest.(check int) "delivered" 0 s.Net.delivered
+
+let test_reregister_delivers () =
+  let engine, net = make () in
+  let got = ref 0 in
+  Net.register net ~addr:3 (fun ~src:_ _ -> incr got);
+  Net.unregister net ~addr:3;
+  Net.send net ~src:0 ~dst:3 "while down";
+  Engine.run_all engine;
+  Net.register net ~addr:3 (fun ~src:_ _ -> incr got);
+  Net.send net ~src:0 ~dst:3 "back up";
+  Engine.run_all engine;
+  Alcotest.(check int) "delivered after re-register" 1 !got;
+  Alcotest.(check int) "dropped while down" 1 (Net.stats net).Net.dropped_dead
+
 let test_crash_after_send () =
   let engine, net = make () in
   let got = ref 0 in
@@ -409,5 +440,11 @@ let suite =
         Alcotest.test_case "pipeline attributes every drop" `Quick
           test_pipeline_drop_attribution;
         QCheck_alcotest.to_alcotest qcheck_stats_conservation;
+        Alcotest.test_case "register rejects negative address" `Quick
+          test_register_negative_rejected;
+        Alcotest.test_case "send above every registered address" `Quick
+          test_send_above_registered;
+        Alcotest.test_case "unregister then register delivers" `Quick
+          test_reregister_delivers;
       ] );
   ]

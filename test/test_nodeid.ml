@@ -313,6 +313,40 @@ let qcheck_ref_digits =
                (List.init (Nodeid.num_digits ~b) Fun.id))
         [ 1; 2; 3; 4; 5; 6; 7; 8 ])
 
+(* stored distances order like the identifier comparators, and their
+   sum test is exact at 2^127, with and without a carry between halves *)
+let test_stored_distances () =
+  let rng = Rng.create 41 in
+  let a = Bytes.create Nodeid.dist_bytes and b = Bytes.create Nodeid.dist_bytes in
+  let sign x = compare x 0 in
+  for _ = 1 to 1000 do
+    let from = Nodeid.random rng and x = Nodeid.random rng and y = Nodeid.random rng in
+    Nodeid.store_dist a 0 ~cw:true ~from x;
+    Nodeid.store_dist b 0 ~cw:true ~from y;
+    Alcotest.(check int) "clockwise" (sign (Nodeid.compare_cw_dist ~from x y))
+      (sign (Nodeid.compare_dist a 0 b 0));
+    Nodeid.store_dist a 0 ~cw:false ~from x;
+    Nodeid.store_dist b 0 ~cw:false ~from y;
+    Alcotest.(check int) "counter-clockwise" (sign (Nodeid.compare_ccw_dist ~from x y))
+      (sign (Nodeid.compare_dist a 0 b 0))
+  done;
+  let below d1 d2 =
+    Nodeid.store_dist a 0 ~cw:true ~from:Nodeid.zero (id_of_hex d1);
+    Nodeid.store_dist b 0 ~cw:true ~from:Nodeid.zero (id_of_hex d2);
+    Nodeid.dist_sum_below_half a 0 b 0
+  in
+  (* 2^126 + 2^63 plus 2^126 − 2^63 + delta: the low halves carry from
+     delta = 0 on *)
+  let r = "40000000000000008000000000000000" in
+  Alcotest.(check bool) "2^127 - 1" true (below r "3fffffffffffffff7fffffffffffffff");
+  Alcotest.(check bool) "2^127 with carry" false (below r "3fffffffffffffff8000000000000000");
+  Alcotest.(check bool) "2^127 + 1 with carry" false (below r "3fffffffffffffff8000000000000001");
+  let m = "3fffffffffffffffffffffffffffffff" in
+  Alcotest.(check bool) "2^127 - 2 with carry" true (below m m);
+  Alcotest.(check bool) "2^127 - 1, low half zero" true (below (hex_with "4") m);
+  Alcotest.(check bool) "2^127" false (below (hex_with "4") (hex_with "4"));
+  Alcotest.(check bool) "one term >= 2^127" false (below (hex_with "8") (hex_with "0"))
+
 let suite =
   [
     ( "nodeid",
@@ -340,5 +374,6 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_ref_arith;
         QCheck_alcotest.to_alcotest qcheck_ref_order;
         QCheck_alcotest.to_alcotest qcheck_ref_digits;
+        Alcotest.test_case "stored distances" `Quick test_stored_distances;
       ] );
   ]

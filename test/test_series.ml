@@ -46,6 +46,46 @@ let test_invalid_window () =
   Alcotest.check_raises "zero window" (Invalid_argument "Series.create") (fun () ->
       ignore (Series.create ~window:0.0))
 
+(* [add] keeps the window it last wrote; times that jump back and forth
+   between windows must still land in the right cells *)
+let qcheck_matches_naive =
+  QCheck.Test.make ~name:"sums/means/total match naive recomputation" ~count:200
+    QCheck.(list (pair (float_range 0.0 50.0) (float_range (-5.0) 5.0)))
+    (fun samples ->
+      let window = 5.0 in
+      let s = Series.create ~window in
+      List.iter (fun (time, v) -> Series.add s ~time v) samples;
+      let cells = Hashtbl.create 16 in
+      List.iter
+        (fun (time, v) ->
+          let idx = int_of_float (floor (time /. window)) in
+          let sum, n = Option.value (Hashtbl.find_opt cells idx) ~default:(0.0, 0) in
+          Hashtbl.replace cells idx (sum +. v, n + 1))
+        samples;
+      let naive =
+        Hashtbl.fold (fun idx c acc -> (idx, c) :: acc) cells [] |> List.sort compare
+      in
+      let mid idx = (float_of_int idx +. 0.5) *. window in
+      Series.sums s = Array.of_list (List.map (fun (i, (sum, _)) -> (mid i, sum)) naive)
+      && Series.means s
+         = Array.of_list (List.map (fun (i, (sum, n)) -> (mid i, sum /. float_of_int n)) naive)
+      && Series.total s = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 samples
+      && Series.n_samples s = List.length samples)
+
+let test_copy_independent () =
+  let s = Series.create ~window:10.0 in
+  Series.add s ~time:1.0 2.0;
+  let c = Series.copy s in
+  (* same window as the last add: a shared cached cell would leak *)
+  Series.add c ~time:2.0 5.0;
+  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "original unchanged"
+    [| (5.0, 2.0) |] (Series.sums s);
+  Alcotest.(check (float 0.0)) "original total" 2.0 (Series.total s);
+  Alcotest.(check int) "original samples" 1 (Series.n_samples s);
+  Series.add s ~time:3.0 1.0;
+  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "copy unchanged"
+    [| (5.0, 7.0) |] (Series.sums c)
+
 let suite =
   [
     ( "series",
@@ -56,5 +96,7 @@ let suite =
         Alcotest.test_case "empty" `Quick test_empty;
         Alcotest.test_case "sorted output" `Quick test_sorted_output;
         Alcotest.test_case "invalid window" `Quick test_invalid_window;
+        QCheck_alcotest.to_alcotest qcheck_matches_naive;
+        Alcotest.test_case "add on a copy leaves the original" `Quick test_copy_independent;
       ] );
   ]
