@@ -1023,7 +1023,7 @@ let adversary_smoke ~seed =
      hardened: success=%.4f ring=%.3f eclipsed=%d prog-susp=%d poison-rej=%d\n%!"
     b_s.Collector.success_rate b_audit.Harness.Oracle.agreement
     b_ecl.Live.poisoned_entries
-    (Live.adversary_count b_live)
+    (Advfault.compromised (Live.adversaries b_live))
     h_s.Collector.success_rate h_audit.Harness.Oracle.agreement
     h_ecl.Live.poisoned_entries h_s.Collector.progress_suspicions
     h_s.Collector.poison_rejections;
@@ -1033,7 +1033,7 @@ let adversary_smoke ~seed =
     failwith "adversary-smoke: poison rejections in a zero-adversary run";
   if pure_ecl.Live.poisoned_entries <> 0 then
     failwith "adversary-smoke: poisoned state in a zero-adversary run";
-  if Live.adversary_count b_live = 0 then
+  if Advfault.compromised (Live.adversaries b_live) = 0 then
     failwith "adversary-smoke: adversary injection never compromised anyone";
   if b_ecl.Live.poisoned_entries = 0 then
     failwith "adversary-smoke: eclipse poisoning never landed in the baseline";

@@ -51,7 +51,29 @@ let compose = function
         ts;
       { desc = String.concat " + " (List.map (fun t -> t.desc) ts); tbl }
 
-let behavior_of t ~addr = Hashtbl.find_opt t.tbl addr
+(* the harness asks on every probe and lookup hop; with nobody
+   compromised, answer without hashing *)
+let behavior_of t ~addr = if Hashtbl.length t.tbl = 0 then None else Hashtbl.find_opt t.tbl addr
 let compromised t = Hashtbl.length t.tbl
 let iter t f = Hashtbl.iter f t.tbl
 let describe t = t.desc
+
+type lookup_action = Pass | Drop | Misroute of Pastry.Peer.t
+
+let on_lookup b ~members ~key ~seq ~hops =
+  if b.drop && ((not b.misroute) || seq land 1 = 1) then Drop
+  else if b.misroute && hops < 64 && members <> [] then begin
+    let farther (x : Pastry.Peer.t) (y : Pastry.Peer.t) =
+      Pastry.Nodeid.compare_ring_dist ~key y.id x.id
+    in
+    let away = List.sort farther members in
+    Misroute (List.nth away (hops mod min 4 (List.length away)))
+  end
+  else Pass
+
+let forged_ids victim =
+  List.concat_map
+    (fun k ->
+      let off = Pastry.Nodeid.of_int k in
+      [ Pastry.Nodeid.add victim off; Pastry.Nodeid.sub victim off ])
+    [ 1; 2 ]

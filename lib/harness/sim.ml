@@ -136,6 +136,12 @@ module Live = struct
     mutable base : Netfault.t; (* config.loss_rate's uniform until Set_base *)
     mutable episodes : (int * episode) list; (* active, newest first *)
     mutable next_episode : int;
+    mutable adversaries : Advfault.t; (* the adversary episodes, merged *)
+    poisoned_at : (int * int, float) Hashtbl.t;
+    (* (attacker, victim addr) -> last poison volley. One volley per
+       victim per t_ls bounds the attack: without it, each probe of a
+       planted entry would trigger a fresh volley, and the feedback loop
+       melts the network (louder, but no longer a stealthy adversary) *)
     crash_times : (int, float) Hashtbl.t; (* addr -> non-graceful crash time *)
     detected : (int, unit) Hashtbl.t; (* crashed addrs already suspected once *)
     mutable deliver_hooks : (Node.t -> M.lookup -> unit) list;
@@ -250,6 +256,8 @@ module Live = struct
       base = Netfault.uniform ~rate:config.loss_rate;
       episodes = [];
       next_episode = 0;
+      adversaries = Advfault.none;
+      poisoned_at = Hashtbl.create 8;
       crash_times = Hashtbl.create 64;
       detected = Hashtbl.create 64;
       deliver_hooks = [];
@@ -289,6 +297,83 @@ module Live = struct
              end))
     end
 
+  let poisoner t ~addr =
+    match Advfault.behavior_of t.adversaries ~addr with Some b -> b.Advfault.poison | None -> false
+
+  (* a message under a forged identity goes straight to the network: it is
+     no send of the node's, so the node's send tap must not see it *)
+  let send_forged t ~addr ~dst ~id payload =
+    Netsim.Net.send t.net ~src:addr ~dst (M.make ~sender:(Pastry.Peer.make id addr) payload)
+
+  (* eclipse-style state poisoning: piggybacked on every gossip exchange
+     with [victim], a poisoner also sends Ls_probes whose sender field
+     claims identifiers packed tightly around the victim, all backed by
+     its own transport address. The receipt-is-liveness rule admits them
+     without probing, and the victim's follow-up distance probes
+     (answered by the attacker, matched by sequence number only) install
+     them into its routing table too. *)
+  let poison_volley t node ~addr ~(victim : Pastry.Peer.t) =
+    let now = Simkit.Engine.now t.engine and key = (addr, victim.Pastry.Peer.addr) in
+    if
+      (not (Pastry.Nodeid.equal victim.Pastry.Peer.id (Node.me node).Pastry.Peer.id))
+      &&
+      match Hashtbl.find_opt t.poisoned_at key with
+      | Some last -> now -. last >= t.config.pastry.Mspastry.Config.t_ls
+      | None -> true
+    then begin
+      Hashtbl.replace t.poisoned_at key now;
+      let trt = Node.local_trt node and target = victim.Pastry.Peer.id in
+      let probe = M.Ls_probe { leaf = []; failed = []; trt; target } in
+      List.iter
+        (fun id -> send_forged t ~addr ~dst:victim.Pastry.Peer.addr ~id probe)
+        (Advfault.forged_ids target)
+    end
+
+  (* the poisoner maintains its fabrications: a probe names the identity
+     it checks, and one for an identity the node does not own is answered
+     under exactly that identity. Planted entries never age out, never
+     trigger eviction or repair, and keep attracting traffic, for one
+     reply per probe. This covers second-hand fabrications too: probes
+     for a forged entry that gossip spread arrive from nodes never
+     poisoned directly. *)
+  let sustain_forgery t node ~addr ~(prober : Pastry.Peer.t) ~target reply =
+    let me = (Node.me node).Pastry.Peer.id in
+    if (not (Pastry.Nodeid.equal target me)) && not (Pastry.Nodeid.equal prober.Pastry.Peer.id me)
+    then send_forged t ~addr ~dst:prober.Pastry.Peer.addr ~id:target reply
+
+  (* the network upcall: after the node, a live poisoner answers a probe
+     with the volley and the sustaining reply *)
+  let receive t node ~addr ~src (msg : M.t) =
+    Node.handle node ~src msg;
+    match msg.M.payload with
+    | M.Ls_probe { target; _ } when poisoner t ~addr && Node.is_alive node ->
+        poison_volley t node ~addr ~victim:msg.M.sender;
+        sustain_forgery t node ~addr ~prober:msg.M.sender ~target
+          (M.Ls_probe_reply { leaf = []; failed = []; trt = Node.local_trt node })
+    | M.Rt_probe { target } when poisoner t ~addr && Node.is_alive node ->
+        sustain_forgery t node ~addr ~prober:msg.M.sender ~target
+          (M.Rt_probe_reply { trt = Node.local_trt node })
+    | _ -> ()
+
+  (* the common-API forward upcall: a compromised node decides the fate of
+     a lookup that arrived from another hop and that it did not originate;
+     then the first application hook that does not [Continue] decides *)
+  let forward t node ~addr ~prev (l : M.lookup) =
+    let attack =
+      match (prev, Advfault.behavior_of t.adversaries ~addr) with
+      | Some _, Some b
+        when not (Pastry.Nodeid.equal l.M.origin.Pastry.Peer.id (Node.me node).Pastry.Peer.id) -> (
+          let members = Pastry.Leafset.members (Node.leafset node) in
+          match Advfault.on_lookup b ~members ~key:l.M.key ~seq:l.M.seq ~hops:l.M.hops with
+          | Advfault.Pass -> Node.Continue
+          | Advfault.Drop -> Node.Absorb
+          | Advfault.Misroute p -> Node.Redirect p)
+      | _ -> Node.Continue
+    in
+    List.fold_left
+      (fun d hook -> match d with Node.Continue -> hook node ~prev l | d -> d)
+      attack t.forward_hooks
+
   let spawn ?id t () =
     let addr = t.next_addr in
     t.next_addr <- addr + 1;
@@ -300,7 +385,13 @@ module Live = struct
     let env =
       {
         Node.now = (fun () -> Simkit.Engine.now t.engine);
-        send = (fun ~dst msg -> Netsim.Net.send t.net ~src:addr ~dst msg);
+        send =
+          (fun ~dst msg ->
+            Netsim.Net.send t.net ~src:addr ~dst msg;
+            match (msg.M.payload, !node_ref) with
+            | M.Ls_probe { target; _ }, Some node when poisoner t ~addr ->
+                poison_volley t node ~addr ~victim:(Pastry.Peer.make target dst)
+            | _ -> ());
         schedule = (fun ~delay fn -> Simkit.Engine.schedule t.engine ~delay fn);
         cancel = (fun ev -> Simkit.Engine.cancel t.engine ev);
         rng = Rng.split t.rng_ids;
@@ -327,13 +418,7 @@ module Live = struct
           (fun ~prev l ->
             match !node_ref with
             | None -> Node.Continue
-            | Some node ->
-                if
-                  List.exists
-                    (fun hook -> hook node ~prev l = Node.Absorb)
-                    t.forward_hooks
-                then Node.Absorb
-                else Node.Continue);
+            | Some node -> forward t node ~addr ~prev l);
         on_active =
           (fun () ->
             (match !node_ref with
@@ -350,7 +435,8 @@ module Live = struct
         on_join_failed =
           (fun () ->
             t.join_failures <- t.join_failures + 1;
-            Netsim.Net.unregister t.net ~addr);
+            Netsim.Net.unregister t.net ~addr;
+            Hashtbl.remove t.nodes addr);
         on_lookup_drop = (fun _ -> ());
       }
     in
@@ -382,17 +468,11 @@ module Live = struct
         Collector.poison_rejected t.collector ~time:(Simkit.Engine.now t.engine));
     node_ref := Some node;
     Hashtbl.replace t.nodes addr node;
-    Netsim.Net.register t.net ~addr (fun ~src msg -> Node.handle node ~src msg);
+    Netsim.Net.register t.net ~addr (fun ~src msg -> receive t node ~addr ~src msg);
     (match Active_set.pick t.active t.rng_ids with
     | Some seed_addr -> Node.join node ~bootstrap_addr:seed_addr
     | None ->
-        if t.next_addr = 1 then begin
-          Node.bootstrap node;
-          (* bootstrap's on_active fired synchronously inside create?  No:
-             bootstrap is called after node_ref is set, on_active fires
-             through env above. *)
-          ()
-        end
+        if t.next_addr = 1 then Node.bootstrap node
         else begin
           (* no live node to join through yet: retry shortly *)
           let rec retry () =
@@ -439,28 +519,10 @@ module Live = struct
           body = Obs.Event.Fault { label; action };
         }
 
-  let adversary_of (b : Advfault.behavior) =
-    {
-      Node.adv_misroute = b.Advfault.misroute;
-      adv_drop = b.Advfault.drop;
-      adv_poison = b.Advfault.poison;
-    }
-
-  (* the registry's adversary episodes, merged: a node compromised by
-     several episodes runs the union of their flags *)
-  let adversaries t =
-    Advfault.compose
-      (List.filter_map
-         (function
-           | _, Adversary (b, victims) ->
-               Some (Advfault.compromise b ~addrs:(List.map fst victims) ())
-           | _, (Link _ | Node _) -> None)
-         t.episodes)
-
-  (* recompose the registry into what the lower layers run: the base
-     link model composed with the link episodes, the node episodes
-     composed, and every live node's behaviour (honest unless an active
-     episode compromised it). Episodes compose oldest first *)
+  (* recompose the registry into what runs: the base link model
+     composed with the link episodes, the node episodes composed, and the
+     adversary episodes merged (a node compromised by several runs the
+     union of their flags). Episodes compose oldest first *)
   let refresh t =
     let eps = List.rev_map snd t.episodes in
     Netsim.Net.set_faults t.net
@@ -469,12 +531,14 @@ module Live = struct
            (t.base :: List.filter_map (function Link f -> Some f | _ -> None) eps))
       ~node:
         (Nodefault.compose (List.filter_map (function Node f -> Some f | _ -> None) eps));
-    let adv = adversaries t in
-    Hashtbl.iter
-      (fun addr node ->
-        Node.set_adversary node
-          (Option.map adversary_of (Advfault.behavior_of adv ~addr)))
-      t.nodes
+    t.adversaries <-
+      Advfault.compose
+        (List.filter_map
+           (function
+             | _, Adversary (b, victims) ->
+                 Some (Advfault.compromise b ~addrs:(List.map fst victims) ())
+             | _ -> None)
+           t.episodes)
 
   (* register an episode; a finite one expires after [duration] unless
      a [Heal] removed it first *)
@@ -656,7 +720,7 @@ module Live = struct
                 ( Option.map id_of (Pastry.Leafset.left_neighbor ls),
                   Option.map id_of (Pastry.Leafset.right_neighbor ls) ))
 
-  let adversary_count t = Advfault.compromised (adversaries t)
+  let adversaries t = t.adversaries
 
   type eclipse = {
     poisoned_entries : int;

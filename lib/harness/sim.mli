@@ -115,8 +115,8 @@ module Live : sig
       are {e episodes} in one fault registry: each lasts for its
       duration, and every start, expiry and [Heal] recomposes the
       registry into the net's link model (the base composed with the
-      link episodes), its node model, and each live node's
-      {!Mspastry.Node.set_adversary} behaviour — a node compromised by
+      link episodes), its node model, and the {!adversaries} the
+      harness runs around the compromised nodes — a node compromised by
       overlapping episodes runs the union of their flags, and an
       expiring episode lifts only its own. Records the event with the
       collector (except [Heal]) and emits a [Fault] trace event.
@@ -130,10 +130,16 @@ module Live : sig
       exactly one root — call it at the end of (or during) an experiment
       to check the overlay's consistency invariant. *)
 
-  val adversary_count : t -> int
-  (** Addresses compromised by the active adversary episodes, crashed or
-      not (a crashed victim's address stays in the eclipse audit's
-      ground truth). *)
+  val adversaries : t -> Repro_faults.Advfault.t
+  (** The active adversary episodes merged: each compromised address,
+      crashed or not (it stays in the eclipse audit's ground truth), with
+      the union of its episodes' flags. The harness runs them around the
+      honest node: the forward upcall misroutes or drops a lookup that
+      arrived from another hop and that the node did not originate
+      ({!Repro_faults.Advfault.on_lookup}); a poisoner follows each
+      [Ls_probe] it sends or receives with a forged volley (at most one
+      per victim per [t_ls]) and answers a probe of an identity it does
+      not own under that identity. *)
 
   (** Eclipse exposure: how much honest routing state points at
       attackers under fabricated identities. *)
@@ -176,9 +182,11 @@ module Live : sig
     Mspastry.Node.forward_decision) ->
     unit
   (** Common-API forward upcall: called at every node a lookup passes
-      through, with the previous hop. Returning [Absorb] from any hook
-      consumes the message at that node (Scribe builds its multicast
-      trees this way). *)
+      through, with the previous hop. The most recently added hook that
+      answers other than [Continue] decides: [Absorb] consumes the
+      message at that node (Scribe builds its multicast trees this way),
+      [Redirect] changes its next hop. A compromised node's attack
+      ({!adversaries}) decides before any hook. *)
 
   val find_node : t -> addr:int -> Mspastry.Node.t option
   (** The live node registered at an address, if any. *)

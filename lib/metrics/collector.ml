@@ -360,23 +360,6 @@ let queue_delays ?(since = 0.0) ?(until = infinity) t =
   Array.sort Float.compare a;
   a
 
-let queue_delay_series t =
-  require_exact t "queue_delay_series";
-  let sums = Hashtbl.create 64 and counts = Hashtbl.create 64 in
-  for i = 0 to t.q_n - 1 do
-    let widx = int_of_float (t.q_times.(i) /. t.window) in
-    Hashtbl.replace sums widx
-      (t.q_delays.(i) +. (try Hashtbl.find sums widx with Not_found -> 0.0));
-    Hashtbl.replace counts widx
-      (1 + (try Hashtbl.find counts widx with Not_found -> 0))
-  done;
-  Hashtbl.fold
-    (fun widx s acc ->
-      let n = Hashtbl.find counts widx in
-      ((float_of_int widx +. 0.5) *. t.window, s /. float_of_int n) :: acc)
-    sums []
-  |> List.sort compare |> Array.of_list
-
 (* ---- fault episodes and recovery -------------------------------------
 
    Dependability rates are attributed to the window a lookup was *sent*
@@ -418,19 +401,6 @@ let window_rates tbl widx =
       let n = float_of_int w.w_sent in
       Some (float_of_int w.w_lost /. n, float_of_int w.w_incorrect /. n)
   | Some _ | None -> None
-
-let series_of t pick =
-  let tbl = sent_windows t in
-  Hashtbl.fold (fun widx w acc -> (widx, w) :: acc) tbl []
-  |> List.filter (fun (_, w) -> w.w_sent > 0)
-  |> List.sort compare
-  |> List.map (fun (widx, w) ->
-         ( (float_of_int widx +. 0.5) *. t.window,
-           float_of_int (pick w) /. float_of_int w.w_sent ))
-  |> Array.of_list
-
-let lookup_loss_series t = series_of t (fun w -> w.w_lost)
-let incorrect_series t = series_of t (fun w -> w.w_incorrect)
 
 (* goodput is attributed to the window a lookup was *sent* in, so a
    window's offered and served rates describe the same demand *)

@@ -16,11 +16,11 @@ val create : ?window:float -> ?exact:bool -> unit -> t
 (** [window] defaults to 600 s (the paper's 10-minute averaging).
 
     [exact] (default [false]) additionally retains every queueing-delay
-    sample so {!queue_delays} / {!queue_delay_series} can slice them by
-    time — O(samples) memory, for cross-validating the histograms and
-    for the windowed congestion analyses. With [exact:false] the
-    percentile state is the fixed-size histograms only (O(1) memory per
-    metric regardless of run length). *)
+    sample so {!queue_delays} can slice them by time — O(samples)
+    memory, for cross-validating the histograms and for the windowed
+    congestion analyses. With [exact:false] the percentile state is the
+    fixed-size histograms only (O(1) memory per metric regardless of run
+    length). *)
 
 val record_send : t -> time:float -> Mspastry.Message.traffic_class -> unit
 
@@ -136,11 +136,6 @@ val queue_delays : ?since:float -> ?until:float -> t -> float array
     [Invalid_argument] unless the collector was created with
     [~exact:true]. *)
 
-val queue_delay_series : t -> (float * float) array
-(** Windowed mean queueing delay over time (only windows with at least
-    one sample appear). Raises [Invalid_argument] unless the collector
-    was created with [~exact:true]. *)
-
 val exact_samples : t -> bool
 (** Whether this collector retains exact queueing-delay samples. *)
 
@@ -167,16 +162,6 @@ val collapse_windows : ?threshold:float -> t -> (float * float) list
     offered load, as [(window start, goodput fraction)] — the collapse
     detector for the overload experiments. Trailing windows carry the
     usual in-flight caveat. *)
-
-val lookup_loss_series : t -> (float * float) array
-(** Windowed lookup loss rate: for each window, the fraction of lookups
-    {e sent} in it that were never delivered. The trailing windows of a
-    run include lookups that may still be in flight — interpret with the
-    same drain caveat as {!summary}. *)
-
-val incorrect_series : t -> (float * float) array
-(** Windowed incorrect-delivery rate: fraction of lookups sent in the
-    window that were delivered by a non-root node at least once. *)
 
 (** Recovery report for one fault episode (ordered by injection time in
     {!episodes}). Baselines are the loss / incorrect rates of the full

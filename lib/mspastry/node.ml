@@ -25,14 +25,7 @@ let node_phase = function
   | M.C_join -> ph_node_join
   | M.C_maintenance -> ph_node_maint
 
-type forward_decision = Continue | Absorb
-
-(* adversarial behaviour assigned by the harness (Repro_faults.Advfault):
-   the compromised node stays protocol-alive — it acks hops, answers
-   probes and heartbeats — while actively misbehaving at the routing or
-   gossip layer. [None] (the default) is an honest node; the honest
-   message path never consults more than this one option. *)
-type adversary = { adv_misroute : bool; adv_drop : bool; adv_poison : bool }
+type forward_decision = Continue | Absorb | Redirect of Peer.t
 
 type env = {
   now : unit -> float;
@@ -154,18 +147,11 @@ type t = {
   delivered_seqs : (int * int, unit) Hashtbl.t; (* (origin addr, seq) *)
   mutable on_suspicion : (target:int -> unit) option;
   mutable load_signal : (unit -> int) option;
-  mutable adversary : adversary option;
   mutable on_progress_suspect : (target:int -> unit) option;
   mutable on_poison_reject : (target:int -> unit) option;
   id_challenges : (int, id_challenge) Hashtbl.t; (* nonce -> pending *)
   mutable next_nonce : int;
   join_admits : float Queue.t; (* join-admission stamps, oldest first *)
-  poisoned_at : (int, float) Hashtbl.t;
-  (* adversary-only: victim addr -> last poison volley. One volley per
-     victim per t_ls bounds the attack traffic — without the cooldown,
-     each probe the victim sends at a planted entry would trigger a
-     fresh volley, and the feedback loop melts the network (a louder
-     attack, but one that stops modelling a stealthy adversary). *)
   pending : (int, pending_hop) Hashtbl.t;
   mutable next_hop_id : int;
   dprobe_by_seq : (int, dprobe) Hashtbl.t;
@@ -207,13 +193,11 @@ let create ~cfg ~env ~id ~addr =
     delivered_seqs = Hashtbl.create 64;
     on_suspicion = None;
     load_signal = None;
-    adversary = None;
     on_progress_suspect = None;
     on_poison_reject = None;
     id_challenges = Hashtbl.create 8;
     next_nonce = 0;
     join_admits = Queue.create ();
-    poisoned_at = Hashtbl.create 8;
     pending = Hashtbl.create 16;
     next_hop_id = 0;
     dprobe_by_seq = Hashtbl.create 16;
@@ -243,6 +227,7 @@ let is_alive t = t.alive
 let leafset t = t.leafset
 let table t = t.table
 let current_trt t = t.trt
+let local_trt t = t.local_trt
 
 let now t = t.env.now ()
 
@@ -304,8 +289,6 @@ let pending_hops t = Hashtbl.length t.pending
 let pending_e2e t = Hashtbl.length t.e2e
 let set_on_suspicion t f = t.on_suspicion <- Some f
 let set_load_signal t f = t.load_signal <- Some f
-let set_adversary t a = t.adversary <- a
-let adversary t = t.adversary
 let set_on_progress_suspect t f = t.on_progress_suspect <- Some f
 let set_on_poison_reject t f = t.on_poison_reject <- Some f
 
@@ -656,67 +639,9 @@ and send_ls_probe t st =
   for _ = 1 to probe_copies t st.p_retries do
     send_msg t st.p_peer payload
   done;
-  maybe_poison t st.p_peer;
   st.p_timer <-
     Some
       (t.env.schedule ~delay:t.cfg.t_out (fun () -> if t.alive then probe_timeout t st))
-
-(* eclipse-style state poisoning (Advfault): piggybacked on every gossip
-   exchange, a compromised node also sends Ls_probes whose sender field
-   claims identifiers packed tightly around the victim — maximally
-   admissible into its leaf set — all backed by our own transport
-   address. The receipt-is-liveness rule admits them without probing,
-   and the victim's follow-up distance probes (answered by us, matched
-   by sequence number only) install them into its routing table too. *)
-and maybe_poison t (dst : Peer.t) =
-  match t.adversary with
-  | Some { adv_poison = true; _ } when not (Nodeid.equal dst.Peer.id t.me.Peer.id) ->
-      let now_ = now t in
-      let due =
-        match Hashtbl.find_opt t.poisoned_at dst.Peer.addr with
-        | Some last -> now_ -. last >= t.cfg.t_ls
-        | None -> true
-      in
-      if due then begin
-        Hashtbl.replace t.poisoned_at dst.Peer.addr now_;
-        List.iter
-          (fun id ->
-            t.env.send ~dst:dst.Peer.addr
-              (M.make
-                 ~sender:(Peer.make id t.me.Peer.addr)
-                 (M.Ls_probe
-                    { leaf = []; failed = []; trt = t.local_trt; target = dst.Peer.id })))
-          (forged_ids dst)
-      end
-  | Some _ | None -> ()
-
-and forged_ids (dst : Peer.t) =
-  List.concat_map
-    (fun k ->
-      let off = Nodeid.of_int k in
-      [ Nodeid.add dst.Peer.id off; Nodeid.sub dst.Peer.id off ])
-    [ 1; 2 ]
-
-(* the poisoning adversary maintains its fabrications: probes name the
-   identifier they are checking, so when one arrives for an identity we
-   do not own, answer under exactly that identity. The victim's liveness
-   detector stays green — planted entries never age out, never trigger
-   eviction/repair storms, and keep attracting traffic — at the cost of
-   one reply per probe, the same as an honest answer. This also covers
-   second-hand fabrications: once a forged entry circulates through
-   gossip, probes for it arrive from nodes we never poisoned directly. *)
-and sustain_forgery t (prober : Peer.t) ~(target : Nodeid.t) ~rt =
-  match t.adversary with
-  | Some { adv_poison = true; _ }
-    when (not (Nodeid.equal target t.me.Peer.id))
-         && not (Nodeid.equal prober.Peer.id t.me.Peer.id) ->
-      let reply =
-        if rt then M.Rt_probe_reply { trt = t.local_trt }
-        else M.Ls_probe_reply { leaf = []; failed = []; trt = t.local_trt }
-      in
-      t.env.send ~dst:prober.Peer.addr
-        (M.make ~sender:(Peer.make target t.me.Peer.addr) reply)
-  | Some _ | None -> ()
 
 and probe_timeout t st =
   let j = st.p_peer in
@@ -984,7 +909,9 @@ and bump_hops = function
 
 (* route a payload from this node: Fig 2's route_i. [prev] is the hop a
    routed message arrived from (None at the origin or on local retries) —
-   it feeds the common-API forward upcall. *)
+   it feeds the common-API forward upcall. A [Redirect] goes out as a
+   routed hop (acked, hop count advanced) but is no routing decision of
+   ours: no [Lookup_hop] event, no passive repair, no progress check. *)
 and route_payload ?prev t payload ~key ~reroutes =
   let decision =
     match payload with
@@ -993,7 +920,11 @@ and route_payload ?prev t payload ~key ~reroutes =
   in
   match decision with
   | Absorb -> ()
+  | Redirect next -> send_routed t next (bump_hops payload) ~key ~reroutes
   | Continue -> (
+  (match (prev, payload) with
+  | Some p, M.Lookup l -> check_progress t ~prev:p l
+  | _ -> ());
   let hop, rule =
     Route.next_hop_explained ~excluded:(routed_excluded t) ~leafset:t.leafset
       ~table:t.table ~key ()
@@ -1398,11 +1329,7 @@ and handle t ~src:_ (msg : M.t) =
     | Some hop_id -> send_msg t sender (M.Hop_ack { hop_id })
     | None -> ());
     match msg.M.payload with
-    | M.Lookup l ->
-        if not (adversary_route t l) then begin
-          check_progress t ~prev:sender l;
-          route_payload ~prev:sender t (M.Lookup l) ~key:l.M.key ~reroutes:0
-        end
+    | M.Lookup l -> route_payload ~prev:sender t (M.Lookup l) ~key:l.M.key ~reroutes:0
     | M.Lookup_ack { seq } -> handle_lookup_ack t seq
     | M.Hop_ack { hop_id } -> handle_hop_ack t hop_id
     | M.Join_request { joiner; rows } ->
@@ -1410,15 +1337,12 @@ and handle t ~src:_ (msg : M.t) =
            overload (the joiner retries later) *)
         if not (overloaded t) then handle_join_request t ~sender ~joiner ~rows
     | M.Join_reply { rows; leaf } -> handle_join_reply t ~rows ~leaf
-    | M.Ls_probe { leaf; failed; trt; target } ->
-        handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply:false;
-        sustain_forgery t sender ~target ~rt:false
+    | M.Ls_probe { leaf; failed; trt; _ } ->
+        handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply:false
     | M.Ls_probe_reply { leaf; failed; trt } ->
         handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply:true
     | M.Heartbeat -> () (* note_alive already recorded it *)
-    | M.Rt_probe { target } ->
-        send_msg t sender (M.Rt_probe_reply { trt = t.local_trt });
-        sustain_forgery t sender ~target ~rt:true
+    | M.Rt_probe _ -> send_msg t sender (M.Rt_probe_reply { trt = t.local_trt })
     | M.Rt_probe_reply { trt } -> if t.cfg.self_tuning then Tuning.observe_remote t.tuning trt
     | M.Distance_probe { probe_seq } ->
         send_msg t sender (M.Distance_probe_reply { probe_seq })
@@ -1606,12 +1530,10 @@ and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
         && Leafset.would_admit t.leafset p.Peer.id
       then probe t p)
     leaf;
-  if not is_reply then begin
+  if not is_reply then
     send_msg t sender
       (M.Ls_probe_reply
-         { leaf = leaf_members_payload t; failed = failed_payload t; trt = t.local_trt });
-    maybe_poison t sender
-  end
+         { leaf = leaf_members_payload t; failed = failed_payload t; trt = t.local_trt })
   else begin
     let ps = peer t sender.Peer.id in
     match ps.ls_probe with
@@ -1650,43 +1572,6 @@ and handle_nn_reply t ~sender ~leaf =
             targets
         end
       end
-
-(* Adversarial lookup handling (Advfault). Returns [true] when the
-   message was consumed: a dropper eats the lookup after the hop ack
-   already went out (silent loss — only the origin's end-to-end timeout
-   can notice), a misrouter forwards it to a wrong-but-plausible next
-   hop — a live leaf-set member chosen from the ones farthest from the
-   key, rotated by hop count so adversarial cycles cannot lock into a
-   fixed orbit. Own lookups and deep-hop messages (>= 64 hops, far past
-   any honest path length) are routed honestly, bounding the walk. *)
-and adversary_route t (l : M.lookup) =
-  match t.adversary with
-  | None -> false
-  | Some adv ->
-      if Nodeid.equal l.M.origin.Peer.id t.me.Peer.id then false
-      else if
-        (* with both behaviours enabled, split by sequence number so each
-           vector stays observable — dropping everything would shadow the
-           misrouting entirely (and vice versa). Parity keeps the split
-           deterministic across runs and across adversaries. *)
-        adv.adv_drop && ((not adv.adv_misroute) || l.M.seq land 1 = 1)
-      then true
-      else if adv.adv_misroute && l.M.hops < 64 then begin
-        match Leafset.members t.leafset with
-        | [] -> false
-        | members ->
-            let away =
-              List.sort
-                (fun a b -> Nodeid.compare_ring_dist ~key:l.M.key b.Peer.id a.Peer.id)
-                members
-            in
-            let n = min 4 (List.length away) in
-            let wrong = List.nth away (l.M.hops mod n) in
-            send_routed t wrong (M.Lookup { l with hops = l.M.hops + 1 })
-              ~key:l.M.key ~reroutes:0;
-            true
-      end
-      else false
 
 (* Recipient-side progress check (progress_check): every honest routing
    rule strictly lengthens the shared prefix with the key (table hop) or

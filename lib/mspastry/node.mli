@@ -15,7 +15,13 @@
 
 open Pastry
 
-type forward_decision = Continue | Absorb
+type forward_decision =
+  | Continue  (** route the message on as usual *)
+  | Absorb  (** consume it here, without delivering it *)
+  | Redirect of Peer.t
+      (** send it to this peer instead of the routing decision: a routed
+          hop (per-hop ack, hop count advanced) whose silence re-routes
+          honestly after the hop timeout *)
 
 type env = {
   now : unit -> float;
@@ -27,10 +33,13 @@ type env = {
       (** the node is the root of the lookup's key and is active *)
   forward : prev:Pastry.Peer.t option -> Message.lookup -> forward_decision;
       (** the common-API forward upcall: invoked before this node routes a
-          lookup onward ([prev] is the hop it arrived from, [None] at the
-          origin). Returning [Absorb] consumes the message here without
-          delivering it — Scribe-style applications build multicast trees
-          this way. Return [Continue] when in doubt. *)
+          lookup onward. [prev] is the hop it arrived from; it is [None]
+          at the origin and on the node's own re-routes (hop timeout,
+          buffer flush, end-to-end retry), so a hook that only acts on
+          [Some _] never intercepts a re-route. Returning [Absorb]
+          consumes the message here without delivering it — Scribe-style
+          applications build multicast trees this way; [Redirect] changes
+          the next hop. Return [Continue] when in doubt. *)
   on_active : unit -> unit;  (** fired once, when the join completes *)
   on_join_failed : unit -> unit;
       (** join retries exhausted; the node never became active *)
@@ -86,6 +95,10 @@ val table : t -> Routing_table.t
 val current_trt : t -> float
 (** The routing-table probing period currently in force. *)
 
+val local_trt : t -> float
+(** The probing period this node derives from its own state, which its
+    probes and probe replies advertise. *)
+
 val estimated_n : t -> float
 val estimated_mu : t -> float
 
@@ -125,31 +138,7 @@ val set_load_signal : t -> (unit -> int) -> unit
     probing and acking continue. At most one signal; later calls
     replace earlier ones. *)
 
-(** {1 Byzantine adversaries and hardening (DESIGN.md §10)} *)
-
-type adversary = {
-  adv_misroute : bool;
-      (** forward lookups to a wrong-but-plausible leaf-set member
-          instead of the correct next hop (acking normally, so the
-          liveness detector stays green) *)
-  adv_drop : bool;
-      (** silently consume lookups in transit (still acking the hop and
-          answering every probe) *)
-  adv_poison : bool;
-      (** eclipse-style state poisoning: piggyback forged-sender probes
-          on outbound gossip, planting fabricated ids that map to this
-          node's address in honest peers' leaf sets / routing tables *)
-}
-(** What a compromised node does. All-false = honest; behaviours
-    compose. An adversarial node keeps its transport fully alive —
-    Byzantine, not fail-stop. *)
-
-val set_adversary : t -> adversary option -> unit
-(** Install ([Some]) or lift ([None]) adversarial behaviour on this
-    node. Installed by the harness when a {!Repro_faults.Schedule}
-    adversary event fires; honest nodes never consult it. *)
-
-val adversary : t -> adversary option
+(** {1 Byzantine hardening (DESIGN.md §10)} *)
 
 val set_on_progress_suspect : t -> (target:int -> unit) -> unit
 (** Observer fired with the suspect's overlay address each time the

@@ -27,7 +27,7 @@ type t = {
   mutable n_cancelled : int;
   mutable heap_hwm : int;
   mutable live_hwm : int;
-  mutable trace : Repro_obs.Trace.t;
+  trace : Repro_obs.Trace.t;
 }
 
 let create ?(trace = Repro_obs.Trace.disabled) () =
@@ -42,8 +42,6 @@ let create ?(trace = Repro_obs.Trace.disabled) () =
     live_hwm = 0;
     trace;
   }
-
-let set_trace t trace = t.trace <- trace
 
 let now t = t.clock
 

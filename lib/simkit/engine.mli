@@ -33,8 +33,6 @@ val create : ?trace:Repro_obs.Trace.t -> unit -> t
     [Timer_fired] / [Timer_cancelled] event per firing / cancellation
     when enabled. *)
 
-val set_trace : t -> Repro_obs.Trace.t -> unit
-
 val stats : t -> stats
 
 val now : t -> float

@@ -1,12 +1,15 @@
 (* The adversarial fault axis (DESIGN.md §10): Advfault model semantics
-   (behaviour algebra, compromise sets, compose), Schedule adversary /
+   (behaviour algebra, compromise sets, compose, the transit-lookup
+   decision against a brute-force model), Schedule adversary /
    sybil-flood constructors and their validation (including the
-   timestamp checks shared by every constructor), the scripted-node
-   behaviours (misrouting, dropping, the parity split between them,
-   origin exemption), the hardening that catches them (recipient-side
+   timestamp checks shared by every constructor), the behaviours run
+   through a scripted node's forward upcall (misrouting, dropping, the
+   parity split between them, origin exemption, redirect acking and its
+   honest re-route), the hardening that catches them (recipient-side
    progress checking, gossip verification challenges, the self-forgery
-   rule, forged-identity sustain), and Live-level ground truth: the
-   liveness detector stays green on Byzantine nodes while progress
+   rule), the harness's poisoning (forged volleys and forged-identity
+   sustain, seen through a network tap), and Live-level ground truth:
+   the liveness detector stays green on Byzantine nodes while progress
    checking convicts them, the eclipse audit sees poisoning land in the
    baseline and die under verification, sybil floods are deferred by the
    per-arc admission filter, and the whole axis is bit-deterministic. *)
@@ -59,6 +62,66 @@ let test_advfault_compose_merges_flags () =
   Advfault.iter c (fun _ _ -> incr seen);
   Alcotest.(check int) "iter visits each address once" 3 !seen
 
+(* the transit-lookup decision against a direct reading of its contract:
+   odd sequence numbers drop when both flags are set; a misrouter sends
+   hop [h] to the ((h mod k) + 1)-th farthest of its members, k the
+   smaller of 4 and their number, below 64 hops only *)
+let test_on_lookup_model () =
+  let rng = Rng.create 17 in
+  let flag_sets =
+    List.concat_map
+      (fun misroute ->
+        List.concat_map
+          (fun drop ->
+            List.map (fun poison -> { Advfault.misroute; drop; poison }) [ false; true ])
+          [ false; true ])
+      [ false; true ]
+  in
+  for _ = 1 to 300 do
+    let members =
+      List.init (Rng.int rng 11) (fun i -> Peer.make (Nodeid.random rng) (100 + i))
+    in
+    let key = Nodeid.random rng and seq = Rng.int rng 1000 in
+    (* the k-th farthest member: the one exactly k - 1 members outrank,
+       ties broken by list order *)
+    let farthest k =
+      let dist (p : Peer.t) = Nodeid.ring_dist key p.Peer.id in
+      let indexed = List.mapi (fun i p -> (i, p)) members in
+      List.find
+        (fun (i, p) ->
+          List.length
+            (List.filter
+               (fun (j, q) ->
+                 let c = Nodeid.compare (dist q) (dist p) in
+                 c > 0 || (c = 0 && j < i))
+               indexed)
+          = k - 1)
+        indexed
+      |> snd
+    in
+    List.iter
+      (fun hops ->
+        List.iter
+          (fun (b : Advfault.behavior) ->
+            let expected =
+              if b.drop && ((not b.misroute) || seq mod 2 = 1) then `Drop
+              else if b.misroute && hops < 64 && members <> [] then
+                `Misroute (farthest ((hops mod min 4 (List.length members)) + 1))
+              else `Pass
+            in
+            let got =
+              match Advfault.on_lookup b ~members ~key ~seq ~hops with
+              | Advfault.Pass -> `Pass
+              | Advfault.Drop -> `Drop
+              | Advfault.Misroute p -> `Misroute p
+            in
+            if got <> expected then
+              Alcotest.failf "%s, %d members, seq %d, hops %d: wrong decision"
+                (Advfault.behavior_name b) (List.length members) seq hops)
+          flag_sets)
+      [ 0; 1; 2; 3; 5; Rng.int rng 63; 63; 64; 65 ]
+  done
+
 (* --------------------------------------------------------------- schedule *)
 
 let misdrop = { Advfault.misroute = true; drop = true; poison = false }
@@ -102,7 +165,7 @@ type script = {
 
 let make_script () = { engine = Engine.create (); sent = []; delivered = [] }
 
-let env_of s =
+let env_of ?(forward = fun ~prev:_ _ -> Node.Continue) s =
   {
     Node.now = (fun () -> Engine.now s.engine);
     send = (fun ~dst msg -> s.sent <- (dst, msg) :: s.sent);
@@ -110,7 +173,7 @@ let env_of s =
     cancel = (fun ev -> Engine.cancel s.engine ev);
     rng = Rng.create 42;
     deliver = (fun l -> s.delivered <- l :: s.delivered);
-    forward = (fun ~prev:_ _ -> Node.Continue);
+    forward;
     on_active = (fun () -> ());
     on_join_failed = (fun () -> ());
     on_lookup_drop = (fun _ -> ());
@@ -130,9 +193,9 @@ let ls_probe ?(leaf = []) ?(target = me_id) () =
   M.Ls_probe { leaf; failed = []; trt = 30.0; target }
 
 (* an active node [a0]@0 with leaf members [b0]@1 and [c0]@2 *)
-let active_trio ?(cfg = cfg) () =
+let active_trio ?(cfg = cfg) ?forward () =
   let s = make_script () in
-  let node = Node.create ~cfg ~env:(env_of s) ~id:me_id ~addr:0 in
+  let node = Node.create ~cfg ~env:(env_of ?forward s) ~id:me_id ~addr:0 in
   Node.bootstrap node;
   let b = Peer.make (hexid "b0") 1 and c = Peer.make (hexid "c0") 2 in
   Node.handle node ~src:1 (M.make ~sender:b (ls_probe ()));
@@ -145,13 +208,35 @@ let lookups_sent s =
     (fun (dst, m) -> match m.M.payload with M.Lookup l -> Some (dst, l) | _ -> None)
     (List.rev s.sent)
 
-let incoming ?(seq = 2) ?(hops = 0) ~origin key =
-  M.Lookup { M.key; seq; origin; hops; retx = false; reliable = false }
+let incoming ?(seq = 2) ?(hops = 0) ?(reliable = false) ~origin key =
+  M.Lookup { M.key; seq; origin; hops; retx = false; reliable }
+
+(* [active_trio] compromised with [b], its forward upcall running the
+   behaviour as the harness does: on lookups from another hop that the
+   node did not originate *)
+let compromised_trio b =
+  let node = ref None in
+  let forward ~prev (l : M.lookup) =
+    match (prev, !node) with
+    | Some _, Some n when not (Nodeid.equal l.M.origin.Peer.id me_id) -> (
+        match
+          Advfault.on_lookup b
+            ~members:(Pastry.Leafset.members (Node.leafset n))
+            ~key:l.M.key ~seq:l.M.seq ~hops:l.M.hops
+        with
+        | Advfault.Pass -> Node.Continue
+        | Advfault.Drop -> Node.Absorb
+        | Advfault.Misroute p -> Node.Redirect p)
+    | _ -> Node.Continue
+  in
+  let s, n, b, c = active_trio ~forward () in
+  node := Some n;
+  (s, n, b, c)
 
 let test_misroute_forwards_wrong_but_alive () =
-  let s, node, b, _c = active_trio () in
-  Node.set_adversary node
-    (Some { Node.adv_misroute = true; adv_drop = false; adv_poison = false });
+  let s, node, b, _c =
+    compromised_trio { Advfault.misroute = true; drop = false; poison = false }
+  in
   (* key is exactly [c]: the honest next hop is [c]@2. The misrouter
      instead picks among the leaf members farthest from the key *)
   Node.handle node ~src:1 (M.make ~sender:b (incoming ~origin:b (hexid "c0")));
@@ -163,9 +248,9 @@ let test_misroute_forwards_wrong_but_alive () =
   Alcotest.(check int) "nothing delivered locally" 0 (List.length s.delivered)
 
 let test_drop_eats_lookup_but_acks_hop () =
-  let s, node, b, _c = active_trio () in
-  Node.set_adversary node
-    (Some { Node.adv_misroute = false; adv_drop = true; adv_poison = false });
+  let s, node, b, _c =
+    compromised_trio { Advfault.misroute = false; drop = true; poison = false }
+  in
   Node.handle node ~src:1 (M.make ~hop:41 ~sender:b (incoming ~origin:b (hexid "c0")));
   Alcotest.(check int) "lookup consumed" 0 (List.length (lookups_sent s));
   Alcotest.(check int) "not delivered" 0 (List.length s.delivered);
@@ -179,9 +264,7 @@ let test_drop_eats_lookup_but_acks_hop () =
   Alcotest.(check int) "hop acked anyway" 1 (List.length acks)
 
 let test_combined_behavior_splits_by_parity () =
-  let s, node, b, _c = active_trio () in
-  Node.set_adversary node
-    (Some { Node.adv_misroute = true; adv_drop = true; adv_poison = false });
+  let s, node, b, _c = compromised_trio misdrop in
   Node.handle node ~src:1 (M.make ~sender:b (incoming ~seq:2 ~origin:b (hexid "c0")));
   Alcotest.(check int) "even seq misrouted" 1 (List.length (lookups_sent s));
   s.sent <- [];
@@ -189,16 +272,49 @@ let test_combined_behavior_splits_by_parity () =
   Alcotest.(check int) "odd seq dropped" 0 (List.length (lookups_sent s))
 
 let test_adversary_spares_own_lookups () =
-  let s, node, _b, _c = active_trio () in
-  Node.set_adversary node
-    (Some { Node.adv_misroute = true; adv_drop = true; adv_poison = false });
+  let s, node, b, _c = compromised_trio misdrop in
   (* a lookup the compromised node itself originated routes honestly —
-     sabotaging your own traffic would unmask you to yourself *)
+     sabotaging your own traffic would unmask you to yourself — both at
+     the origin and when it comes back round through another hop *)
   let self = Peer.make me_id 0 in
   Node.handle node ~src:0 (M.make ~sender:self (incoming ~origin:self (hexid "c0")));
+  Node.lookup ~reliable:false node ~key:(hexid "c0") ~seq:3;
+  Node.handle node ~src:1 (M.make ~sender:b (incoming ~seq:3 ~origin:self (hexid "c0")));
+  Alcotest.(check (list int)) "honest next hop taken" [ 2; 2; 2 ]
+    (List.map fst (lookups_sent s))
+
+(* a redirect is a routed hop: it asks for a per-hop ack, and when the
+   new next hop stays silent the hop timeout re-routes the lookup
+   honestly — the re-route reaches the upcall with [prev = None], which
+   is why re-routes are never intercepted *)
+let test_redirect_acked_and_rerouted_honestly () =
+  let prevs = ref [] in
+  let b0 = Peer.make (hexid "b0") 1 in
+  let forward ~prev _ =
+    prevs := Option.map (fun (p : Peer.t) -> p.Peer.addr) prev :: !prevs;
+    match prev with Some _ -> Node.Redirect b0 | None -> Node.Continue
+  in
+  let s, node, _b, c = active_trio ~forward () in
+  Node.handle node ~src:2
+    (M.make ~sender:c (incoming ~reliable:true ~origin:c (hexid "c0")));
+  let redirected =
+    List.filter
+      (fun (m : M.t) -> match m.M.payload with M.Lookup _ -> true | _ -> false)
+      (sent_to s 1)
+  in
+  (match redirected with
+  | [ m ] ->
+      Alcotest.(check bool) "per-hop ack requested" true (Option.is_some m.M.hop)
+  | other -> Alcotest.failf "expected one redirected lookup, got %d" (List.length other));
+  (* past the redirect's timeout, short of the re-route's *)
+  Engine.run s.engine ~until:(Engine.now s.engine +. (1.5 *. cfg.Config.hop_rto_initial));
+  Alcotest.(check (list (option int))) "upcall saw the hop, then the re-route"
+    [ Some 2; None ] (List.rev !prevs);
   match lookups_sent s with
-  | [ (dst, _) ] -> Alcotest.(check int) "honest next hop taken" 2 dst
-  | other -> Alcotest.failf "expected one forwarded lookup, got %d" (List.length other)
+  | [ (1, _); (2, l) ] -> Alcotest.(check bool) "re-routed as a retransmission" true l.M.retx
+  | other ->
+      Alcotest.failf "expected the redirect then an honest re-route, got %s"
+        (String.concat ", " (List.map (fun (d, _) -> string_of_int d) other))
 
 (* ------------------------------------------------ progress checking *)
 
@@ -227,6 +343,21 @@ let test_progress_check_spares_honest_forward () =
   (* we are strictly closer to [a1] than the forwarder [b0]: progress *)
   Node.handle node ~src:1 (M.make ~sender:b (incoming ~hops:1 ~origin:b (hexid "a1")));
   Alcotest.(check (list int)) "no conviction" [] !convicted
+
+(* a lookup the upcall absorbs or redirects is no routing decision of
+   this node's: nobody is convicted for the hop that brought it *)
+let test_progress_check_skips_intercepted () =
+  let cfg = { cfg with Config.progress_check = true } in
+  let decision = ref Node.Absorb in
+  let s, node, b, c = active_trio ~cfg ~forward:(fun ~prev:_ _ -> !decision) () in
+  let convicted = ref [] in
+  Node.set_on_progress_suspect node (fun ~target -> convicted := target :: !convicted);
+  Node.handle node ~src:2 (M.make ~sender:c (incoming ~hops:1 ~origin:b (hexid "c0")));
+  decision := Node.Redirect b;
+  Node.handle node ~src:2 (M.make ~sender:c (incoming ~seq:4 ~hops:1 ~origin:b (hexid "c0")));
+  Alcotest.(check (list int)) "nobody convicted" [] !convicted;
+  Alcotest.(check (list int)) "only the redirect went out" [ 1 ]
+    (List.map fst (lookups_sent s))
 
 let test_progress_check_off_by_default () =
   let _s, node, b, c = active_trio () in
@@ -310,81 +441,181 @@ let test_self_forgery_rejected_without_hardening () =
 
 (* ------------------------------------------------ poisoning adversary *)
 
+(* a settled five-node overlay with one node compromised with [b], every
+   send recorded by a network tap: [(time, src, dst, msg)], oldest first *)
+let compromised_overlay b =
+  let config =
+    {
+      Sim.default_config with
+      topology = Sim.Flat 0.02;
+      lookup_rate = 0.0;
+      warmup = 0.0;
+      window = 60.0;
+    }
+  in
+  let live = Live.create config ~n_endpoints:16 in
+  for i = 0 to 4 do
+    Live.spawn_at live ~time:(float_of_int i *. 5.0) ()
+  done;
+  Live.run_until live 100.0;
+  Live.inject live (Schedule.adversary ~time:100.0 ~fraction:0.2 b);
+  let attacker = ref None in
+  Advfault.iter (Live.adversaries live) (fun addr _ -> attacker := Live.find_node live ~addr);
+  let attacker = Option.get !attacker in
+  let honest =
+    List.filter (fun n -> not (n == attacker)) (Live.active_nodes live)
+    |> List.sort (fun a b -> compare (Node.me a).Peer.addr (Node.me b).Peer.addr)
+  in
+  let sent = ref [] in
+  Net.on_send (Live.net live) (fun ~time ~src ~dst msg -> sent := (time, src, dst, msg) :: !sent);
+  (live, attacker, honest, fun () -> List.rev !sent)
+
+let poisoned_overlay () = compromised_overlay { Advfault.no_behavior with poison = true }
+
+(* deliver [payload] from [src] to [dst] through the network *)
+let probe_from live src dst payload =
+  Net.send (Live.net live) ~src:(Node.me src).Peer.addr ~dst:(Node.me dst).Peer.addr
+    (M.make ~sender:(Node.me src) payload);
+  Live.run_until live (Engine.now (Live.engine live) +. 1.0)
+
+(* messages the attacker sent under an identity not its own *)
+let forgeries attacker sent =
+  let me = Node.me attacker in
+  List.filter
+    (fun (_, src, _, (m : M.t)) ->
+      src = me.Peer.addr && not (Nodeid.equal m.M.sender.Peer.id me.Peer.id))
+    sent
+
+let forged_probes_to attacker sent (victim : Peer.t) =
+  List.filter_map
+    (fun (time, _, dst, (m : M.t)) ->
+      match m.M.payload with
+      | M.Ls_probe { target; _ } when dst = victim.Peer.addr ->
+          Some (time, m.M.sender.Peer.id, target)
+      | _ -> None)
+    (forgeries attacker sent)
+
 let test_poison_volley_piggybacks_on_gossip () =
-  let s, node, b, _c = active_trio () in
-  Node.set_adversary node
-    (Some { Node.adv_misroute = false; adv_drop = false; adv_poison = true });
-  s.sent <- [];
-  Node.handle node ~src:1 (M.make ~sender:b (ls_probe ()));
-  let forged_probes =
-    List.filter_map
-      (fun m ->
-        match m.M.payload with
-        | M.Ls_probe { target; _ }
-          when m.M.sender.Peer.addr = 0 && not (Nodeid.equal m.M.sender.Peer.id me_id) ->
-            Some (m.M.sender.Peer.id, target)
-        | _ -> None)
-      (sent_to s 1)
+  let live, attacker, honest, sent = poisoned_overlay () in
+  let h = List.hd honest and x = List.nth honest 1 in
+  let check_volley what victim probes =
+    Alcotest.(check int) (what ^ ": four fabricated identifiers per volley") 4
+      (List.length probes);
+    List.iter
+      (fun (_, id, target) ->
+        Alcotest.(check bool) (what ^ ": forged ids bracket the victim") true
+          (List.exists (Nodeid.equal id)
+             [
+               Nodeid.add victim.Peer.id (Nodeid.of_int 1);
+               Nodeid.sub victim.Peer.id (Nodeid.of_int 1);
+               Nodeid.add victim.Peer.id (Nodeid.of_int 2);
+               Nodeid.sub victim.Peer.id (Nodeid.of_int 2);
+             ]);
+        Alcotest.(check bool) (what ^ ": volley names the victim as target") true
+          (Nodeid.equal target victim.Peer.id))
+      probes
   in
-  Alcotest.(check int) "four fabricated identifiers per volley" 4
-    (List.length forged_probes);
-  List.iter
-    (fun (id, target) ->
-      Alcotest.(check bool) "forged ids bracket the victim" true
-        (List.exists (Nodeid.equal id)
-           [
-             Nodeid.add b.Peer.id (Nodeid.of_int 1);
-             Nodeid.sub b.Peer.id (Nodeid.of_int 1);
-             Nodeid.add b.Peer.id (Nodeid.of_int 2);
-             Nodeid.sub b.Peer.id (Nodeid.of_int 2);
-           ]);
-      Alcotest.(check bool) "volley names the victim as target" true
-        (Nodeid.equal target b.Peer.id))
-    forged_probes;
+  (* [h]'s probe reports [x] failed: the attacker re-probes [x] (its own
+     outbound Ls_probe) and answers [h] (an inbound one) — a volley
+     follows each *)
+  probe_from live h attacker
+    (M.Ls_probe
+       {
+         leaf = [];
+         failed = [ (Node.me x).Peer.id ];
+         trt = 30.0;
+         target = (Node.me attacker).Peer.id;
+       });
+  check_volley "inbound" (Node.me h) (forged_probes_to attacker (sent ()) (Node.me h));
+  check_volley "outbound" (Node.me x) (forged_probes_to attacker (sent ()) (Node.me x));
   (* one volley per victim per t_ls: an immediate second gossip exchange
-     does not retrigger it *)
-  s.sent <- [];
-  Node.handle node ~src:1 (M.make ~sender:b (ls_probe ()));
-  let again =
-    List.filter
-      (fun (m : M.t) ->
-        match m.M.payload with
-        | M.Ls_probe _ -> not (Nodeid.equal m.M.sender.Peer.id me_id)
-        | _ -> false)
-      (sent_to s 1)
+     does not retrigger it, one a period later does *)
+  let first = List.length (forged_probes_to attacker (sent ()) (Node.me h)) in
+  probe_from live h attacker (ls_probe ~target:(Node.me attacker).Peer.id ());
+  Alcotest.(check int) "volley cooldown" first
+    (List.length (forged_probes_to attacker (sent ()) (Node.me h)));
+  Live.run_until live (Engine.now (Live.engine live) +. cfg.Config.t_ls);
+  probe_from live h attacker (ls_probe ~target:(Node.me attacker).Peer.id ());
+  Alcotest.(check int) "next period, next volley" (first + 4)
+    (List.length (forged_probes_to attacker (sent ()) (Node.me h)))
+
+(* the harness attacks a lookup only as it arrives from another hop: when
+   a misrouter's chosen hop is dead, the hop timeout's re-route reaches
+   the upcall with [prev = None] and goes to the honest next hop *)
+let test_live_misrouter_reroutes_honestly () =
+  let live, attacker, honest, sent =
+    compromised_overlay { Advfault.no_behavior with misroute = true }
   in
-  Alcotest.(check int) "volley cooldown" 0 (List.length again)
+  let root = List.hd honest in
+  let key = (Node.me root).Peer.id in
+  let dead =
+    match
+      Advfault.on_lookup { Advfault.no_behavior with misroute = true }
+        ~members:(Pastry.Leafset.members (Node.leafset attacker))
+        ~key ~seq:0 ~hops:0
+    with
+    | Advfault.Misroute p -> p
+    | Advfault.Pass | Advfault.Drop -> Alcotest.fail "expected a misroute"
+  in
+  Alcotest.(check bool) "the misroute is not the root" false (Nodeid.equal dead.Peer.id key);
+  let origin =
+    List.find (fun n -> not (n == root || (Node.me n).Peer.addr = dead.Peer.addr)) honest
+  in
+  Live.crash_node live (Option.get (Live.find_node live ~addr:dead.Peer.addr));
+  let seq = Live.alloc_lookup live in
+  Net.send (Live.net live) ~src:(Node.me origin).Peer.addr ~dst:(Node.me attacker).Peer.addr
+    (M.make ~sender:(Node.me origin)
+       (incoming ~seq ~reliable:true ~origin:(Node.me origin) key));
+  Live.run_until live (Engine.now (Live.engine live) +. 5.0);
+  Alcotest.(check (list int)) "misrouted to the dead hop, then honestly to the root"
+    [ dead.Peer.addr; (Node.me root).Peer.addr ]
+    (List.filter_map
+       (fun (_, src, dst, (m : M.t)) ->
+         match m.M.payload with
+         | M.Lookup _ when src = (Node.me attacker).Peer.addr -> Some dst
+         | _ -> None)
+       (sent ()))
 
 let test_sustain_answers_probes_of_fabricated_ids () =
-  let s, node, b, _c = active_trio () in
-  (* honest nodes never answer for identities they do not own *)
-  Node.handle node ~src:1 (M.make ~sender:b (ls_probe ~target:(hexid "a5") ()));
-  let forged_replies s =
+  let live, attacker, honest, sent = poisoned_overlay () in
+  let h = List.hd honest and y = List.nth honest 1 in
+  let genuine addr = (Node.me (Option.get (Live.find_node live ~addr))).Peer.id in
+  let forged_replies () =
     List.filter_map
-      (fun (m : M.t) ->
+      (fun (_, src, _, (m : M.t)) ->
         match m.M.payload with
         | (M.Ls_probe_reply _ | M.Rt_probe_reply _)
-          when not (Nodeid.equal m.M.sender.Peer.id me_id) ->
+          when not (Nodeid.equal m.M.sender.Peer.id (genuine src)) ->
             Some (Nodeid.to_hex m.M.sender.Peer.id)
         | _ -> None)
-      (sent_to s 1)
+      (sent ())
   in
-  Alcotest.(check (list string)) "honest node: no forged replies" [] (forged_replies s);
+  (* honest nodes never answer for identities they do not own *)
+  probe_from live h y (ls_probe ~target:(hexid "a5") ());
+  probe_from live h y (M.Rt_probe { target = hexid "a7" });
+  Alcotest.(check (list string)) "honest node: no forged replies" [] (forged_replies ());
   (* a poisoning adversary answers under exactly the probed identity, so
      fabrications planted anywhere — including second-hand through
      gossip — stay green forever *)
-  Node.set_adversary node
-    (Some { Node.adv_misroute = false; adv_drop = false; adv_poison = true });
-  s.sent <- [];
-  Node.handle node ~src:1 (M.make ~sender:b (ls_probe ~target:(hexid "a5") ()));
-  Node.handle node ~src:1 (M.make ~sender:b (M.Rt_probe { target = hexid "a7" }));
+  probe_from live h attacker (ls_probe ~target:(hexid "a5") ());
+  probe_from live h attacker (M.Rt_probe { target = hexid "a7" });
   Alcotest.(check (list string)) "replies under the probed identities"
     [ Nodeid.to_hex (hexid "a5"); Nodeid.to_hex (hexid "a7") ]
-    (forged_replies s);
-  (* probes of its genuine identity are answered genuinely, not forged *)
-  s.sent <- [];
-  Node.handle node ~src:1 (M.make ~sender:b (ls_probe ()));
-  Alcotest.(check (list string)) "own identity never forged" [] (forged_replies s)
+    (forged_replies ());
+  (* probes of its genuine identity are answered once, genuinely *)
+  let replies () =
+    List.filter
+      (fun (_, src, dst, (m : M.t)) ->
+        src = (Node.me attacker).Peer.addr
+        && dst = (Node.me h).Peer.addr
+        && match m.M.payload with M.Ls_probe_reply _ | M.Rt_probe_reply _ -> true | _ -> false)
+      (sent ())
+  in
+  let before = List.length (replies ()) in
+  probe_from live h attacker (ls_probe ~target:(Node.me attacker).Peer.id ());
+  probe_from live h attacker (M.Rt_probe { target = (Node.me attacker).Peer.id });
+  Alcotest.(check int) "own identity never forged" 2 (List.length (forged_replies ()));
+  Alcotest.(check int) "one genuine reply per probe" (before + 2) (List.length (replies ()))
 
 (* ----------------------------------------------------- live ground truth *)
 
@@ -430,7 +661,8 @@ let run_misrouters ~hardened =
   spawn_overlay live ~n:10;
   Live.run_until live 520.0;
   let s = Collector.summary ~since:120.0 ~until:500.0 (Live.collector live) in
-  Alcotest.(check bool) "someone was compromised" true (Live.adversary_count live > 0);
+  Alcotest.(check bool) "someone was compromised" true
+    (Advfault.compromised (Live.adversaries live) > 0);
   s
 
 let misrouters_baseline = lazy (run_misrouters ~hardened:false)
@@ -535,16 +767,19 @@ let test_live_overlapping_adversary_episodes () =
   let live = Live.create config ~n_endpoints:16 in
   spawn_overlay live ~n:10;
   let running b =
-    List.for_all (fun n -> Node.adversary n = Some b) (Live.active_nodes live)
+    List.for_all
+      (fun n ->
+        Advfault.behavior_of (Live.adversaries live) ~addr:(Node.me n).Peer.addr = Some b)
+      (Live.active_nodes live)
   in
   Live.run_until live 380.0;
   Alcotest.(check int) "all ten nodes up" 10 (Live.node_count live);
-  Alcotest.(check bool) "both episodes: misroute+drop" true
-    (running { Node.adv_misroute = true; adv_drop = true; adv_poison = false });
+  Alcotest.(check bool) "both episodes: misroute+drop" true (running misdrop);
   Live.run_until live 450.0;
-  Alcotest.(check int) "B keeps all ten compromised" 10 (Live.adversary_count live);
+  Alcotest.(check int) "B keeps all ten compromised" 10
+    (Advfault.compromised (Live.adversaries live));
   Alcotest.(check bool) "A expired: drop only" true
-    (running { Node.adv_misroute = false; adv_drop = true; adv_poison = false })
+    (running { Advfault.no_behavior with drop = true })
 
 let test_live_adversarial_runs_deterministic () =
   let fingerprint (s, (ecl : Live.eclipse), agreement) =
@@ -564,6 +799,7 @@ let suite =
       [
         Alcotest.test_case "advfault model" `Quick test_advfault_model;
         Alcotest.test_case "compose merges flags" `Quick test_advfault_compose_merges_flags;
+        Alcotest.test_case "on_lookup matches brute-force model" `Quick test_on_lookup_model;
         Alcotest.test_case "schedule adversary constructors" `Quick
           test_schedule_adversary_constructors;
         Alcotest.test_case "schedule timestamp validation" `Quick
@@ -576,12 +812,16 @@ let suite =
           test_combined_behavior_splits_by_parity;
         Alcotest.test_case "adversary spares own lookups" `Quick
           test_adversary_spares_own_lookups;
+        Alcotest.test_case "redirect acked, silent target re-routed honestly" `Quick
+          test_redirect_acked_and_rerouted_honestly;
         Alcotest.test_case "progress check convicts misrouter" `Quick
           test_progress_check_convicts_misrouter;
         Alcotest.test_case "progress check spares honest forward" `Quick
           test_progress_check_spares_honest_forward;
         Alcotest.test_case "progress check off by default" `Quick
           test_progress_check_off_by_default;
+        Alcotest.test_case "progress check skips absorbed and redirected" `Quick
+          test_progress_check_skips_intercepted;
         Alcotest.test_case "gossip verification rejects forged sender" `Quick
           test_gossip_verification_rejects_forged_sender;
         Alcotest.test_case "self-forgery rejected without hardening" `Quick
@@ -590,6 +830,8 @@ let suite =
           test_poison_volley_piggybacks_on_gossip;
         Alcotest.test_case "sustain answers probes of fabricated ids" `Quick
           test_sustain_answers_probes_of_fabricated_ids;
+        Alcotest.test_case "live: misrouter re-routes honestly" `Quick
+          test_live_misrouter_reroutes_honestly;
         Alcotest.test_case "live: misrouters invisible to liveness detector" `Slow
           test_live_misrouters_invisible_to_liveness_detector;
         Alcotest.test_case "live: progress checking convicts what liveness misses" `Slow

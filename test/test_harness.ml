@@ -82,6 +82,26 @@ let test_spawn_at_schedules () =
   Live.run_until live 60.0;
   Alcotest.(check int) "both up" 2 (Live.node_count live)
 
+(* a joiner whose endpoint is cut off exhausts its join retries: it is
+   counted, unregistered, and gone from the registry, so [find_node] and
+   the detector's ground truth no longer see it *)
+let test_failed_join_leaves_registry () =
+  let live = Live.create (flat ()) ~n_endpoints:16 in
+  for i = 0 to 5 do
+    Live.spawn_at live ~time:(float_of_int i *. 5.0) ()
+  done;
+  Live.run_until live 60.0;
+  Live.inject live
+    (Sim.Schedule.overlay ~time:60.0 ~duration:infinity
+       (Sim.Netfault.blackhole ~symmetric:true ~links:(List.init 16 (fun e -> (6, e))) ()));
+  let joiner = Live.spawn live () in
+  Live.run_until live 300.0;
+  Alcotest.(check int) "join failed" 1 (Live.join_failures live);
+  Alcotest.(check bool) "joiner halted" false (Node.is_alive joiner);
+  Alcotest.(check bool) "joiner gone from the registry" true
+    (Live.find_node live ~addr:(Node.me joiner).Pastry.Peer.addr = None);
+  Alcotest.(check int) "members unaffected" 6 (Live.node_count live)
+
 let test_live_of_trace_runs () =
   let trace =
     Churn.Trace.poisson (Rng.create 2) ~n_avg:20 ~session_mean:600.0 ~duration:900.0
@@ -140,6 +160,8 @@ let suite =
         Alcotest.test_case "lookup sequence allocation" `Quick test_alloc_lookup_sequences;
         Alcotest.test_case "graceful crash_node" `Quick test_graceful_crash_node;
         Alcotest.test_case "spawn_at schedules" `Quick test_spawn_at_schedules;
+        Alcotest.test_case "failed join leaves the registry" `Quick
+          test_failed_join_leaves_registry;
         Alcotest.test_case "live_of_trace" `Quick test_live_of_trace_runs;
         Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
       ] );
