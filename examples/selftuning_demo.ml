@@ -54,4 +54,4 @@ let () =
   Printf.printf
     "\nshorter sessions -> higher failure rate -> shorter probing period;\n\
      calm networks relax toward the %.0f s cap, saving bandwidth.\n"
-    Mspastry.Config.default.Mspastry.Config.t_rt_max
+    Mspastry.Config.t_rt_max

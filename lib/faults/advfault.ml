@@ -10,9 +10,15 @@ let behavior_name b =
   in
   match parts with [] -> "honest" | ps -> String.concat "+" ps
 
-type t = { desc : string; tbl : (int, behavior) Hashtbl.t }
+(* each compromised address's behaviour, indexed by address, and how
+   many there are *)
+type t = { desc : string; by_addr : behavior option array; count : int }
 
-let none = { desc = "none"; tbl = Hashtbl.create 1 }
+let none = { desc = "none"; by_addr = [||]; count = 0 }
+
+let of_array by_addr ~desc =
+  let count = Array.fold_left (fun n b -> if Option.is_some b then n + 1 else n) 0 by_addr in
+  { desc = desc count; by_addr; count }
 
 let merge a b =
   {
@@ -23,39 +29,32 @@ let merge a b =
 
 let compromise behavior ~addrs () =
   if behavior = no_behavior then invalid_arg "Advfault.compromise: behavior";
-  let tbl = Hashtbl.create (max 16 (List.length addrs)) in
-  List.iter (fun a -> Hashtbl.replace tbl a behavior) addrs;
-  {
-    desc =
-      Printf.sprintf "adversary(%d nodes %s)" (Hashtbl.length tbl)
-        (behavior_name behavior);
-    tbl;
-  }
+  if List.exists (fun a -> a < 0) addrs then invalid_arg "Advfault.compromise: address";
+  let by_addr = Array.make (List.fold_left max (-1) addrs + 1) None in
+  List.iter (fun a -> by_addr.(a) <- Some behavior) addrs;
+  of_array by_addr ~desc:(fun n ->
+      Printf.sprintf "adversary(%d nodes %s)" n (behavior_name behavior))
+
+let iter t f = Array.iteri (fun addr b -> Option.iter (f addr) b) t.by_addr
 
 let compose = function
   | [] -> none
   | [ t ] -> t
   | ts ->
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun t ->
-          Hashtbl.iter
-            (fun addr b ->
-              let b' =
-                match Hashtbl.find_opt tbl addr with
-                | Some prev -> merge prev b
-                | None -> b
-              in
-              Hashtbl.replace tbl addr b')
-            t.tbl)
-        ts;
-      { desc = String.concat " + " (List.map (fun t -> t.desc) ts); tbl }
+      let len = List.fold_left (fun n t -> max n (Array.length t.by_addr)) 0 ts in
+      let by_addr = Array.make len None in
+      let add addr b =
+        by_addr.(addr) <- Some (Option.fold ~none:b ~some:(fun a -> merge a b) by_addr.(addr))
+      in
+      List.iter (fun t -> iter t add) ts;
+      of_array by_addr ~desc:(fun _ -> String.concat " + " (List.map (fun t -> t.desc) ts))
 
-(* the harness asks on every probe and lookup hop; with nobody
-   compromised, answer without hashing *)
-let behavior_of t ~addr = if Hashtbl.length t.tbl = 0 then None else Hashtbl.find_opt t.tbl addr
-let compromised t = Hashtbl.length t.tbl
-let iter t f = Hashtbl.iter f t.tbl
+(* the harness asks on every probe and lookup hop: one bounds check and
+   one read *)
+let behavior_of t ~addr =
+  if addr >= 0 && addr < Array.length t.by_addr then Array.unsafe_get t.by_addr addr else None
+
+let compromised t = t.count
 let describe t = t.desc
 
 type lookup_action = Pass | Drop | Misroute of Pastry.Peer.t

@@ -47,18 +47,21 @@ val none : t
 
 val compromise : behavior -> addrs:int list -> unit -> t
 (** Mark [addrs] compromised with [behavior]. Raises [Invalid_argument]
-    when the behaviour has no flag set. *)
+    when the behaviour has no flag set or an address is negative. The
+    set is an array indexed by address, sized by the largest one. *)
 
 val compose : t list -> t
 (** Union; a node compromised by several models merges the flags. *)
 
 val behavior_of : t -> addr:int -> behavior option
-(** The behaviour assigned to [addr], if compromised. *)
+(** The behaviour assigned to [addr], if compromised: one array read, no
+    hashing. *)
 
 val compromised : t -> int
 (** Number of compromised addresses. *)
 
 val iter : t -> (int -> behavior -> unit) -> unit
+(** The compromised addresses with their behaviours, in address order. *)
 
 val describe : t -> string
 

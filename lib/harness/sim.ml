@@ -38,7 +38,6 @@ type config = {
   seed : int;
   warmup : float;
   window : float;
-  max_endpoints : int;
   drain : float;
   tracing : tracing;
   trace_timers : bool;
@@ -59,7 +58,6 @@ let default_config =
     seed = 42;
     warmup = 1800.0;
     window = 600.0;
-    max_endpoints = 4096;
     drain = 60.0;
     tracing = Trace_off;
     trace_timers = false;
@@ -318,7 +316,7 @@ module Live = struct
       (not (Pastry.Nodeid.equal victim.Pastry.Peer.id (Node.me node).Pastry.Peer.id))
       &&
       match Hashtbl.find_opt t.poisoned_at key with
-      | Some last -> now -. last >= t.config.pastry.Mspastry.Config.t_ls
+      | Some last -> now -. last >= Mspastry.Config.t_ls
       | None -> true
     then begin
       Hashtbl.replace t.poisoned_at key now;
@@ -793,7 +791,6 @@ module Live = struct
         ("graceful_leave_fraction", Obs.Json.Float c.graceful_leave_fraction);
         ("warmup", Obs.Json.Float c.warmup);
         ("window", Obs.Json.Float c.window);
-        ("max_endpoints", Obs.Json.Int c.max_endpoints);
         ("drain", Obs.Json.Float c.drain);
         ( "capacity",
           match c.capacity with
@@ -811,19 +808,14 @@ module Live = struct
             ([
                ("b", Obs.Json.Int p.Mspastry.Config.b);
                ("l", Obs.Json.Int p.Mspastry.Config.l);
-               ("t_ls", Obs.Json.Float p.Mspastry.Config.t_ls);
-               ("t_out", Obs.Json.Float p.Mspastry.Config.t_out);
                ("probe_volley", Obs.Json.Int p.Mspastry.Config.probe_volley);
                ("per_hop_acks", Obs.Json.Bool p.Mspastry.Config.per_hop_acks);
                ("active_probing", Obs.Json.Bool p.Mspastry.Config.active_probing);
-               ("self_tuning", Obs.Json.Bool p.Mspastry.Config.self_tuning);
                ("lr_target", Obs.Json.Float p.Mspastry.Config.lr_target);
                ("root_retries", Obs.Json.Int p.Mspastry.Config.root_retries);
                ( "e2e_lookup_retries",
                  Obs.Json.Int p.Mspastry.Config.e2e_lookup_retries );
                ("backpressure", Obs.Json.Bool p.Mspastry.Config.backpressure);
-               ( "overload_threshold",
-                 Obs.Json.Int p.Mspastry.Config.overload_threshold );
              ]
             (* only mentioned when some hardening is on, so default-config
                manifests stay byte-identical to pre-hardening builds *)
@@ -839,8 +831,6 @@ module Live = struct
                      Obs.Json.Bool p.Mspastry.Config.progress_check );
                    ( "join_rate_limit",
                      Obs.Json.Int p.Mspastry.Config.join_rate_limit );
-                   ( "join_rate_window",
-                     Obs.Json.Float p.Mspastry.Config.join_rate_window );
                  ]
                else [])) );
       ]
@@ -910,10 +900,13 @@ let schedule_trace live trace =
 
 let ph_setup = Obs.Profile.phase "harness.setup"
 
+(* cap on distinct network attachment points *)
+let max_endpoints = 4096
+
 let live_of_trace config ~trace =
   if !Obs.Profile.on then Obs.Profile.enter ph_setup;
   let n_endpoints =
-    min config.max_endpoints (max 16 (Churn.Trace.max_concurrent trace * 2))
+    min max_endpoints (max 16 (Churn.Trace.max_concurrent trace * 2))
   in
   let live = Live.create config ~n_endpoints in
   live.Live.lookup_end <- Churn.Trace.duration trace;

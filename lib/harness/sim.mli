@@ -39,7 +39,6 @@ type config = {
   seed : int;
   warmup : float;  (** measurement window starts here *)
   window : float;  (** metrics averaging window *)
-  max_endpoints : int;  (** cap on distinct network attachment points *)
   drain : float;  (** extra simulated time after the trace ends *)
   tracing : tracing;  (** structured event tracing (default off) *)
   trace_timers : bool;
@@ -242,7 +241,9 @@ module Schedule = Repro_faults.Schedule
 
 val live_of_trace : config -> trace:Churn.Trace.t -> Live.t
 (** A {!Live} session with the trace's joins and crashes pre-scheduled
-    (lookups stop at the trace's end); the caller drives the clock. *)
+    (lookups stop at the trace's end); the caller drives the clock. The
+    network has twice the trace's peak membership in attachment points,
+    at least 16 and at most 4096. *)
 
 val run : config -> trace:Churn.Trace.t -> Live.t
 (** {!live_of_trace}, replayed to the trace's end plus [config.drain]

@@ -1,115 +1,69 @@
+let t_ls = 30.0
+let t_out = 3.0
+let max_probe_retries = 2
+let t_rt_max = 3600.0
+let tuning_refresh_period = 30.0
+let rt_maintenance_period = 1200.0
+let distance_probe_count = 3
+let distance_probe_spacing = 1.0
+let max_concurrent_distance_probes = 8
+let hop_rto_initial = 0.5
+let hop_rto_min = 0.02
+let hop_rto_max = 3.0
+let exclusion_period = 30.0
+let join_retry_period = 20.0
+let max_join_retries = 3
+let repair_delay = 1.0
+let suspicion_backoff = 30.0
+let suspicion_backoff_max = 600.0
+let e2e_timeout_min = 1.0
+let overload_threshold = 16
+let join_rate_window = 60.0
+
 type t = {
   b : int;
   l : int;
-  t_ls : float;
-  t_out : float;
-  max_probe_retries : int;
   probe_volley : int;
   per_hop_acks : bool;
   active_probing : bool;
-  self_tuning : bool;
   lr_target : float;
-  t_rt_fixed : float;
-  t_rt_max : float;
-  probe_suppression : bool;
-  symmetric_probes : bool;
   exploit_structure : bool;
-  rt_maintenance_period : float;
-  distance_probe_count : int;
-  distance_probe_spacing : float;
-  max_concurrent_distance_probes : int;
-  hop_rto_initial : float;
-  hop_rto_min : float;
-  hop_rto_max : float;
   max_hop_reroutes : int;
   root_retries : int;
-  exclusion_period : float;
-  join_retry_period : float;
-  max_join_retries : int;
-  tuning_refresh_period : float;
-  repair_delay : float;
-  suspicion_backoff : float;
-  suspicion_backoff_max : float;
   e2e_lookup_retries : int;
-  e2e_timeout_min : float;
   backpressure : bool;
-  overload_threshold : int;
   verify_gossip : bool;
   progress_check : bool;
   join_rate_limit : int;
-  join_rate_window : float;
 }
 
 let default =
   {
     b = 4;
     l = 32;
-    t_ls = 30.0;
-    t_out = 3.0;
-    max_probe_retries = 2;
     probe_volley = 1;
     per_hop_acks = true;
     active_probing = true;
-    self_tuning = true;
     lr_target = 0.05;
-    t_rt_fixed = 30.0;
-    t_rt_max = 3600.0;
-    probe_suppression = true;
-    symmetric_probes = true;
     exploit_structure = true;
-    rt_maintenance_period = 1200.0;
-    distance_probe_count = 3;
-    distance_probe_spacing = 1.0;
-    max_concurrent_distance_probes = 8;
-    hop_rto_initial = 0.5;
-    hop_rto_min = 0.02;
-    hop_rto_max = 3.0;
     max_hop_reroutes = 20;
     root_retries = 4;
-    exclusion_period = 30.0;
-    join_retry_period = 20.0;
-    max_join_retries = 3;
-    tuning_refresh_period = 30.0;
-    repair_delay = 1.0;
-    suspicion_backoff = 30.0;
-    suspicion_backoff_max = 600.0;
     e2e_lookup_retries = 0;
-    e2e_timeout_min = 1.0;
     backpressure = false;
-    overload_threshold = 16;
     verify_gossip = false;
     progress_check = false;
     join_rate_limit = 0;
-    join_rate_window = 60.0;
   }
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.b < 1 || t.b > 8 then err "b must be in 1..8 (got %d)" t.b
   else if t.l < 2 || t.l mod 2 <> 0 then err "l must be even and >= 2 (got %d)" t.l
-  else if t.t_ls <= 0.0 then err "t_ls must be positive"
-  else if t.t_out <= 0.0 then err "t_out must be positive"
-  else if t.max_probe_retries < 0 then err "max_probe_retries must be >= 0"
   else if t.probe_volley < 1 then err "probe_volley must be >= 1"
   else if t.lr_target <= 0.0 || t.lr_target >= 1.0 then
     err "lr_target must be in (0,1)"
-  else if t.t_rt_fixed <= 0.0 || t.t_rt_max <= 0.0 then err "Trt bounds must be positive"
-  else if t.distance_probe_count < 1 then err "distance_probe_count must be >= 1"
-  else if t.hop_rto_min <= 0.0 || t.hop_rto_max < t.hop_rto_min then
-    err "bad per-hop RTO bounds"
   else if t.max_hop_reroutes < 0 then err "max_hop_reroutes must be >= 0"
   else if t.root_retries < 0 then err "root_retries must be >= 0"
-  else if t.suspicion_backoff < 0.0 then err "suspicion_backoff must be >= 0"
-  else if t.suspicion_backoff_max < t.suspicion_backoff then
-    err "suspicion_backoff_max must be >= suspicion_backoff"
   else if t.e2e_lookup_retries < 0 then err "e2e_lookup_retries must be >= 0"
-  else if t.e2e_timeout_min <= 0.0 then err "e2e_timeout_min must be positive"
-  else if t.overload_threshold < 1 then err "overload_threshold must be >= 1"
   else if t.join_rate_limit < 0 then err "join_rate_limit must be >= 0"
-  else if t.join_rate_window <= 0.0 then err "join_rate_window must be positive"
   else Ok ()
-
-let pp fmt t =
-  Format.fprintf fmt
-    "b=%d l=%d Tls=%.0fs To=%.0fs acks=%b probing=%b selftune=%b Lr=%.2f"
-    t.b t.l t.t_ls t.t_out t.per_hop_acks t.active_probing t.self_tuning t.lr_target

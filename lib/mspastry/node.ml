@@ -205,8 +205,8 @@ let create ~cfg ~env ~id ~addr =
     dprobe_queue = Queue.create ();
     dprobes_running = 0;
     tuning = Tuning.create cfg ~now:(env.now ());
-    trt = (if cfg.self_tuning then cfg.t_rt_max else cfg.t_rt_fixed);
-    local_trt = (if cfg.self_tuning then cfg.t_rt_max else cfg.t_rt_fixed);
+    trt = Config.t_rt_max;
+    local_trt = Config.t_rt_max;
     nn = None;
     join_reply_seen = false;
     join_retries = 0;
@@ -221,7 +221,6 @@ let create ~cfg ~env ~id ~addr =
 
 let set_trace t trace = t.trace <- trace
 let me t = t.me
-let config t = t.cfg
 let is_active t = t.active
 let is_alive t = t.alive
 let leafset t = t.leafset
@@ -294,26 +293,26 @@ let set_on_poison_reject t f = t.on_poison_reject <- Some f
 
 (* backpressure: the node is overloaded when its local queue-occupancy
    signal (wired by the harness from the netsim capacity model) is at or
-   above the configured threshold. Always false in the paper's
+   above [Config.overload_threshold]. Always false in the paper's
    configuration (backpressure off) or without a wired signal. *)
 let overloaded t =
   t.cfg.Config.backpressure
   &&
   match t.load_signal with
-  | Some f -> f () >= t.cfg.Config.overload_threshold
+  | Some f -> f () >= Config.overload_threshold
   | None -> false
 
 let suspected_set t =
   let n = now t in
   peers_where t (fun ps -> suspected ps n)
 
-let rto_of t ps =
+let rto_of ps =
   match ps.rto with
   | Some r -> r
   | None ->
       let r =
-        Rto.create ~initial:t.cfg.hop_rto_initial ~min:t.cfg.hop_rto_min
-          ~max:t.cfg.hop_rto_max
+        Rto.create ~initial:Config.hop_rto_initial ~min:Config.hop_rto_min
+          ~max:Config.hop_rto_max
       in
       ps.rto <- Some r;
       r
@@ -340,19 +339,16 @@ let emit_probe t (target : Peer.t) kind =
    no gossip ever names it again, so waiting passively for gossip would
    make a false eviction permanent. *)
 let suspect_peer t (j : Peer.t) =
-  if t.cfg.suspicion_backoff > 0.0 then begin
-    let ps = peer t j.Peer.id in
-    let backoff =
-      match ps.susp with
-      | Some s -> Float.min t.cfg.suspicion_backoff_max (2.0 *. s.s_backoff)
-      | None -> t.cfg.suspicion_backoff
-    in
-    ps.susp <- Some { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
-    if traced t then
-      emit_ev t
-        (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
-    match t.on_suspicion with Some f -> f ~target:j.Peer.addr | None -> ()
-  end
+  let ps = peer t j.Peer.id in
+  let backoff =
+    match ps.susp with
+    | Some s -> Float.min Config.suspicion_backoff_max (2.0 *. s.s_backoff)
+    | None -> Config.suspicion_backoff
+  in
+  ps.susp <- Some { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
+  if traced t then
+    emit_ev t (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
+  match t.on_suspicion with Some f -> f ~target:j.Peer.addr | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine hardening: routing distrust and gossip verification        *)
@@ -377,7 +373,7 @@ let distrusted_set t =
    liveness suspicion list — misrouters answer probes, so [note_alive]
    would instantly exonerate them there. *)
 let distrust_peer t (j : Peer.t) ~seq ~hops =
-  (peer t j.Peer.id).times.distrust_until <- now t +. t.cfg.exclusion_period;
+  (peer t j.Peer.id).times.distrust_until <- now t +. Config.exclusion_period;
   if traced t then
     emit_ev t
       (Obs.Event.Progress_suspect { addr = t.me.Peer.addr; suspect = j.Peer.addr; seq; hops });
@@ -414,7 +410,7 @@ let with_verified t (p : Peer.t) k =
              no admission, no penalty — the next advertisement retries *)
           c.c_timer <-
             Some
-              (t.env.schedule ~delay:t.cfg.t_out (fun () ->
+              (t.env.schedule ~delay:Config.t_out (fun () ->
                    Hashtbl.remove t.id_challenges nonce;
                    ps.challenge <- None));
           send_msg t p (M.Id_challenge { nonce })
@@ -458,7 +454,7 @@ let handle_id_response t ~sender ~nonce ~id =
 let join_admission_ok t =
   t.cfg.join_rate_limit = 0
   ||
-  let cutoff = now t -. t.cfg.join_rate_window in
+  let cutoff = now t -. Config.join_rate_window in
   while (not (Queue.is_empty t.join_admits)) && Queue.peek t.join_admits < cutoff do
     ignore (Queue.pop t.join_admits)
   done;
@@ -478,7 +474,7 @@ let defer_join t (joiner : Peer.t) =
 let rec start_next_dprobe t =
   if
     t.alive
-    && t.dprobes_running < t.cfg.max_concurrent_distance_probes
+    && t.dprobes_running < Config.max_concurrent_distance_probes
     && not (Queue.is_empty t.dprobe_queue)
   then begin
     let thunk = Queue.pop t.dprobe_queue in
@@ -497,7 +493,7 @@ and finish_dprobe t d =
     | samples -> Some (Repro_util.Stats.median (Array.of_list samples))
   in
   (match result with
-  | Some rtt when d.d_announce && t.cfg.symmetric_probes ->
+  | Some rtt when d.d_announce ->
       send_msg t d.d_target (M.Rtt_report { rtt })
   | Some _ | None -> ());
   d.d_on_done result;
@@ -530,9 +526,9 @@ and launch_dprobe t target ~total ~announce ~on_done =
   send_sample ();
   for k = 1 to total - 1 do
     ignore
-      (t.env.schedule ~delay:(float_of_int k *. t.cfg.distance_probe_spacing) send_sample)
+      (t.env.schedule ~delay:(float_of_int k *. Config.distance_probe_spacing) send_sample)
   done;
-  let finish_at = (float_of_int (total - 1) *. t.cfg.distance_probe_spacing) +. t.cfg.t_out in
+  let finish_at = (float_of_int (total - 1) *. Config.distance_probe_spacing) +. Config.t_out in
   d.d_finish <- Some (t.env.schedule ~delay:finish_at (fun () -> if t.alive then finish_dprobe t d))
 
 and request_dprobe t target ~total ~announce ~on_done =
@@ -543,7 +539,7 @@ and request_dprobe t target ~total ~announce ~on_done =
     let start () =
       if probing () then on_done None else launch_dprobe t target ~total ~announce ~on_done
     in
-    if t.dprobes_running < t.cfg.max_concurrent_distance_probes then start ()
+    if t.dprobes_running < Config.max_concurrent_distance_probes then start ()
     else Queue.push start t.dprobe_queue
   end
 
@@ -573,7 +569,7 @@ and maybe_measure ?(fill_only = false) t target ~announce =
       match Nodeid.Tbl.find t.peers target.Peer.id with
       | ps ->
           let n = now t in
-          n -. ps.times.last_measured < t.cfg.rt_maintenance_period /. 2.0
+          n -. ps.times.last_measured < Config.rt_maintenance_period /. 2.0
           || suspected ps n
       | exception Not_found -> false
     in
@@ -583,7 +579,7 @@ and maybe_measure ?(fill_only = false) t target ~announce =
          before we spend distance probes on it (let alone install it) *)
       with_verified t target (fun () ->
           (peer t target.Peer.id).times.last_measured <- now t;
-          request_dprobe t target ~total:t.cfg.distance_probe_count ~announce
+          request_dprobe t target ~total:Config.distance_probe_count ~announce
             ~on_done:(fun result ->
               match result with
               | Some rtt -> ignore (Routing_table.consider t.table target ~rtt)
@@ -641,13 +637,13 @@ and send_ls_probe t st =
   done;
   st.p_timer <-
     Some
-      (t.env.schedule ~delay:t.cfg.t_out (fun () -> if t.alive then probe_timeout t st))
+      (t.env.schedule ~delay:Config.t_out (fun () -> if t.alive then probe_timeout t st))
 
 and probe_timeout t st =
   let j = st.p_peer in
   let ps = peer t j.Peer.id in
   if Option.is_some ps.ls_probe then begin
-    if st.p_retries < t.cfg.max_probe_retries then begin
+    if st.p_retries < Config.max_probe_retries then begin
       st.p_retries <- st.p_retries + 1;
       send_ls_probe t st
     end
@@ -681,7 +677,7 @@ and schedule_repair t =
   if not t.repair_scheduled then begin
     t.repair_scheduled <- true;
     ignore
-      (t.env.schedule ~delay:t.cfg.repair_delay (fun () ->
+      (t.env.schedule ~delay:Config.repair_delay (fun () ->
            t.repair_scheduled <- false;
            if t.alive then repair t))
   end
@@ -751,13 +747,13 @@ and send_rt_probe t st =
   done;
   st.p_timer <-
     Some
-      (t.env.schedule ~delay:t.cfg.t_out (fun () -> if t.alive then rt_probe_timeout t st))
+      (t.env.schedule ~delay:Config.t_out (fun () -> if t.alive then rt_probe_timeout t st))
 
 and rt_probe_timeout t st =
   let j = st.p_peer in
   let ps = peer t j.Peer.id in
   if Option.is_some ps.rt_probe then begin
-    if st.p_retries < t.cfg.max_probe_retries then begin
+    if st.p_retries < Config.max_probe_retries then begin
       st.p_retries <- st.p_retries + 1;
       send_rt_probe t st
     end
@@ -802,7 +798,7 @@ and revalidate_suspect t (j : Peer.t) ~expiry =
   match (peer t j.Peer.id).susp with
   | Some s
     when Float.equal s.s_until expiry
-         && (s.s_backoff < t.cfg.suspicion_backoff_max
+         && (s.s_backoff < Config.suspicion_backoff_max
              || Leafset.would_admit t.leafset j.Peer.id) ->
       (* the [failed] entry would gate the probe; this IS the retry *)
       unfail t j.Peer.id;
@@ -863,7 +859,7 @@ and send_routed t (next : Peer.t) payload ~key ~reroutes =
       }
     in
     Hashtbl.replace t.pending hop_id ph;
-    let rto = Rto.timeout (rto_of t (peer t next.Peer.id)) in
+    let rto = Rto.timeout (rto_of (peer t next.Peer.id)) in
     ph.h_timer <-
       Some (t.env.schedule ~delay:rto (fun () -> if t.alive then hop_timeout t hop_id));
     send_msg ~hop:hop_id t next payload
@@ -887,7 +883,7 @@ and hop_timeout t hop_id =
              });
       (* temporarily exclude the silent node and check on it; only the
          probe machinery may declare it faulty *)
-      (peer t j.Peer.id).times.excluded_until <- now t +. t.cfg.exclusion_period;
+      (peer t j.Peer.id).times.excluded_until <- now t +. Config.exclusion_period;
       if Leafset.mem t.leafset j.Peer.id then probe t j else rt_probe t j;
       if ph.h_reroutes >= t.cfg.max_hop_reroutes then begin
         match ph.h_payload with
@@ -1119,10 +1115,10 @@ and start_periodics t =
   let rec hb_tick () =
     if t.alive then begin
       if t.active then heartbeat_round t;
-      ignore (t.env.schedule ~delay:t.cfg.t_ls (fun () -> hb_tick ()))
+      ignore (t.env.schedule ~delay:Config.t_ls (fun () -> hb_tick ()))
     end
   in
-  ignore (t.env.schedule ~delay:(jitter t.cfg.t_ls) (fun () -> hb_tick ()));
+  ignore (t.env.schedule ~delay:(jitter Config.t_ls) (fun () -> hb_tick ()));
   (* routing-table liveness probing: each entry is probed every Trt
      seconds; the scan itself runs more often so that a freshly lowered
      Trt takes effect promptly *)
@@ -1140,24 +1136,22 @@ and start_periodics t =
   let rec maint_tick () =
     if t.alive then begin
       if t.active then maintenance_round t;
-      ignore (t.env.schedule ~delay:t.cfg.rt_maintenance_period (fun () -> maint_tick ()))
+      ignore (t.env.schedule ~delay:Config.rt_maintenance_period (fun () -> maint_tick ()))
     end
   in
-  ignore (t.env.schedule ~delay:(jitter t.cfg.rt_maintenance_period) (fun () -> maint_tick ()));
+  ignore (t.env.schedule ~delay:(jitter Config.rt_maintenance_period) (fun () -> maint_tick ()));
   (* self-tuning refresh *)
-  if t.cfg.self_tuning then begin
-    let rec tune_tick () =
-      if t.alive then begin
-        if t.active then begin
-          let m = m_unique t in
-          t.local_trt <- Tuning.local_trt t.tuning ~leafset:t.leafset ~m ~now:(now t);
-          t.trt <- Tuning.current_trt t.tuning ~local:t.local_trt
-        end;
-        ignore (t.env.schedule ~delay:t.cfg.tuning_refresh_period (fun () -> tune_tick ()))
-      end
-    in
-    ignore (t.env.schedule ~delay:(jitter t.cfg.tuning_refresh_period) (fun () -> tune_tick ()))
-  end
+  let rec tune_tick () =
+    if t.alive then begin
+      if t.active then begin
+        let m = m_unique t in
+        t.local_trt <- Tuning.local_trt t.tuning ~leafset:t.leafset ~m ~now:(now t);
+        t.trt <- Tuning.current_trt t.tuning ~local:t.local_trt
+      end;
+      ignore (t.env.schedule ~delay:Config.tuning_refresh_period (fun () -> tune_tick ()))
+    end
+  in
+  ignore (t.env.schedule ~delay:(jitter Config.tuning_refresh_period) (fun () -> tune_tick ()))
 
 and heartbeat_round t =
   let n = now t in
@@ -1166,10 +1160,8 @@ and heartbeat_round t =
     (match Leafset.left_neighbor t.leafset with
     | Some ln ->
         let fresh =
-          t.cfg.probe_suppression
-          &&
           match Nodeid.Tbl.find t.peers ln.Peer.id with
-          | ps -> n -. ps.times.last_sent < t.cfg.t_ls
+          | ps -> n -. ps.times.last_sent < Config.t_ls
           | exception Not_found -> false
         in
         if not fresh then send_msg t ln M.Heartbeat
@@ -1192,7 +1184,7 @@ and heartbeat_round t =
           | exception Not_found -> neg_infinity
         in
         let last = Float.max t.right_since heard in
-        if n -. last > t.cfg.t_ls +. t.cfg.t_out then probe t rn
+        if n -. last > Config.t_ls +. Config.t_out then probe t rn
     | None -> ()
   end
   else
@@ -1200,10 +1192,8 @@ and heartbeat_round t =
     List.iter
       (fun m ->
         let fresh =
-          t.cfg.probe_suppression
-          &&
           match Nodeid.Tbl.find t.peers m.Peer.id with
-          | ps -> n -. ps.times.last_heard < t.cfg.t_ls
+          | ps -> n -. ps.times.last_heard < Config.t_ls
           | exception Not_found -> false
         in
         if not fresh then probe t m)
@@ -1221,7 +1211,7 @@ and rt_probe_round t =
          its self check *)
       let j = e.Routing_table.peer in
       let ps = peer t j.Peer.id in
-      let fresh = t.cfg.probe_suppression && n -. ps.times.last_heard < t.trt in
+      let fresh = n -. ps.times.last_heard < t.trt in
       let recently_probed = n -. ps.times.last_rt_probe < t.trt in
       if (not fresh) && not recently_probed then begin
         ps.times.last_rt_probe <- n;
@@ -1273,10 +1263,10 @@ and start_join_attempt t =
     (match t.join_timer with Some ev -> t.env.cancel ev | None -> ());
     t.join_timer <-
       Some
-        (t.env.schedule ~delay:t.cfg.join_retry_period (fun () ->
+        (t.env.schedule ~delay:Config.join_retry_period (fun () ->
              if t.alive && not t.active then begin
                t.join_retries <- t.join_retries + 1;
-               if t.join_retries > t.cfg.max_join_retries then begin
+               if t.join_retries > Config.max_join_retries then begin
                  t.alive <- false;
                  t.env.on_join_failed ()
                end
@@ -1343,7 +1333,7 @@ and handle t ~src:_ (msg : M.t) =
         handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply:true
     | M.Heartbeat -> () (* note_alive already recorded it *)
     | M.Rt_probe _ -> send_msg t sender (M.Rt_probe_reply { trt = t.local_trt })
-    | M.Rt_probe_reply { trt } -> if t.cfg.self_tuning then Tuning.observe_remote t.tuning trt
+    | M.Rt_probe_reply { trt } -> Tuning.observe_remote t.tuning trt
     | M.Distance_probe { probe_seq } ->
         send_msg t sender (M.Distance_probe_reply { probe_seq })
     | M.Distance_probe_reply { probe_seq } -> handle_dprobe_reply t probe_seq
@@ -1354,8 +1344,7 @@ and handle t ~src:_ (msg : M.t) =
         with_verified t sender (fun () ->
             ignore (Routing_table.consider t.table sender ~rtt))
     | M.Row_announce { row = _; entries } ->
-        List.iter (fun (p, _) -> maybe_measure t p ~announce:true) entries;
-        if not t.cfg.symmetric_probes then maybe_measure t sender ~announce:false
+        List.iter (fun (p, _) -> maybe_measure t p ~announce:true) entries
     | M.Row_request { row } ->
         let entries =
           Routing_table.row_entries t.table row
@@ -1426,7 +1415,7 @@ and handle_hop_ack t hop_id =
       if traced t then
         emit_ev t
           (Obs.Event.Hop_ack { addr = t.me.Peer.addr; dst = ph.h_dst.Peer.addr; rtt });
-      Rto.observe (rto_of t (peer t ph.h_dst.Peer.id)) rtt
+      Rto.observe (rto_of (peer t ph.h_dst.Peer.id)) rtt
 
 and handle_dprobe_reply t probe_seq =
   match Hashtbl.find_opt t.dprobe_by_seq probe_seq with
@@ -1497,7 +1486,7 @@ and handle_join_reply t ~rows ~leaf =
   end
 
 and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
-  if t.cfg.self_tuning then Tuning.observe_remote t.tuning trt;
+  Tuning.observe_remote t.tuning trt;
   (* Fig 2 RECEIVE(LS-PROBE | LS-PROBE-REPLY). The probe itself is the
      sender's proof of liveness, so it is admitted without the
      anti-bounce probe — which makes a forged sender the eclipse
@@ -1610,7 +1599,7 @@ and install_e2e t ~key ~seq =
     1.0 +. (Float.log (Float.max cols (estimated_n t)) /. Float.log cols)
   in
   let timeout =
-    Float.max t.cfg.e2e_timeout_min (2.0 *. hops_est *. t.cfg.hop_rto_initial)
+    Float.max Config.e2e_timeout_min (2.0 *. hops_est *. Config.hop_rto_initial)
   in
   let st =
     { e_key = key; e_attempt = 0; e_timeout = timeout; e_timer = None; e_first_hop = None }
@@ -1640,7 +1629,7 @@ and e2e_timeout t seq =
         (if t.cfg.progress_check then
            match st.e_first_hop with
            | Some fh ->
-               (peer t fh.Peer.id).times.distrust_until <- now t +. t.cfg.exclusion_period;
+               (peer t fh.Peer.id).times.distrust_until <- now t +. Config.exclusion_period;
                if traced t then
                  emit_ev t
                    (Obs.Event.Route_diverted

@@ -60,7 +60,6 @@ val set_trace : t -> Repro_obs.Trace.t -> unit
     [Node_join] / [Node_crash] lifecycle events. *)
 
 val me : t -> Peer.t
-val config : t -> Config.t
 
 val bootstrap : t -> unit
 (** Become the first, immediately-active node of a new overlay. *)
@@ -131,7 +130,7 @@ val set_load_signal : t -> (unit -> int) -> unit
     messages currently backlogged at this node (the harness wires it to
     {!Netsim.Net.queue_occupancy}). Only consulted when
     [cfg.backpressure] is on; with the signal at or above
-    [cfg.overload_threshold] the node sheds deferrable work — probe
+    {!Config.overload_threshold} the node sheds deferrable work — probe
     volleys collapse to single packets, routing-table probe rounds and
     maintenance gossip are skipped, and join admission ([Nn_request] /
     [Join_request] service) is deferred — while heartbeats, leaf-set
@@ -155,4 +154,4 @@ val distrusted_set : t -> Nodeid.t list
     (progress check convictions and e2e diversions). Unlike the
     suspicion list, distrust is {e not} cleared by hearing from the
     peer — misrouters are transport-alive by construction — only by
-    expiry ([cfg.exclusion_period]). Expired entries are not listed. *)
+    expiry ({!Config.exclusion_period}). Expired entries are not listed. *)

@@ -83,32 +83,32 @@ let expected_hops ~b ~n =
 
 (* the raw loss rate split at Trt: [h] and [p_last] depend only on N and
    µ, so the solver computes them once and bisects over [loss_at] *)
-let retries (cfg : Config.t) = float_of_int (cfg.max_probe_retries + 1)
+let retries = float_of_int (Config.max_probe_retries + 1)
 
 let hops_and_p_last (cfg : Config.t) ~n ~mu =
   let h = expected_hops ~b:cfg.b ~n in
-  (h, pf ~t_detect:(cfg.t_ls +. (retries cfg *. cfg.t_out)) ~mu)
+  (h, pf ~t_detect:(Config.t_ls +. (retries *. Config.t_out)) ~mu)
 
-let loss_at (cfg : Config.t) ~h ~p_last ~mu trt =
-  let p_rt = pf ~t_detect:(trt +. (retries cfg *. cfg.t_out)) ~mu in
+let loss_at ~h ~p_last ~mu trt =
+  let p_rt = pf ~t_detect:(trt +. (retries *. Config.t_out)) ~mu in
   1.0 -. ((1.0 -. p_last) *. ((1.0 -. p_rt) ** (h -. 1.0)))
 
 let raw_loss_rate cfg ~trt ~n ~mu =
   let h, p_last = hops_and_p_last cfg ~n ~mu in
-  loss_at cfg ~h ~p_last ~mu trt
+  loss_at ~h ~p_last ~mu trt
 
-let trt_floor (cfg : Config.t) = retries cfg *. cfg.t_out
+let trt_floor = retries *. Config.t_out
 
 let solve_trt (cfg : Config.t) ~n ~mu =
   let h, p_last = hops_and_p_last cfg ~n ~mu in
-  let lo = trt_floor cfg and hi = cfg.t_rt_max in
-  if loss_at cfg ~h ~p_last ~mu lo >= cfg.lr_target then lo
-  else if loss_at cfg ~h ~p_last ~mu hi <= cfg.lr_target then hi
+  let lo = trt_floor and hi = Config.t_rt_max in
+  if loss_at ~h ~p_last ~mu lo >= cfg.lr_target then lo
+  else if loss_at ~h ~p_last ~mu hi <= cfg.lr_target then hi
   else begin
     let lo = ref lo and hi = ref hi in
     for _ = 1 to 60 do
       let mid = (!lo +. !hi) /. 2.0 in
-      if loss_at cfg ~h ~p_last ~mu mid > cfg.lr_target then hi := mid else lo := mid
+      if loss_at ~h ~p_last ~mu mid > cfg.lr_target then hi := mid else lo := mid
     done;
     !lo
   end
@@ -142,4 +142,4 @@ let current_trt t ~local =
   Array.blit t.remotes 0 t.sorted 0 k;
   t.sorted.(k) <- local;
   let med = median_in_place t.sorted (k + 1) in
-  Float.max (trt_floor t.cfg) (Float.min t.cfg.t_rt_max med)
+  Float.max trt_floor (Float.min Config.t_rt_max med)

@@ -41,9 +41,10 @@ val expected_hops : b:int -> n:float -> float
 val raw_loss_rate : Config.t -> trt:float -> n:float -> mu:float -> float
 
 val solve_trt : Config.t -> n:float -> mu:float -> float
-(** Smallest Trt in [\[(retries+1)·To, t_rt_max\]] meeting the target raw
-    loss rate ([t_rt_max] when even the slowest probing beats the target;
-    the floor when the target is unreachable). *)
+(** Smallest Trt in [\[(max_probe_retries+1)·To, t_rt_max\]] (the
+    {!Config} constants) meeting [cfg.lr_target] ([t_rt_max] when even
+    the slowest probing beats the target; the floor when the target is
+    unreachable). *)
 
 val local_trt : t -> leafset:Pastry.Leafset.t -> m:int -> now:float -> float
 (** This node's own solution, from its current estimates. *)

@@ -62,6 +62,23 @@ let test_advfault_compose_merges_flags () =
   Advfault.iter c (fun _ _ -> incr seen);
   Alcotest.(check int) "iter visits each address once" 3 !seen
 
+(* the compromise set is indexed by address: a negative one is refused,
+   addresses outside it are honest, and iteration runs in address order *)
+let test_advfault_addresses () =
+  let b = { Advfault.no_behavior with drop = true } in
+  Alcotest.check_raises "negative address rejected"
+    (Invalid_argument "Advfault.compromise: address") (fun () ->
+      ignore (Advfault.compromise b ~addrs:[ 2; -1 ] ()));
+  let t = Advfault.compromise b ~addrs:[ 9; 0; 4; 9 ] () in
+  Alcotest.(check int) "duplicates count once" 3 (Advfault.compromised t);
+  Alcotest.(check bool) "past the largest address" true (Advfault.behavior_of t ~addr:10 = None);
+  Alcotest.(check bool) "negative lookup" true (Advfault.behavior_of t ~addr:(-1) = None);
+  let order = ref [] in
+  Advfault.iter
+    (Advfault.compose [ t; Advfault.compromise { b with poison = true } ~addrs:[ 2 ] () ])
+    (fun addr _ -> order := addr :: !order);
+  Alcotest.(check (list int)) "address order" [ 0; 2; 4; 9 ] (List.rev !order)
+
 (* the transit-lookup decision against a direct reading of its contract:
    odd sequence numbers drop when both flags are set; a misrouter sends
    hop [h] to the ((h mod k) + 1)-th farthest of its members, k the
@@ -307,7 +324,7 @@ let test_redirect_acked_and_rerouted_honestly () =
       Alcotest.(check bool) "per-hop ack requested" true (Option.is_some m.M.hop)
   | other -> Alcotest.failf "expected one redirected lookup, got %d" (List.length other));
   (* past the redirect's timeout, short of the re-route's *)
-  Engine.run s.engine ~until:(Engine.now s.engine +. (1.5 *. cfg.Config.hop_rto_initial));
+  Engine.run s.engine ~until:(Engine.now s.engine +. (1.5 *. Config.hop_rto_initial));
   Alcotest.(check (list (option int))) "upcall saw the hop, then the re-route"
     [ Some 2; None ] (List.rev !prevs);
   match lookups_sent s with
@@ -534,7 +551,7 @@ let test_poison_volley_piggybacks_on_gossip () =
   probe_from live h attacker (ls_probe ~target:(Node.me attacker).Peer.id ());
   Alcotest.(check int) "volley cooldown" first
     (List.length (forged_probes_to attacker (sent ()) (Node.me h)));
-  Live.run_until live (Engine.now (Live.engine live) +. cfg.Config.t_ls);
+  Live.run_until live (Engine.now (Live.engine live) +. Config.t_ls);
   probe_from live h attacker (ls_probe ~target:(Node.me attacker).Peer.id ());
   Alcotest.(check int) "next period, next volley" (first + 4)
     (List.length (forged_probes_to attacker (sent ()) (Node.me h)))
@@ -799,6 +816,7 @@ let suite =
       [
         Alcotest.test_case "advfault model" `Quick test_advfault_model;
         Alcotest.test_case "compose merges flags" `Quick test_advfault_compose_merges_flags;
+        Alcotest.test_case "compromise set indexed by address" `Quick test_advfault_addresses;
         Alcotest.test_case "on_lookup matches brute-force model" `Quick test_on_lookup_model;
         Alcotest.test_case "schedule adversary constructors" `Quick
           test_schedule_adversary_constructors;

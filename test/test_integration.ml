@@ -244,7 +244,7 @@ let test_self_tuning_converges () =
   Alcotest.(check bool) "population alive" true (List.length nodes > 20);
   (* most nodes should have tuned Trt below the cap: true mu ~ 8e-4 *)
   let tuned =
-    List.filter (fun n -> Node.current_trt n < Mspastry.Config.default.t_rt_max) nodes
+    List.filter (fun n -> Node.current_trt n < Mspastry.Config.t_rt_max) nodes
   in
   Alcotest.(check bool) "majority tuned below cap" true
     (List.length tuned * 2 > List.length nodes);
@@ -305,26 +305,61 @@ let test_simulation_determinism () =
     b.Collector.control_msgs;
   Alcotest.(check int) "same joins" a.Collector.joins b.Collector.joins
 
+(* an environment whose node never hears or sends anything *)
+let inert_env =
+  {
+    Node.now = (fun () -> 0.0);
+    send = (fun ~dst:_ _ -> ());
+    schedule = (fun ~delay:_ _ -> Simkit.Engine.schedule (Simkit.Engine.create ()) ~delay:0.0 (fun () -> ()));
+    cancel = (fun _ -> ());
+    rng = Rng.create 1;
+    deliver = (fun _ -> ());
+    forward = (fun ~prev:_ _ -> Node.Continue);
+    on_active = (fun () -> ());
+    on_join_failed = (fun () -> ());
+    on_lookup_drop = (fun _ -> ());
+  }
+
 let test_node_env_misuse () =
   (* config validation surfaces through Node.create *)
   let bad = { Mspastry.Config.default with Mspastry.Config.b = 0 } in
-  let env =
-    {
-      Node.now = (fun () -> 0.0);
-      send = (fun ~dst:_ _ -> ());
-      schedule = (fun ~delay:_ _ -> Simkit.Engine.schedule (Simkit.Engine.create ()) ~delay:0.0 (fun () -> ()));
-      cancel = (fun _ -> ());
-      rng = Rng.create 1;
-      deliver = (fun _ -> ());
-      forward = (fun ~prev:_ _ -> Node.Continue);
-      on_active = (fun () -> ());
-      on_join_failed = (fun () -> ());
-      on_lookup_drop = (fun _ -> ());
-    }
-  in
   Alcotest.check_raises "invalid config"
     (Invalid_argument "Node.create: b must be in 1..8 (got 0)") (fun () ->
-      ignore (Node.create ~cfg:bad ~env ~id:(Nodeid.of_int 1) ~addr:0))
+      ignore (Node.create ~cfg:bad ~env:inert_env ~id:(Nodeid.of_int 1) ~addr:0))
+
+(* each range check of Config.validate: the first value out of range is
+   an [Error] and makes Node.create raise, the boundary value is [Ok] *)
+let test_config_validate_fields () =
+  let d = Mspastry.Config.default in
+  List.iter
+    (fun (name, bad, boundary) ->
+      Alcotest.(check bool) (name ^ ": out of range") true
+        (Result.is_error (Mspastry.Config.validate bad));
+      Alcotest.(check bool) (name ^ ": boundary") true
+        (Mspastry.Config.validate boundary = Ok ());
+      match Node.create ~cfg:bad ~env:inert_env ~id:(Nodeid.of_int 1) ~addr:0 with
+      | _ -> Alcotest.failf "%s: Node.create accepted the config" name
+      | exception Invalid_argument _ -> ())
+    Mspastry.Config.
+      [
+        ("b below 1", { d with b = 0 }, { d with b = 1 });
+        ("b above 8", { d with b = 9 }, { d with b = 8 });
+        ("l below 2", { d with l = 0 }, { d with l = 2 });
+        ("l odd", { d with l = 3 }, { d with l = 4 });
+        ("probe_volley below 1", { d with probe_volley = 0 }, { d with probe_volley = 1 });
+        ("lr_target at 0", { d with lr_target = 0.0 }, { d with lr_target = Float.succ 0.0 });
+        ("lr_target at 1", { d with lr_target = 1.0 }, { d with lr_target = Float.pred 1.0 });
+        ( "max_hop_reroutes below 0",
+          { d with max_hop_reroutes = -1 },
+          { d with max_hop_reroutes = 0 } );
+        ("root_retries below 0", { d with root_retries = -1 }, { d with root_retries = 0 });
+        ( "e2e_lookup_retries below 0",
+          { d with e2e_lookup_retries = -1 },
+          { d with e2e_lookup_retries = 0 } );
+        ( "join_rate_limit below 0",
+          { d with join_rate_limit = -1 },
+          { d with join_rate_limit = 0 } );
+      ]
 
 let suite =
   [
@@ -346,5 +381,7 @@ let suite =
         Alcotest.test_case "graceful leaves" `Slow test_graceful_leaves;
         Alcotest.test_case "simulation determinism" `Slow test_simulation_determinism;
         Alcotest.test_case "config validation via node" `Quick test_node_env_misuse;
+        Alcotest.test_case "config validation field by field" `Quick
+          test_config_validate_fields;
       ] );
   ]

@@ -201,7 +201,7 @@ let test_join_retry_and_failure () =
   Node.join node ~bootstrap_addr:9;
   (* never answer anything; retries then gives up *)
   Engine.run s.engine
-    ~until:(cfg.Config.join_retry_period *. float_of_int (cfg.Config.max_join_retries + 2));
+    ~until:(Config.join_retry_period *. float_of_int (Config.max_join_retries + 2));
   Alcotest.(check int) "join failed" 1 s.join_failures;
   Alcotest.(check bool) "node dead" false (Node.is_alive node);
   let nn_requests =
@@ -210,7 +210,7 @@ let test_join_retry_and_failure () =
       s.sent
   in
   Alcotest.(check int) "one attempt per retry"
-    (cfg.Config.max_join_retries + 1)
+    (Config.max_join_retries + 1)
     (List.length nn_requests)
 
 (* ---------------- leaf-set probing (Fig 2) ---------------- *)
@@ -279,7 +279,7 @@ let test_probe_timeout_marks_faulty () =
     (M.make ~sender:other
        (M.Ls_probe { leaf = []; failed = [ third.Peer.id ]; trt = 30.0; target = hexid "a0" }));
   (* timeout: (retries+1) * To, plus slack *)
-  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0);
   (* Fig 2 clears failed_i as soon as probing completes with a complete
      leaf set, so we assert the durable effects: eviction, no re-adoption *)
   Alcotest.(check bool) "not in leafset" false
@@ -290,7 +290,7 @@ let test_probe_timeout_marks_faulty () =
     List.filter (function M.Ls_probe _ -> true | _ -> false) (payloads (sent_to s 2))
   in
   Alcotest.(check int) "initial probe plus retries"
-    (cfg.Config.max_probe_retries + 1)
+    (Config.max_probe_retries + 1)
     (List.length probes_to_third)
 
 (* ---------------- heartbeats (§4.1) ---------------- *)
@@ -300,7 +300,7 @@ let test_heartbeat_to_left_neighbor () =
   ignore (take_sent s);
   (* first tick lands within one jitter window and may be suppressed by
      the join-time traffic; two full periods guarantee a beat *)
-  advance s ((2.0 *. cfg.Config.t_ls) +. 2.0);
+  advance s ((2.0 *. Config.t_ls) +. 2.0);
   (* with one member, it is both left and right neighbour *)
   let heartbeats =
     List.filter (function M.Heartbeat -> true | _ -> false) (payloads (sent_to s 1))
@@ -314,7 +314,7 @@ let test_silent_right_neighbor_suspected () =
   (* stay silent: after the neighbour-change grace period plus Tls + To
      (up to four heartbeat periods including scheduling jitter) the node
      must probe its right neighbour *)
-  advance s ((4.0 *. cfg.Config.t_ls) +. 10.0);
+  advance s ((4.0 *. Config.t_ls) +. 10.0);
   let probes =
     List.filter (function M.Ls_probe _ -> true | _ -> false) (payloads (sent_to s 1))
   in
@@ -482,7 +482,7 @@ let test_direct_message_lifts_exclusion () =
   (* unacked again, and the probe exhausts its retries: [far] is marked
      failed, quarantined and evicted *)
   advance s 0.6;
-  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0);
   Alcotest.(check (list string)) "failed mark" [ far_id ]
     (List.map Nodeid.to_hex (Node.failed_set node));
   Alcotest.(check (list string)) "quarantined" [ far_id ]
@@ -505,7 +505,7 @@ let test_suspected_set_sorted () =
   let failed = [ d.Peer.id; c.Peer.id ] in
   Node.handle node ~src:1
     (M.make ~sender:other (M.Ls_probe { leaf = []; failed; trt = 30.0; target = hexid "a0" }));
-  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0);
   Alcotest.(check (list string)) "both suspects, sorted"
     [ Nodeid.to_hex c.Peer.id; Nodeid.to_hex d.Peer.id ]
     (List.map Nodeid.to_hex (Node.suspected_set node))
@@ -542,6 +542,66 @@ let test_rtt_report_installs () =
   match Pastry.Routing_table.find (Node.table node) far.Peer.id with
   | Some e -> Alcotest.(check (float 1e-9)) "rtt stored" 0.03 e.Pastry.Routing_table.rtt
   | None -> Alcotest.fail "entry not installed"
+
+(* symmetric distance probes (§4.2): a peer named by a Row_announce that
+   fills an empty slot is measured, the announcer is not measured back,
+   and the measured peer is told the median sample in an Rtt_report *)
+let test_row_announce_reports_rtt () =
+  let s = make_script () in
+  let node = Node.create ~cfg ~env:(env_of s) ~id:(hexid "a0") ~addr:0 in
+  Node.bootstrap node;
+  ignore (take_sent s);
+  let announcer = Peer.make (hexid "c0") 2 and named = Peer.make (hexid "f0") 4 in
+  let t0 = Engine.now s.engine in
+  Node.handle node ~src:2
+    (M.make ~sender:announcer (M.Row_announce { row = 0; entries = [ (named, 0.01) ] }));
+  (* answer sample [k] after [delays.(k)] seconds *)
+  let delays = [| 0.05; 0.02; 0.04 |] in
+  Alcotest.(check int) "one delay per sample" Config.distance_probe_count (Array.length delays);
+  let to_named = ref 0 and to_announcer = ref 0 and samples = ref [] in
+  let count_probes msgs =
+    List.filter_map
+      (fun (dst, (m : M.t)) ->
+        match m.M.payload with
+        | M.Distance_probe { probe_seq } when dst = named.Peer.addr ->
+            incr to_named;
+            Some probe_seq
+        | M.Distance_probe _ when dst = announcer.Peer.addr ->
+            incr to_announcer;
+            None
+        | _ -> None)
+      msgs
+  in
+  for k = 0 to Config.distance_probe_count - 1 do
+    Engine.run s.engine ~until:(t0 +. (float_of_int k *. Config.distance_probe_spacing));
+    List.iter
+      (fun probe_seq ->
+        let sent_at = Engine.now s.engine in
+        advance s delays.(k);
+        samples := (Engine.now s.engine -. sent_at) :: !samples;
+        Node.handle node ~src:4 (M.make ~sender:named (M.Distance_probe_reply { probe_seq })))
+      (count_probes (take_sent s))
+  done;
+  (* past the measurement's finish timer *)
+  advance s (Config.t_out +. 1.0);
+  let rest = take_sent s in
+  ignore (count_probes rest);
+  Alcotest.(check int) "every sample to the named peer" Config.distance_probe_count !to_named;
+  Alcotest.(check int) "the announcer is not measured" 0 !to_announcer;
+  let median = Repro_util.Stats.median (Array.of_list !samples) in
+  (match
+     List.filter_map
+       (fun (dst, (m : M.t)) ->
+         match m.M.payload with
+         | M.Rtt_report { rtt } when dst = named.Peer.addr -> Some rtt
+         | _ -> None)
+       rest
+   with
+  | [ rtt ] -> Alcotest.(check (float 1e-12)) "report carries the median" median rtt
+  | reports -> Alcotest.failf "expected one Rtt_report, got %d" (List.length reports));
+  match Pastry.Routing_table.find (Node.table node) named.Peer.id with
+  | Some e -> Alcotest.(check (float 1e-12)) "installed at the median" median e.Pastry.Routing_table.rtt
+  | None -> Alcotest.fail "measured peer not installed"
 
 let test_row_request_reply () =
   let s, node, _ = active_pair () in
@@ -631,7 +691,7 @@ let test_maintenance_round_row_requests () =
   Node.handle node ~src:4 (M.make ~sender:far (M.Rtt_report { rtt = 0.05 }));
   ignore (take_sent s);
   (* wait past the maintenance period *)
-  advance s (cfg.Config.rt_maintenance_period +. cfg.Config.rt_maintenance_period +. 5.0);
+  advance s (Config.rt_maintenance_period +. Config.rt_maintenance_period +. 5.0);
   let requests =
     List.filter
       (fun (_, m) -> match m.M.payload with M.Row_request _ -> true | _ -> false)
@@ -649,7 +709,7 @@ let test_trt_piggybacked_is_local_estimate () =
     Node.handle node ~src:1 (M.make ~sender:other (M.Rt_probe_reply { trt = 10.0 }))
   done;
   (* let a tuning refresh run *)
-  advance s (2.0 *. cfg.Config.tuning_refresh_period +. 1.0);
+  advance s (2.0 *. Config.tuning_refresh_period +. 1.0);
   Alcotest.(check bool) "adopted Trt pulled down by remotes" true
     (Node.current_trt node < 60.0);
   s.sent <- [];
@@ -663,7 +723,7 @@ let test_trt_piggybacked_is_local_estimate () =
           (* no failures observed locally: the local estimate is the cap,
              regardless of the low adopted median *)
           Alcotest.(check (float 1e-6)) "piggybacks local estimate"
-            cfg.Config.t_rt_max trt
+            Config.t_rt_max trt
       | _ -> Alcotest.fail "expected a probe reply"))
 
 let test_join_rows_installed_unmeasured () =
@@ -790,6 +850,8 @@ let suite =
         Alcotest.test_case "rt probe replied" `Quick test_rt_probe_replied;
         Alcotest.test_case "distance probe replied" `Quick test_distance_probe_replied;
         Alcotest.test_case "rtt report installs entry" `Quick test_rtt_report_installs;
+        Alcotest.test_case "row announce: measured peer gets an rtt report" `Quick
+          test_row_announce_reports_rtt;
         Alcotest.test_case "row request" `Quick test_row_request_reply;
         Alcotest.test_case "slot request" `Quick test_slot_request_reply;
         Alcotest.test_case "repair request" `Quick test_repair_request_reply;

@@ -282,7 +282,7 @@ let accuse s node ~(accuser : Peer.t) ~(accused : Peer.t) =
     (M.make ~sender:accuser
        (M.Ls_probe { leaf = []; failed = [ accused.Peer.id ]; trt = 30.0; target = hexid "a0" }));
   (* let the verification probe exhaust its retries *)
-  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0)
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0)
 
 let test_suspicion_negative_caching () =
   let s, node, other = active_pair () in
@@ -308,7 +308,7 @@ let test_suspicion_negative_caching () =
      revalidates: the node re-probes the quarantined peer itself rather
      than waiting for gossip that may never name it again *)
   s.sent <- [];
-  advance s (cfg.Config.suspicion_backoff +. 1.0);
+  advance s (Config.suspicion_backoff +. 1.0);
   Alcotest.(check (list string)) "expired" []
     (List.map Nodeid.to_hex (Node.suspected_set node));
   Alcotest.(check bool) "revalidation probe sent at expiry" true
@@ -316,8 +316,8 @@ let test_suspicion_negative_caching () =
   (* the revalidation probe times out too, and the relapse doubles the
      backoff — after one more initial-backoff period it is still
      quarantined, and only a direct message from the peer clears it *)
-  advance s (float_of_int (cfg.Config.max_probe_retries + 1) *. cfg.Config.t_out +. 1.0);
-  advance s (cfg.Config.suspicion_backoff +. 1.0);
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0);
+  advance s (Config.suspicion_backoff +. 1.0);
   Alcotest.(check int) "still quarantined after one backoff (doubled)" 1
     (List.length (Node.suspected_set node));
   Node.handle node ~src:2
@@ -344,9 +344,9 @@ let test_probe_volley_escalation () =
          (sent_to s 2))
   in
   Alcotest.(check int) "first transmission is a single packet" 1 (probes ());
-  advance s (cfg.Config.t_out +. 0.1);
+  advance s (Config.t_out +. 0.1);
   Alcotest.(check int) "first retry escalates to volley^1" (1 + 4) (probes ());
-  advance s cfg.Config.t_out;
+  advance s Config.t_out;
   Alcotest.(check int) "second retry escalates to volley^2" (1 + 4 + 16) (probes ())
 
 (* --------------------------------------------------- end-to-end retries *)

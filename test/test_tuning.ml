@@ -52,7 +52,7 @@ let test_solve_trt_floor () =
 let test_solve_trt_cap () =
   (* almost no churn: max probing period suffices *)
   let trt = Tuning.solve_trt cfg ~n:1000.0 ~mu:1e-9 in
-  Alcotest.(check (float 1e-6)) "cap" cfg.Config.t_rt_max trt
+  Alcotest.(check (float 1e-6)) "cap" Config.t_rt_max trt
 
 let leafset_of_n n =
   (* evenly spaced ring of n nodes; leaf set of node 0 *)
@@ -126,7 +126,7 @@ let test_observe_remote_ignores_garbage () =
   let ls = Leafset.create ~l:8 ~me:(Peer.make (Nodeid.of_int 0) 0) in
   (* only the local cap remains *)
   let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
-  Alcotest.(check (float 1e-6)) "unaffected" cfg.Config.t_rt_max trt
+  Alcotest.(check (float 1e-6)) "unaffected" Config.t_rt_max trt
 
 let test_current_trt_caps_at_max () =
   (* absurd remote values cannot push Trt past the configured cap *)
@@ -134,7 +134,7 @@ let test_current_trt_caps_at_max () =
   let ls = Leafset.create ~l:8 ~me:(Peer.make (Nodeid.of_int 0) 0) in
   List.iter (fun v -> Tuning.observe_remote t v) [ 1e6; 1e6; 1e6; 1e6; 1e6 ];
   let trt = Tuning.current_trt t ~local:(Tuning.local_trt t ~leafset:ls ~m:10 ~now:100.0) in
-  Alcotest.(check (float 1e-6)) "capped at t_rt_max" cfg.Config.t_rt_max trt
+  Alcotest.(check (float 1e-6)) "capped at t_rt_max" Config.t_rt_max trt
 
 let test_observe_remote_ring_converges () =
   (* the remote buffer keeps only the newest 32 samples: after 32 fresh
@@ -166,27 +166,27 @@ let qcheck_solve_in_bounds =
     QCheck.(pair (float_range 2.0 100000.0) (float_range 1e-8 0.1))
     (fun (n, mu) ->
       let trt = Tuning.solve_trt cfg ~n ~mu in
-      trt >= 9.0 -. 1e-9 && trt <= cfg.Config.t_rt_max +. 1e-9)
+      trt >= 9.0 -. 1e-9 && trt <= Config.t_rt_max +. 1e-9)
 
 (* The solver and the median must reproduce the straightforward
    computations bit for bit: a rounding difference would change a node's
    probing period and with it every later event. *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-let floor_of (cfg : Config.t) = float_of_int (cfg.max_probe_retries + 1) *. cfg.t_out
+let trt_floor = float_of_int (Config.max_probe_retries + 1) *. Config.t_out
 
 (* §4.1's raw loss rate, written out in full *)
 let reference_loss (cfg : Config.t) ~trt ~n ~mu =
-  let r = float_of_int (cfg.max_probe_retries + 1) in
+  let r = float_of_int (Config.max_probe_retries + 1) in
   let h = Tuning.expected_hops ~b:cfg.b ~n in
-  let p_last = Tuning.pf ~t_detect:(cfg.t_ls +. (r *. cfg.t_out)) ~mu in
-  let p_rt = Tuning.pf ~t_detect:(trt +. (r *. cfg.t_out)) ~mu in
+  let p_last = Tuning.pf ~t_detect:(Config.t_ls +. (r *. Config.t_out)) ~mu in
+  let p_rt = Tuning.pf ~t_detect:(trt +. (r *. Config.t_out)) ~mu in
   1.0 -. ((1.0 -. p_last) *. ((1.0 -. p_rt) ** (h -. 1.0)))
 
 (* bisection straight over [raw_loss_rate] *)
 let reference_solve (cfg : Config.t) ~n ~mu =
   let loss trt = Tuning.raw_loss_rate cfg ~trt ~n ~mu in
-  let lo = floor_of cfg and hi = cfg.t_rt_max in
+  let lo = trt_floor and hi = Config.t_rt_max in
   if loss lo >= cfg.lr_target then lo
   else if loss hi <= cfg.lr_target then hi
   else begin
@@ -245,7 +245,7 @@ let qcheck_current_trt_is_stats_median =
       let ring = List.filteri (fun i _ -> i >= List.length kept - 32) kept in
       let med = Repro_util.Stats.median (Array.of_list (ring @ [ local ])) in
       same_bits (Tuning.current_trt t ~local)
-        (Float.max (floor_of cfg) (Float.min cfg.Config.t_rt_max med)))
+        (Float.max trt_floor (Float.min Config.t_rt_max med)))
 
 let suite =
   [
