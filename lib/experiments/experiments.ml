@@ -8,6 +8,7 @@ module Netfault = Repro_faults.Netfault
 module Advfault = Repro_faults.Advfault
 module Schedule = Repro_faults.Schedule
 module Profile = Repro_obs.Profile
+module Hist = Repro_obs.Hist
 
 type size = Quick | Medium | Full
 
@@ -123,11 +124,11 @@ let ring width =
   col "ring" width "%.3f" (fun (_, live) ->
       (Live.ring_audit live).Harness.Oracle.agreement)
 
-(* a percentile of the queueing delays recorded in [\[since, until\]] *)
+(* a percentile of the queueing delays of the windows in [\[since, until\]] *)
 let queue_pct head width ~since ~until p =
   col head width "%.4f" (fun (_, live) ->
-      let qd = Collector.queue_delays ~since ~until (Live.collector live) in
-      if Array.length qd = 0 then 0.0 else Repro_util.Stats.percentile qd p)
+      let h = Collector.queue_delay_hist ~since ~until (Live.collector live) in
+      if Hist.count h = 0 then 0.0 else Hist.percentile h p)
 
 (* ------------------------------------------------------------------ *)
 
@@ -619,9 +620,7 @@ let fail_slow size ~seed =
   let faulted head width fmt get = stat ~since ~until head width fmt get in
   let delay head q =
     col head 8 "%.3f" (fun (_, live) ->
-        let a = Collector.lookup_delays ~since ~until (Live.collector live) in
-        let n = Array.length a in
-        if n = 0 then nan else a.(min (n - 1) (int_of_float (q *. float_of_int n))))
+        Hist.quantile (Collector.lookup_delay_hist ~since ~until (Live.collector live)) q)
   in
   let fractions =
     match size with Quick -> [ 0.10; 0.25 ] | Medium | Full -> [ 0.05; 0.10; 0.25; 0.50 ]
@@ -758,7 +757,7 @@ let congestion size ~seed =
            Schedule.lookup_storm ~label:"storm" ~time:t_storm ~duration:storm_len
              storm_rate;
          ]
-         { (base_config size ~seed) with Sim.exact_percentiles = true })
+         (base_config size ~seed))
     ~trace:(gnutella_trace ~duration size ~seed)
     (let capped c = { c with Sim.capacity = Some overload_capacity } in
      [
@@ -798,7 +797,6 @@ let flash_crowd size ~seed =
       warmup;
       window = 300.0;
       capacity = Some overload_capacity;
-      exact_percentiles = true;
       fault_schedule =
         [ Schedule.flash_crowd ~label:"crowd" ~time:t_crowd ~over joiners ];
     }
@@ -849,8 +847,7 @@ let congestion_smoke ~seed =
   let off =
     {
       (gate_config ~seed) with
-      Sim.exact_percentiles = true;
-      fault_schedule =
+      Sim.fault_schedule =
         [ Schedule.lookup_storm ~label:"smoke-storm" ~time:900.0 ~duration:900.0 2.0 ];
     }
   in
@@ -862,7 +859,7 @@ let congestion_smoke ~seed =
   let graceful = run (overload ~graceful:true capped) in
   let off = run off in
   let drops l = (Netsim.Net.stats (Live.net l)).Netsim.Net.dropped_congestion in
-  let samples l = Array.length (Collector.queue_delays (Live.collector l)) in
+  let samples l = Hist.count (Collector.queue_delay_hist (Live.collector l)) in
   Printf.printf
     "naive: %d congestion drops, %d queue samples; graceful: %d drops; off: %d drops\n%!"
     (drops naive) (samples naive) (drops graceful) (drops off);

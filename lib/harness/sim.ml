@@ -44,7 +44,6 @@ type config = {
   fault_schedule : Schedule.t;
   capacity : Netsim.Net.capacity option;
   prioritize_control : bool;
-  exact_percentiles : bool;
   manifest_out : string option;
 }
 
@@ -64,7 +63,6 @@ let default_config =
     fault_schedule = Schedule.empty;
     capacity = None;
     prioritize_control = true;
-    exact_percentiles = false;
     manifest_out = None;
   }
 
@@ -213,9 +211,7 @@ module Live = struct
         ~trace:(if config.trace_timers then trace else Obs.Trace.disabled)
         ()
     in
-    let collector =
-      Collector.create ~window:config.window ~exact:config.exact_percentiles ()
-    in
+    let collector = Collector.create ~window:config.window () in
     let endpoint_of addr = addr mod n_endpoints in
     let net =
       Netsim.Net.create ~endpoint_of
@@ -802,7 +798,6 @@ module Live = struct
                   ("queue_limit", Obs.Json.Int cap.Netsim.Net.queue_limit);
                 ] );
         ("prioritize_control", Obs.Json.Bool c.prioritize_control);
-        ("exact_percentiles", Obs.Json.Bool c.exact_percentiles);
         ( "pastry",
           Obs.Json.Obj
             ([

@@ -56,11 +56,6 @@ type config = {
       (** serve control traffic ahead of lookup forwarding in the
           capacity model's queues (default [true]; irrelevant while
           [capacity] is [None]) *)
-  exact_percentiles : bool;
-      (** retain every queueing-delay sample in the collector for exact
-          windowed percentiles (O(samples) memory; see
-          {!Overlay_metrics.Collector.create}). Default [false]:
-          percentiles come from the bounded histograms only. *)
   manifest_out : string option;
       (** write a run manifest (see {!Manifest}, DESIGN.md §9) to this
           path when the run is {!Live.close}d; default [None] *)

@@ -32,17 +32,12 @@ type t = {
   delay_hist : Hist.t; (* lookup first-delivery delays, seconds *)
   hops_hist : Hist.t; (* lookup first-delivery hop counts *)
   q_hist : Hist.t; (* queueing delays, seconds *)
-  (* optional exact path for cross-validation and windowed queue-delay
-     slicing: queueing-delay samples as two parallel growable arrays
-     (one sample per accepted message — a list of boxed pairs would be
-     too heavy under a storm). Unbounded, so off by default. *)
-  exact : bool;
-  mutable q_times : float array;
-  mutable q_delays : float array;
-  mutable q_n : int;
+  (* the same queueing delays per window, indexed by window number, so a
+     time slice merges whole windows without hashing per sample *)
+  mutable q_windows : Hist.t option array;
 }
 
-let create ?(window = 600.0) ?(exact = false) () =
+let create ?(window = 600.0) () =
   {
     window;
     sends = List.map (fun c -> (c, Series.create ~window)) M.all_classes;
@@ -61,10 +56,7 @@ let create ?(window = 600.0) ?(exact = false) () =
     delay_hist = Hist.create ();
     hops_hist = Hist.create ~lo:0.5 ~hi:1024.0 ();
     q_hist = Hist.create ();
-    exact;
-    q_times = [||];
-    q_delays = [||];
-    q_n = 0;
+    q_windows = [||];
   }
 
 let record_send t ~time cls =
@@ -147,20 +139,23 @@ let poison_rejected t ~time =
   if time > t.last_event then t.last_event <- time;
   t.poison_rejects <- time :: t.poison_rejects
 
+let window_q_hist t w =
+  if w >= Array.length t.q_windows then begin
+    let grown = Array.make (max 16 (2 * (w + 1))) None in
+    Array.blit t.q_windows 0 grown 0 (Array.length t.q_windows);
+    t.q_windows <- grown
+  end;
+  match t.q_windows.(w) with
+  | Some h -> h
+  | None ->
+      let h = Hist.create () in
+      t.q_windows.(w) <- Some h;
+      h
+
 let queue_delay t ~time delay =
   if time > t.last_event then t.last_event <- time;
   Hist.add t.q_hist delay;
-  if t.exact then begin
-    if t.q_n = Array.length t.q_times then begin
-      let cap = max 1024 (2 * t.q_n) in
-      let grow a = Array.append a (Array.make (cap - Array.length a) 0.0) in
-      t.q_times <- grow t.q_times;
-      t.q_delays <- grow t.q_delays
-    end;
-    t.q_times.(t.q_n) <- time;
-    t.q_delays.(t.q_n) <- delay;
-    t.q_n <- t.q_n + 1
-  end
+  Hist.add (window_q_hist t (int_of_float (time /. t.window))) delay
 
 type summary = {
   lookups_sent : int;
@@ -325,40 +320,38 @@ let control_series_by_class t cls =
 
 let join_latencies t = Array.of_list !(t.join_lat)
 
-let lookup_delays ?(since = 0.0) ?(until = infinity) t =
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun _ r ->
-      if r.sent >= since && r.sent <= until && r.deliveries > 0 then
-        acc := r.first_delay :: !acc)
-    t.lookups;
-  let a = Array.of_list !acc in
-  Array.sort Float.compare a;
-  a
-
-let exact_samples t = t.exact
-let lookup_delay_hist t = t.delay_hist
 let hop_hist t = t.hops_hist
-let queue_delay_hist t = t.q_hist
 
-let require_exact t what =
-  if not t.exact then
-    invalid_arg
-      (Printf.sprintf
-         "Collector.%s: exact sample retention is off (create ~exact:true); use \
-          the histogram accessors instead"
-         what)
+(* A range that starts at or before 0 and has no end is the whole run:
+   answer it with the histogram fed on the hot path, whose sum adds the
+   samples in arrival order as manifests print it. *)
+let whole_run since until = since <= 0.0 && until = infinity
 
-let queue_delays ?(since = 0.0) ?(until = infinity) t =
-  require_exact t "queue_delays";
-  let acc = ref [] in
-  for i = 0 to t.q_n - 1 do
-    if t.q_times.(i) >= since && t.q_times.(i) <= until then
-      acc := t.q_delays.(i) :: !acc
-  done;
-  let a = Array.of_list !acc in
-  Array.sort Float.compare a;
-  a
+let lookup_delay_hist ?(since = 0.0) ?(until = infinity) t =
+  if whole_run since until then t.delay_hist
+  else begin
+    let h = Hist.create () in
+    Hashtbl.iter
+      (fun _ r ->
+        if r.sent >= since && r.sent <= until && r.deliveries > 0 then
+          Hist.add h r.first_delay)
+      t.lookups;
+    h
+  end
+
+let queue_delay_hist ?(since = 0.0) ?(until = infinity) t =
+  if whole_run since until then t.q_hist
+  else begin
+    let acc = ref (Hist.create ()) in
+    Array.iteri
+      (fun w h ->
+        let mid = (float_of_int w +. 0.5) *. t.window in
+        match h with
+        | Some h when mid >= since && mid <= until -> acc := Hist.merge !acc h
+        | Some _ | None -> ())
+      t.q_windows;
+    !acc
+  end
 
 (* ---- fault episodes and recovery -------------------------------------
 

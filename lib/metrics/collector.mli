@@ -8,19 +8,20 @@
     - {b RDP}: overlay delay over direct network delay;
     - {b control traffic}: control messages per second per active node,
       with the Fig 4 per-class breakdown;
-    all both as whole-run aggregates and as windowed time series. *)
+    all both as whole-run aggregates and as windowed time series.
+
+    Latency percentiles (lookup delay, hop count, queueing delay) come
+    from bounded {!Repro_obs.Hist} histograms only: a quantile [q] of [n]
+    samples estimates the order statistic of rank [floor (q * (n - 1))]
+    within the histogram's relative error (1%). No raw samples are kept;
+    {!lookup_delay_hist} and {!queue_delay_hist} slice by time. *)
 
 type t
 
-val create : ?window:float -> ?exact:bool -> unit -> t
-(** [window] defaults to 600 s (the paper's 10-minute averaging).
-
-    [exact] (default [false]) additionally retains every queueing-delay
-    sample so {!queue_delays} can slice them by time — O(samples)
-    memory, for cross-validating the histograms and for the windowed
-    congestion analyses. With [exact:false] the percentile state is the
-    fixed-size histograms only (O(1) memory per metric regardless of run
-    length). *)
+val create : ?window:float -> unit -> t
+(** [window] defaults to 600 s (the paper's 10-minute averaging). The
+    percentile state is a fixed-size histogram per metric, plus one
+    queueing-delay histogram per window that received a sample. *)
 
 val record_send : t -> time:float -> Mspastry.Message.traffic_class -> unit
 
@@ -125,31 +126,23 @@ val control_series_by_class :
 val population_series : t -> (float * float) array
 val join_latencies : t -> float array
 
-val lookup_delays : ?since:float -> ?until:float -> t -> float array
-(** First-delivery delays (seconds) of lookups sent in the interval,
-    sorted ascending — percentile/tail analysis for the fail-slow
-    experiments. *)
-
-val queue_delays : ?since:float -> ?until:float -> t -> float array
-(** Queueing-delay samples recorded in the interval, sorted ascending —
-    percentile analysis for the congestion experiments. Raises
-    [Invalid_argument] unless the collector was created with
-    [~exact:true]. *)
-
-val exact_samples : t -> bool
-(** Whether this collector retains exact queueing-delay samples. *)
-
-val lookup_delay_hist : t -> Repro_obs.Hist.t
-(** Bounded-memory histogram of first-delivery lookup delays (seconds),
-    fed for every delivered lookup regardless of [exact]. Quantiles
-    carry the documented {!Repro_obs.Hist} relative-error bound. *)
+val lookup_delay_hist : ?since:float -> ?until:float -> t -> Repro_obs.Hist.t
+(** First-delivery lookup delays (seconds) of the lookups {e sent} in
+    [\[since, until\]], including those delivered after [until]. With
+    neither bound (or [since <= 0] and no [until]) it is the whole-run
+    histogram, fed as each lookup is first delivered; otherwise a fresh
+    histogram built from the per-lookup records. *)
 
 val hop_hist : t -> Repro_obs.Hist.t
 (** Histogram of first-delivery overlay hop counts. *)
 
-val queue_delay_hist : t -> Repro_obs.Hist.t
-(** Histogram of queueing-delay samples (empty with the capacity model
-    off). *)
+val queue_delay_hist : ?since:float -> ?until:float -> t -> Repro_obs.Hist.t
+(** Queueing-delay samples (empty with the capacity model off). With
+    neither bound (or [since <= 0] and no [until]) it is the whole-run
+    histogram. Otherwise it merges the per-window histograms whose
+    midpoint lies in [\[since, until\]] (the rule {!summary} applies to
+    windowed counts): a slice covers whole windows, so bounds on window
+    edges select exactly the samples recorded in [\[since, until)]. *)
 
 val offered_goodput_series : t -> (float * float * float) array
 (** Per window [(mid, offered, goodput)]: lookups {e sent} per second in

@@ -39,7 +39,8 @@ let index t v =
   end
 
 let add t v =
-  if not (v >= 0.0) (* catches nan too *) then invalid_arg "Hist.add";
+  (* negated, so that nan fails too *)
+  if not (v >= 0.0 && v < infinity) then invalid_arg "Hist.add";
   let i = index t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;

@@ -38,7 +38,7 @@ val num_buckets : t -> int
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0, 1]; [nan] when empty. The estimate
-    targets the order statistic of rank [round (q * (n - 1))] and is
+    targets the order statistic of rank [floor (q * (n - 1))] and is
     within relative error [alpha] of it for in-range values. *)
 
 val percentile : t -> float -> float

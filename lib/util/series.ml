@@ -3,8 +3,6 @@ type cell = { mutable sum : float; mutable n : int }
 type t = {
   window : float;
   cells : (int, cell) Hashtbl.t;
-  mutable total : float;
-  mutable samples : int;
   (* the window [add] last wrote: samples mostly arrive in time order *)
   mutable last_idx : int;
   mutable last : cell option;
@@ -12,7 +10,7 @@ type t = {
 
 let create ~window =
   if window <= 0.0 then invalid_arg "Series.create";
-  { window; cells = Hashtbl.create 64; total = 0.0; samples = 0; last_idx = 0; last = None }
+  { window; cells = Hashtbl.create 64; last_idx = 0; last = None }
 
 let add t ~time v =
   let idx = int_of_float (floor (time /. t.window)) in
@@ -33,9 +31,7 @@ let add t ~time v =
         c
   in
   cell.sum <- cell.sum +. v;
-  cell.n <- cell.n + 1;
-  t.total <- t.total +. v;
-  t.samples <- t.samples + 1
+  cell.n <- cell.n + 1
 
 let count t ~time = add t ~time 1.0
 
@@ -43,8 +39,6 @@ let copy t =
   let cells = Hashtbl.create (Hashtbl.length t.cells) in
   Hashtbl.iter (fun idx c -> Hashtbl.add cells idx { c with sum = c.sum }) t.cells;
   { t with cells; last = None }
-
-let window t = t.window
 
 let sorted_cells t =
   let xs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cells [] in
@@ -59,11 +53,3 @@ let means t =
 
 let sums t =
   sorted_cells t |> List.map (fun (idx, c) -> (mid t idx, c.sum)) |> Array.of_list
-
-let rates t =
-  sorted_cells t
-  |> List.map (fun (idx, c) -> (mid t idx, c.sum /. t.window))
-  |> Array.of_list
-
-let total t = t.total
-let n_samples t = t.samples

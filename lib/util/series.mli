@@ -20,19 +20,9 @@ val count : t -> time:float -> unit
 val copy : t -> t
 (** An independent series with the same samples. *)
 
-val window : t -> float
-
 val means : t -> (float * float) array
 (** [(window_mid_time, mean of samples)] for every non-empty window, in
     time order. *)
 
 val sums : t -> (float * float) array
 (** [(window_mid_time, sum of samples)] for every non-empty window. *)
-
-val rates : t -> (float * float) array
-(** [(window_mid_time, sum / window_length)] — events per second. *)
-
-val total : t -> float
-(** Sum of all samples over all windows. *)
-
-val n_samples : t -> int

@@ -2,15 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n < 2 then 0.0
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (acc /. float_of_int n)
-  end
-
 let sorted_copy xs =
   let c = Array.copy xs in
   Array.sort compare c;
@@ -33,57 +24,6 @@ let cdf xs =
   let n = Array.length xs in
   let c = sorted_copy xs in
   Array.mapi (fun i v -> (v, float_of_int (i + 1) /. float_of_int n)) c
-
-module Online = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let d = x -. t.mean in
-    t.mean <- t.mean +. (d /. float_of_int t.n);
-    t.m2 <- t.m2 +. (d *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.n
-  let mean t = if t.n = 0 then 0.0 else t.mean
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int t.n)
-  let min t = t.min
-  let max t = t.max
-end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 || hi <= lo then invalid_arg "Histogram.create";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let i =
-      int_of_float (float_of_int bins *. (x -. t.lo) /. (t.hi -. t.lo))
-    in
-    let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-
-  let bin_mid t i =
-    let bins = Array.length t.counts in
-    let w = (t.hi -. t.lo) /. float_of_int bins in
-    t.lo +. (w *. (float_of_int i +. 0.5))
-end
 
 module Zipf = struct
   type t = { cumulative : float array }

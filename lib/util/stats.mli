@@ -3,47 +3,16 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for the empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; 0 for fewer than two samples. *)
-
 val median : float array -> float
 (** Median (does not mutate the argument); 0 for the empty array. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation.
-    Does not mutate the argument. *)
+    Does not mutate the argument. The exact reference behind {!median};
+    reported latency percentiles come from bounded histograms instead. *)
 
 val cdf : float array -> (float * float) array
 (** Empirical CDF points [(value, fraction <= value)], sorted. *)
-
-(** Online mean/variance accumulator (Welford). *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  (** +inf when empty. *)
-
-  val max : t -> float
-  (** -inf when empty. *)
-end
-
-(** Fixed-width histogram over [\[lo, hi)]. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> bins:int -> t
-  val add : t -> float -> unit
-  (** Out-of-range samples are clamped into the first/last bin. *)
-
-  val counts : t -> int array
-  val total : t -> int
-  val bin_mid : t -> int -> float
-end
 
 (** Zipf-distributed sampler over [\{0, …, n−1\}] with exponent [s]. *)
 module Zipf : sig

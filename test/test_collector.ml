@@ -172,50 +172,128 @@ let test_fault_episode_unrepaired () =
         (ep.Collector.time_to_repair = None)
   | eps -> Alcotest.failf "expected one episode, got %d" (List.length eps)
 
+module Hist = Repro_obs.Hist
+module Rng = Repro_util.Rng
+
 let test_hist_vs_exact_parity () =
   (* Record a realistic spread of queueing delays and lookup stats, then
      check the bounded histograms agree with exact percentiles over the
-     retained samples to within the documented relative-error bound. *)
-  let c = Collector.create ~window:10.0 ~exact:true () in
-  let rng = Repro_util.Rng.create 11 in
+     fed samples to within the documented relative-error bound. *)
+  let c = Collector.create ~window:10.0 () in
+  let rng = Rng.create 11 in
+  let exact = Array.make 1000 0.0 in
   for i = 0 to 999 do
-    let d = 0.001 *. Float.exp (Repro_util.Rng.float rng 6.0) in
+    let d = 0.001 *. Float.exp (Rng.float rng 6.0) in
+    exact.(i) <- d;
     Collector.queue_delay c ~time:(float_of_int i *. 0.1) d;
     Collector.lookup_sent c ~seq:i ~time:(float_of_int i *. 0.1);
     Collector.lookup_delivered c ~seq:i
       ~time:((float_of_int i *. 0.1) +. d)
       ~correct:true ~direct_delay:(d /. 2.0)
-      ~hops:(1 + Repro_util.Rng.int rng 6)
+      ~hops:(1 + Rng.int rng 6)
   done;
-  let exact = Collector.queue_delays c in
   let h = Collector.queue_delay_hist c in
-  Alcotest.(check int) "hist sees every sample" (Array.length exact)
-    (Repro_obs.Hist.count h);
-  let alpha = Repro_obs.Hist.alpha h in
+  Alcotest.(check int) "hist sees every sample" (Array.length exact) (Hist.count h);
+  let alpha = Hist.alpha h in
   List.iter
     (fun p ->
       let e = Repro_util.Stats.percentile exact p in
-      let est = Repro_obs.Hist.percentile h p in
+      let est = Hist.percentile h p in
       let err = Float.abs (est -. e) /. e in
       if err > (2.0 *. alpha) +. 1e-9 then
         Alcotest.failf "p%.0f: hist %.6g vs exact %.6g (err %.4f)" p est e err)
     [ 50.0; 90.0; 99.0 ];
   Alcotest.(check int) "lookup delays all recorded" 1000
-    (Repro_obs.Hist.count (Collector.lookup_delay_hist c));
-  Alcotest.(check int) "hops all recorded" 1000
-    (Repro_obs.Hist.count (Collector.hop_hist c))
+    (Hist.count (Collector.lookup_delay_hist c));
+  Alcotest.(check int) "hops all recorded" 1000 (Hist.count (Collector.hop_hist c))
 
-let test_exact_gating () =
-  let c = Collector.create ~window:10.0 () in
-  Collector.queue_delay c ~time:1.0 0.05;
-  Alcotest.(check bool) "exact off" false (Collector.exact_samples c);
-  Alcotest.(check int) "histogram still fed" 1
-    (Repro_obs.Hist.count (Collector.queue_delay_hist c));
-  Alcotest.check_raises "queue_delays raises"
-    (Invalid_argument
-       "Collector.queue_delays: exact sample retention is off (create \
-        ~exact:true); use the histogram accessors instead") (fun () ->
-      ignore (Collector.queue_delays c))
+(* Time slices against list models. Queue samples fall in six 10 s
+   windows at times on a 0.1 s grid (so some sit exactly on a window
+   edge), window [w]'s delays log-uniform over a span that overlaps its
+   neighbours', in random window order. Lookups are sent on the same
+   grid, some never delivered, some delivered twice and some after the
+   slice ends. Bounds are window edges, some past the last window. *)
+let qcheck_slices =
+  QCheck.Test.make ~name:"time slices match list models" ~count:40
+    QCheck.(triple (int_bound 1_000_000) (int_bound 8) (int_bound 8))
+    (fun (seed, a, b) ->
+      let window = 10.0 in
+      let since = window *. float_of_int (min a b)
+      and until = window *. float_of_int (max a b) in
+      let rng = Rng.create seed in
+      let c = Collector.create ~window () in
+      let queued = ref [] in
+      for _ = 1 to 6000 + Rng.int rng 3000 do
+        let w = Rng.int rng 6 in
+        let time = (float_of_int w *. window) +. (float_of_int (Rng.int rng 100) /. 10.0) in
+        let d = 0.01 *. Float.exp ((0.3 *. float_of_int w) +. Rng.float rng 0.6) in
+        Collector.queue_delay c ~time d;
+        queued := (time, d) :: !queued
+      done;
+      let lookups = ref [] in
+      for seq = 0 to 199 do
+        let sent = float_of_int (Rng.int rng 600) /. 10.0 in
+        Collector.lookup_sent c ~seq ~time:sent;
+        let first =
+          if Rng.int rng 5 = 0 then None
+          else begin
+            let time = sent +. 0.05 +. Rng.float rng 25.0 in
+            Collector.lookup_delivered c ~seq ~time ~correct:true ~direct_delay:0.01
+              ~hops:2;
+            if Rng.int rng 4 = 0 then
+              Collector.lookup_delivered c ~seq ~time:(time +. 1.0) ~correct:false
+                ~direct_delay:0.01 ~hops:3;
+            Some (time -. sent)
+          end
+        in
+        lookups := (sent, first) :: !lookups
+      done;
+      let hist_of xs =
+        let h = Hist.create () in
+        List.iter (Hist.add h) xs;
+        h
+      in
+      let same_quantiles h m =
+        Hist.count h = Hist.count m
+        && List.for_all
+             (fun q -> Float.equal (Hist.quantile h q) (Hist.quantile m q))
+             [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
+      in
+      (* a window-aligned slice holds exactly the samples in [since, until) *)
+      let in_slice =
+        List.filter_map
+          (fun (time, d) -> if time >= since && time < until then Some d else None)
+          !queued
+        |> Array.of_list
+      in
+      let qs = Collector.queue_delay_hist ~since ~until c in
+      let queue_ok =
+        Hist.count qs = Array.length in_slice
+        && (Array.length in_slice = 0
+           || List.for_all
+                (fun p ->
+                  let e = Repro_util.Stats.percentile in_slice p in
+                  Float.abs (Hist.percentile qs p -. e) <= 2.0 *. Hist.alpha qs *. e)
+                [ 50.0; 90.0; 99.0 ])
+      in
+      let delays_sent_in =
+        List.filter_map
+          (fun (sent, first) -> if sent >= since && sent <= until then first else None)
+          !lookups
+      in
+      let lookup_ok =
+        same_quantiles (Collector.lookup_delay_hist ~since ~until c) (hist_of delays_sent_in)
+      in
+      (* no range: the histograms fed on the hot path, sums in feed order *)
+      let fed_in_order h xs =
+        Hist.count h = List.length xs
+        && Hist.sum h = List.fold_left ( +. ) 0.0 (List.rev xs)
+      in
+      let whole_ok =
+        fed_in_order (Collector.queue_delay_hist c) (List.map snd !queued)
+        && fed_in_order (Collector.lookup_delay_hist c) (List.filter_map snd !lookups)
+      in
+      queue_ok && lookup_ok && whole_ok)
 
 let suite =
   [
@@ -236,6 +314,6 @@ let suite =
         Alcotest.test_case "fault episode unrepaired" `Quick
           test_fault_episode_unrepaired;
         Alcotest.test_case "hist vs exact parity" `Quick test_hist_vs_exact_parity;
-        Alcotest.test_case "exact gating" `Quick test_exact_gating;
+        QCheck_alcotest.to_alcotest qcheck_slices;
       ] );
   ]

@@ -44,6 +44,8 @@ let test_rejects_bad_input () =
   let h = Hist.create () in
   Alcotest.check_raises "negative raises" (Invalid_argument "Hist.add")
     (fun () -> Hist.add h (-1.0));
+  Alcotest.check_raises "infinity raises" (Invalid_argument "Hist.add")
+    (fun () -> Hist.add h infinity);
   Alcotest.check_raises "bad alpha" (Invalid_argument "Hist.create: alpha")
     (fun () -> ignore (Hist.create ~alpha:1.5 ()))
 

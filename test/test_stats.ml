@@ -11,11 +11,6 @@ let test_mean () =
   check_f "single" 4.0 (Stats.mean [| 4.0 |]);
   check_f "several" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |])
 
-let test_stddev () =
-  check_f "empty" 0.0 (Stats.stddev [||]);
-  check_f "single" 0.0 (Stats.stddev [| 3.0 |]);
-  check_f "known" 2.0 (Stats.stddev [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |])
-
 let test_median () =
   check_f "odd" 3.0 (Stats.median [| 5.0; 3.0; 1.0 |]);
   check_f "even" 2.5 (Stats.median [| 4.0; 1.0; 2.0; 3.0 |]);
@@ -34,42 +29,6 @@ let test_cdf () =
   Alcotest.(check int) "points" 3 (Array.length c);
   Alcotest.(check bool) "sorted and ends at 1" true
     (fst c.(0) = 1.0 && feq (snd c.(2)) 1.0 && snd c.(0) < snd c.(2))
-
-let test_online_matches_batch () =
-  let rng = Rng.create 5 in
-  let xs = Array.init 500 (fun _ -> Rng.float rng 100.0) in
-  let o = Stats.Online.create () in
-  Array.iter (Stats.Online.add o) xs;
-  Alcotest.(check int) "count" 500 (Stats.Online.count o);
-  Alcotest.(check bool) "mean" true (feq ~eps:1e-6 (Stats.mean xs) (Stats.Online.mean o));
-  Alcotest.(check bool) "stddev" true
-    (feq ~eps:1e-6 (Stats.stddev xs) (Stats.Online.stddev o));
-  Alcotest.(check bool) "min/max" true
-    (Stats.Online.min o <= Stats.Online.mean o && Stats.Online.mean o <= Stats.Online.max o)
-
-let test_online_empty () =
-  let o = Stats.Online.create () in
-  check_f "mean" 0.0 (Stats.Online.mean o);
-  check_f "stddev" 0.0 (Stats.Online.stddev o);
-  Alcotest.(check bool) "min" true (Stats.Online.min o = infinity)
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  Stats.Histogram.add h 0.5;
-  Stats.Histogram.add h 9.9;
-  Stats.Histogram.add h (-3.0);
-  (* clamps low *)
-  Stats.Histogram.add h 42.0;
-  (* clamps high *)
-  let c = Stats.Histogram.counts h in
-  Alcotest.(check int) "total" 4 (Stats.Histogram.total h);
-  Alcotest.(check int) "first bin" 2 c.(0);
-  Alcotest.(check int) "last bin" 2 c.(4);
-  check_f "bin mid" 1.0 (Stats.Histogram.bin_mid h 0)
-
-let test_histogram_validation () =
-  Alcotest.check_raises "bad" (Invalid_argument "Histogram.create") (fun () ->
-      ignore (Stats.Histogram.create ~lo:1.0 ~hi:0.0 ~bins:3))
 
 let test_zipf_range_and_skew () =
   let z = Stats.Zipf.create ~n:100 ~s:1.0 in
@@ -111,14 +70,9 @@ let suite =
     ( "stats",
       [
         Alcotest.test_case "mean" `Quick test_mean;
-        Alcotest.test_case "stddev" `Quick test_stddev;
         Alcotest.test_case "median" `Quick test_median;
         Alcotest.test_case "percentile" `Quick test_percentile;
         Alcotest.test_case "cdf" `Quick test_cdf;
-        Alcotest.test_case "online matches batch" `Quick test_online_matches_batch;
-        Alcotest.test_case "online empty" `Quick test_online_empty;
-        Alcotest.test_case "histogram" `Quick test_histogram;
-        Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
         Alcotest.test_case "zipf range and skew" `Quick test_zipf_range_and_skew;
         QCheck_alcotest.to_alcotest qcheck_cdf_monotone;
         QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
