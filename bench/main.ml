@@ -144,6 +144,21 @@ let bench_oracle =
     (Staged.stage (fun () ->
          ignore (Harness.Oracle.closest o ids.(Repro_util.Rng.int rng 1024))))
 
+(* the harness's bookkeeping of one lookup: its send and first delivery.
+   Seqs cycle through one 4,096-seq chunk, so the collector reaches a
+   steady state instead of growing *)
+let bench_collector =
+  let module C = Overlay_metrics.Collector in
+  let c = C.create () in
+  let i = ref 0 in
+  Test.make ~name:"collector: lookup sent+delivered"
+    (Staged.stage (fun () ->
+         incr i;
+         let seq = !i mod 4096 and time = float_of_int !i *. 0.01 in
+         C.lookup_sent c ~seq ~time;
+         C.lookup_delivered c ~seq ~time:(time +. 0.05) ~correct:true ~direct_delay:0.025
+           ~hops:3))
+
 let bench_tuning_solver =
   Test.make ~name:"tuning: solve_trt bisection"
     (Staged.stage (fun () ->
@@ -327,6 +342,7 @@ let run_micro () =
       bench_leafset_add;
       bench_event_queue;
       bench_oracle;
+      bench_collector;
       bench_tuning_solver;
       bench_ge_verdict;
       bench_node_fault;

@@ -784,7 +784,8 @@ let flash_crowd size ~seed =
   let crowd_end = t_crowd +. 1500.0 in
   let duration = crowd_end +. 1200.0 in
   Printf.printf
-    "steady %d nodes, %d joiners over %.0fs at t=%.0fs; capacity %.0f msg/s, queue %d\n"
+    "Poisson target n_avg=%d nodes (pre-pop: population reached), %d joiners over %.0fs \
+     at t=%.0fs; capacity %.0f msg/s, queue %d\n"
     n_avg joiners over t_crowd overload_capacity.Netsim.Net.service_rate
     overload_capacity.Netsim.Net.queue_limit;
   let trace =
@@ -805,6 +806,8 @@ let flash_crowd size ~seed =
   table
     [
       key "variant" 10 "%s" Fun.id;
+      stat ~since:warmup ~until:t_crowd "pre-pop" 7 "%.1f" (fun s ->
+          s.Collector.mean_population);
       success ~since:t_crowd ~until:crowd_end "crowd-ok" 9;
       success ~since:crowd_end "after-ok" 9;
       stat ~since:t_crowd ~until:crowd_end "joins" 8 "%d" (fun s -> s.Collector.joins);
@@ -978,8 +981,8 @@ let adversary size ~seed =
   in
   Printf.printf "\nsybil flood: %d joiners over %.0fs living %.0fs\n" joiners
     over lifetime;
-  (* joins is a run total and deferral delays rather than denies, so the
-     deferral shows up in the join-latency mean, not the join count *)
+  (* joins and join-lat count the joins completed after the attack
+     starts; a deferred join completes later rather than failing *)
   sweep
     [
       key "variant" 10 "%s" Fun.id;

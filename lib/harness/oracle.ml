@@ -1,12 +1,53 @@
-module Id_map = Map.Make (Pastry.Nodeid)
+module Nodeid = Pastry.Nodeid
 
-type t = { mutable members : int Id_map.t }
+(* the members as a sorted id array with a parallel address array; the
+   first [n] slots are live *)
+type t = { mutable ids : Nodeid.t array; mutable addrs : int array; mutable n : int }
 
-let create () = { members = Id_map.empty }
-let add t id addr = t.members <- Id_map.add id addr t.members
-let remove t id = t.members <- Id_map.remove id t.members
-let size t = Id_map.cardinal t.members
-let mem t id = Id_map.mem id t.members
+let create () = { ids = [||]; addrs = [||]; n = 0 }
+let size t = t.n
+
+(* the first index whose id is at least [id] ([t.n] if none) *)
+let lower_bound t id =
+  let lo = ref 0 and hi = ref t.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Nodeid.compare t.ids.(mid) id < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let find t id =
+  let i = lower_bound t id in
+  if i < t.n && Nodeid.equal t.ids.(i) id then Some i else None
+
+let mem t id = Option.is_some (find t id)
+
+let add t id addr =
+  let i = lower_bound t id in
+  if i < t.n && Nodeid.equal t.ids.(i) id then t.addrs.(i) <- addr
+  else begin
+    if t.n = Array.length t.ids then begin
+      let cap = max 16 (2 * t.n) in
+      let ids = Array.make cap id and addrs = Array.make cap 0 in
+      Array.blit t.ids 0 ids 0 t.n;
+      Array.blit t.addrs 0 addrs 0 t.n;
+      t.ids <- ids;
+      t.addrs <- addrs
+    end;
+    Array.blit t.ids i t.ids (i + 1) (t.n - i);
+    Array.blit t.addrs i t.addrs (i + 1) (t.n - i);
+    t.ids.(i) <- id;
+    t.addrs.(i) <- addr;
+    t.n <- t.n + 1
+  end
+
+let remove t id =
+  match find t id with
+  | None -> ()
+  | Some i ->
+      Array.blit t.ids (i + 1) t.ids i (t.n - i - 1);
+      Array.blit t.addrs (i + 1) t.addrs i (t.n - i - 1);
+      t.n <- t.n - 1
 
 type ring_audit = {
   audited : int;
@@ -16,42 +57,22 @@ type ring_audit = {
 }
 
 let ring_audit t ~neighbors =
-  let n = Id_map.cardinal t.members in
+  let n = t.n in
   (* ground-truth ring neighbours with wrap; a singleton ring has none *)
-  let pred id =
-    if n <= 1 then None
-    else
-      match
-        Id_map.find_last_opt (fun i -> Pastry.Nodeid.compare i id < 0) t.members
-      with
-      | Some (i, _) -> Some i
-      | None -> Some (fst (Id_map.max_binding t.members))
-  in
-  let succ id =
-    if n <= 1 then None
-    else
-      match
-        Id_map.find_first_opt (fun i -> Pastry.Nodeid.compare i id > 0) t.members
-      with
-      | Some (i, _) -> Some i
-      | None -> Some (fst (Id_map.min_binding t.members))
-  in
-  let eq a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> Pastry.Nodeid.equal x y
-    | Some _, None | None, Some _ -> false
+  let expect claimed i =
+    match claimed with
+    | None -> n <= 1
+    | Some x -> n > 1 && Nodeid.equal x t.ids.(i)
   in
   let audited = ref 0 and left_ok = ref 0 and right_ok = ref 0 in
-  Id_map.iter
-    (fun id addr ->
-      match neighbors addr with
-      | None -> ()
-      | Some (l, r) ->
-          incr audited;
-          if eq l (pred id) then incr left_ok;
-          if eq r (succ id) then incr right_ok)
-    t.members;
+  for i = 0 to n - 1 do
+    match neighbors t.addrs.(i) with
+    | None -> ()
+    | Some (l, r) ->
+        incr audited;
+        if expect l ((i + n - 1) mod n) then incr left_ok;
+        if expect r ((i + 1) mod n) then incr right_ok
+  done;
   {
     audited = !audited;
     left_ok = !left_ok;
@@ -62,23 +83,13 @@ let ring_audit t ~neighbors =
   }
 
 let closest t key =
-  if Id_map.is_empty t.members then None
+  if t.n = 0 then None
   else begin
     (* candidates: ring successor and predecessor of the key (with wrap) *)
-    let succ =
-      match Id_map.find_first_opt (fun id -> Pastry.Nodeid.compare id key >= 0) t.members with
-      | Some b -> Some b
-      | None -> Some (Id_map.min_binding t.members)
+    let i = lower_bound t key in
+    let succ = if i < t.n then i else 0 and pred = if i > 0 then i - 1 else t.n - 1 in
+    let best =
+      if succ = pred || Nodeid.closer ~key t.ids.(succ) t.ids.(pred) then succ else pred
     in
-    let pred =
-      match Id_map.find_last_opt (fun id -> Pastry.Nodeid.compare id key < 0) t.members with
-      | Some b -> Some b
-      | None -> Some (Id_map.max_binding t.members)
-    in
-    match (succ, pred) with
-    | Some (si, sa), Some (pi, _) when Pastry.Nodeid.equal si pi -> Some (si, sa)
-    | Some (si, sa), Some (pi, pa) ->
-        if Pastry.Nodeid.closer ~key si pi then Some (si, sa) else Some (pi, pa)
-    | Some b, None | None, Some b -> Some b
-    | None, None -> None
+    Some (t.ids.(best), t.addrs.(best))
   end

@@ -417,13 +417,11 @@ module Live = struct
           (fun () ->
             (match !node_ref with
             | Some node ->
+                let now = Simkit.Engine.now t.engine in
                 Oracle.add t.oracle id addr;
                 Active_set.add t.active addr;
-                Collector.set_population t.collector
-                  ~time:(Simkit.Engine.now t.engine)
-                  (Active_set.size t.active);
-                Collector.join_recorded t.collector
-                  ~latency:(Simkit.Engine.now t.engine -. spawn_time);
+                Collector.set_population t.collector ~time:now (Active_set.size t.active);
+                Collector.join_recorded t.collector ~time:now ~latency:(now -. spawn_time);
                 lookup_loop t node
             | None -> ()));
         on_join_failed =

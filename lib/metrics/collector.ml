@@ -2,15 +2,44 @@ module M = Mspastry.Message
 module Series = Repro_util.Series
 module Hist = Repro_obs.Hist
 
-type lookup_rec = {
-  sent : float;
-  mutable deliveries : int;
-  mutable first_delay : float;
-  mutable first_hops : int;
-  mutable first_rdp : float;
-  mutable incorrect : int;
-  mutable correct : int;
+(* Per-lookup records, indexed by sequence number: six columns of
+   unboxed values in chunks of [chunk_size] seqs, so a lookup costs six
+   words and no pointer, and growing copies only the chunk index. [sent]
+   is [nan] for a seq never sent; a lookup's deliveries are
+   [correct + incorrect], and its [first_*] values are read only once it
+   has one. *)
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+
+type chunk = {
+  sent : Float.Array.t;
+  first_delay : Float.Array.t;
+  first_rdp : Float.Array.t;
+  first_hops : int array;
+  correct : int array;
+  incorrect : int array;
 }
+
+(* every chunk index no lookup has been sent in points here *)
+let no_chunk =
+  {
+    sent = Float.Array.create 0;
+    first_delay = Float.Array.create 0;
+    first_rdp = Float.Array.create 0;
+    first_hops = [||];
+    correct = [||];
+    incorrect = [||];
+  }
+
+let new_chunk () =
+  {
+    sent = Float.Array.make chunk_size nan;
+    first_delay = Float.Array.make chunk_size nan;
+    first_rdp = Float.Array.make chunk_size nan;
+    first_hops = Array.make chunk_size 0;
+    correct = Array.make chunk_size 0;
+    incorrect = Array.make chunk_size 0;
+  }
 
 type t = {
   window : float;
@@ -19,9 +48,9 @@ type t = {
   mutable cur_pop : int;
   mutable pop_last_t : float;
   mutable last_event : float;
-  lookups : (int, lookup_rec) Hashtbl.t;
+  mutable chunks : chunk array;
   rdp_w : Series.t;
-  join_lat : float list ref;
+  mutable joined : (float * float) list; (* (completion time, latency), newest first *)
   mutable faults : (float * string) list; (* episode starts, newest first *)
   mutable suspicions : (float * bool) list; (* (time, target was alive) *)
   mutable detections : (float * float) list; (* (time, crash->detect latency) *)
@@ -45,9 +74,9 @@ let create ?(window = 600.0) () =
     cur_pop = 0;
     pop_last_t = 0.0;
     last_event = 0.0;
-    lookups = Hashtbl.create 4096;
+    chunks = [||];
     rdp_w = Series.create ~window;
-    join_lat = ref [];
+    joined = [];
     faults = [];
     suspicions = [];
     detections = [];
@@ -86,38 +115,61 @@ let set_population t ~time n =
 let flush t ~time = credit_population t ~time
 
 let lookup_sent t ~seq ~time =
+  (* negated, so that nan fails too: [nan] marks a seq never sent *)
+  if seq < 0 || not (time >= 0.0 && time < infinity) then
+    invalid_arg "Collector.lookup_sent";
   if time > t.last_event then t.last_event <- time;
-  Hashtbl.replace t.lookups seq
-    {
-      sent = time;
-      deliveries = 0;
-      first_delay = nan;
-      first_hops = 0;
-      first_rdp = nan;
-      incorrect = 0;
-      correct = 0;
-    }
+  let ci = seq lsr chunk_bits in
+  let len = Array.length t.chunks in
+  if ci >= len then begin
+    let grown = Array.make (max (2 * len) (ci + 1)) no_chunk in
+    Array.blit t.chunks 0 grown 0 len;
+    t.chunks <- grown
+  end;
+  if t.chunks.(ci) == no_chunk then t.chunks.(ci) <- new_chunk ();
+  (* a seq sent again starts a fresh record: its [first_*] values are
+     rewritten by its next first delivery *)
+  let c = t.chunks.(ci) and i = seq land (chunk_size - 1) in
+  Float.Array.set c.sent i time;
+  c.correct.(i) <- 0;
+  c.incorrect.(i) <- 0
 
 let lookup_delivered t ~seq ~time ~correct ~direct_delay ~hops =
+  if seq < 0 then invalid_arg "Collector.lookup_delivered";
   if time > t.last_event then t.last_event <- time;
-  match Hashtbl.find_opt t.lookups seq with
-  | None -> ()
-  | Some r ->
-      r.deliveries <- r.deliveries + 1;
-      if correct then r.correct <- r.correct + 1
-      else r.incorrect <- r.incorrect + 1;
-      if r.deliveries = 1 then begin
-        let delay = time -. r.sent in
-        r.first_delay <- delay;
-        r.first_hops <- hops;
+  let ci = seq lsr chunk_bits and i = seq land (chunk_size - 1) in
+  (* a seq never sent (beyond the index, in an unused chunk, or a gap
+     inside one) is not judged *)
+  if ci < Array.length t.chunks && t.chunks.(ci) != no_chunk then begin
+    let c = t.chunks.(ci) in
+    let sent = Float.Array.get c.sent i in
+    if not (Float.is_nan sent) then begin
+      let first = c.correct.(i) + c.incorrect.(i) = 0 in
+      if correct then c.correct.(i) <- c.correct.(i) + 1
+      else c.incorrect.(i) <- c.incorrect.(i) + 1;
+      if first then begin
+        let delay = time -. sent in
+        Float.Array.set c.first_delay i delay;
+        c.first_hops.(i) <- hops;
         Hist.add t.delay_hist delay;
         Hist.add t.hops_hist (float_of_int hops);
         let rdp = if direct_delay > 0.0 then delay /. direct_delay else 1.0 in
-        r.first_rdp <- rdp;
+        Float.Array.set c.first_rdp i rdp;
         Series.add t.rdp_w ~time rdp
       end
+    end
+  end
 
-let join_recorded t ~latency = t.join_lat := latency :: !(t.join_lat)
+(* [f c i] for every sent lookup, in seq order *)
+let iter_sent t f =
+  Array.iter
+    (fun c ->
+      for i = 0 to Float.Array.length c.sent - 1 do
+        if not (Float.is_nan (Float.Array.get c.sent i)) then f c i
+      done)
+    t.chunks
+
+let join_recorded t ~time ~latency = t.joined <- (time, latency) :: t.joined
 
 let fault_injected t ~time ~label =
   if time > t.last_event then t.last_event <- time;
@@ -201,7 +253,7 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
   credit t pop ~time:horizon;
   let node_seconds = sum_series ~since ~until pop in
   let lookup_cutoff = until -. drain in
-  let sent = ref 0
+  let n_sent = ref 0
   and delivered = ref 0
   and lost = ref 0
   and incorrect = ref 0
@@ -210,23 +262,24 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
   and rdp_acc = ref 0.0
   and hops_acc = ref 0
   and first_n = ref 0 in
-  Hashtbl.iter
-    (fun _ r ->
-      if r.sent >= since && r.sent <= until then begin
-        incorrect := !incorrect + r.incorrect;
-        if r.sent <= lookup_cutoff then begin
-          incr sent;
-          if r.deliveries > 0 then incr delivered else incr lost;
-          if r.correct > 0 then incr succeeded
+  iter_sent t (fun c i ->
+      let sent = Float.Array.get c.sent i in
+      if sent >= since && sent <= until then begin
+        let n_correct = c.correct.(i) and n_incorrect = c.incorrect.(i) in
+        let was_delivered = n_correct + n_incorrect > 0 in
+        incorrect := !incorrect + n_incorrect;
+        if sent <= lookup_cutoff then begin
+          incr n_sent;
+          if was_delivered then incr delivered else incr lost;
+          if n_correct > 0 then incr succeeded
         end;
-        if r.deliveries > 0 then begin
+        if was_delivered then begin
           incr first_n;
-          delay_acc := !delay_acc +. r.first_delay;
-          rdp_acc := !rdp_acc +. r.first_rdp;
-          hops_acc := !hops_acc + r.first_hops
+          delay_acc := !delay_acc +. Float.Array.get c.first_delay i;
+          rdp_acc := !rdp_acc +. Float.Array.get c.first_rdp i;
+          hops_acc := !hops_acc + c.first_hops.(i)
         end
-      end)
-    t.lookups;
+      end);
   let fdiv a b = if b = 0 then 0.0 else a /. float_of_int b in
   let control_by_class =
     List.filter_map
@@ -243,8 +296,9 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
   in
   let lookup_msgs = sum_series ~since ~until (List.assq M.C_lookup t.sends) in
   let span = Float.min until (Float.max t.pop_last_t horizon) -. since in
-  let joins = List.length !(t.join_lat) in
   let in_span time = time >= since && time <= until in
+  let joins = List.filter (fun (time, _) -> in_span time) t.joined in
+  let n_joins = List.length joins in
   let susp = List.filter (fun (time, _) -> in_span time) t.suspicions in
   let n_susp = List.length susp in
   let n_false = List.length (List.filter snd susp) in
@@ -252,12 +306,12 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
   let n_det = List.length dets in
   let det_lat = List.fold_left (fun acc (_, l) -> acc +. l) 0.0 dets in
   {
-    lookups_sent = !sent;
+    lookups_sent = !n_sent;
     lookups_delivered = !delivered;
     lookups_lost = !lost;
     incorrect_deliveries = !incorrect;
-    loss_rate = fdiv (float_of_int !lost) !sent;
-    incorrect_rate = fdiv (float_of_int !incorrect) !sent;
+    loss_rate = fdiv (float_of_int !lost) !n_sent;
+    incorrect_rate = fdiv (float_of_int !incorrect) !n_sent;
     rdp_mean = fdiv !rdp_acc !first_n;
     delay_mean = fdiv !delay_acc !first_n;
     hops_mean = fdiv (float_of_int !hops_acc) !first_n;
@@ -266,11 +320,10 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
     control_by_class;
     lookup_msgs;
     mean_population = (if span > 0.0 then node_seconds /. span else 0.0);
-    joins;
+    joins = n_joins;
     join_latency_mean =
-      (if joins = 0 then 0.0
-       else List.fold_left ( +. ) 0.0 !(t.join_lat) /. float_of_int joins);
-    success_rate = fdiv (float_of_int !succeeded) !sent;
+      fdiv (List.fold_left (fun acc (_, l) -> acc +. l) 0.0 joins) n_joins;
+    success_rate = fdiv (float_of_int !succeeded) !n_sent;
     suspicions = n_susp;
     false_suspicions = n_false;
     false_suspicion_rate = fdiv (float_of_int n_false) n_susp;
@@ -318,7 +371,7 @@ let control_series_by_class t cls =
          | Some _ | None -> None)
   |> Array.of_list
 
-let join_latencies t = Array.of_list !(t.join_lat)
+let join_latencies t = Array.of_list (List.map snd t.joined)
 
 let hop_hist t = t.hops_hist
 
@@ -331,11 +384,10 @@ let lookup_delay_hist ?(since = 0.0) ?(until = infinity) t =
   if whole_run since until then t.delay_hist
   else begin
     let h = Hist.create () in
-    Hashtbl.iter
-      (fun _ r ->
-        if r.sent >= since && r.sent <= until && r.deliveries > 0 then
-          Hist.add h r.first_delay)
-      t.lookups;
+    iter_sent t (fun c i ->
+        let sent = Float.Array.get c.sent i in
+        if sent >= since && sent <= until && c.correct.(i) + c.incorrect.(i) > 0 then
+          Hist.add h (Float.Array.get c.first_delay i));
     h
   end
 
@@ -368,44 +420,41 @@ type wstats = {
   mutable w_correct : int;
 }
 
+(* per window, indexed by window number: every lookup was sent no later
+   than [last_event] *)
 let sent_windows t =
-  let tbl : (int, wstats) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ r ->
-      let widx = int_of_float (r.sent /. t.window) in
-      let w =
-        match Hashtbl.find_opt tbl widx with
-        | Some w -> w
-        | None ->
-            let w = { w_sent = 0; w_lost = 0; w_incorrect = 0; w_correct = 0 } in
-            Hashtbl.add tbl widx w;
-            w
-      in
+  let ws =
+    Array.init
+      (int_of_float (t.last_event /. t.window) + 1)
+      (fun _ -> { w_sent = 0; w_lost = 0; w_incorrect = 0; w_correct = 0 })
+  in
+  iter_sent t (fun c i ->
+      let w = ws.(int_of_float (Float.Array.get c.sent i /. t.window)) in
       w.w_sent <- w.w_sent + 1;
-      if r.deliveries = 0 then w.w_lost <- w.w_lost + 1;
-      if r.incorrect > 0 then w.w_incorrect <- w.w_incorrect + 1;
-      if r.correct > 0 then w.w_correct <- w.w_correct + 1)
-    t.lookups;
-  tbl
+      if c.correct.(i) + c.incorrect.(i) = 0 then w.w_lost <- w.w_lost + 1;
+      if c.incorrect.(i) > 0 then w.w_incorrect <- w.w_incorrect + 1;
+      if c.correct.(i) > 0 then w.w_correct <- w.w_correct + 1);
+  ws
 
-let window_rates tbl widx =
-  match Hashtbl.find_opt tbl widx with
-  | Some w when w.w_sent > 0 ->
-      let n = float_of_int w.w_sent in
-      Some (float_of_int w.w_lost /. n, float_of_int w.w_incorrect /. n)
-  | Some _ | None -> None
+let window_rates ws widx =
+  if widx < 0 || widx >= Array.length ws || ws.(widx).w_sent = 0 then None
+  else
+    let w = ws.(widx) in
+    let n = float_of_int w.w_sent in
+    Some (float_of_int w.w_lost /. n, float_of_int w.w_incorrect /. n)
 
 (* goodput is attributed to the window a lookup was *sent* in, so a
    window's offered and served rates describe the same demand *)
 let offered_goodput_series t =
-  let tbl = sent_windows t in
-  Hashtbl.fold (fun widx w acc -> (widx, w) :: acc) tbl []
-  |> List.filter (fun (_, w) -> w.w_sent > 0)
-  |> List.sort compare
-  |> List.map (fun (widx, w) ->
-         ( (float_of_int widx +. 0.5) *. t.window,
-           float_of_int w.w_sent /. t.window,
-           float_of_int w.w_correct /. t.window ))
+  sent_windows t |> Array.to_list
+  |> List.mapi (fun widx w -> (widx, w))
+  |> List.filter_map (fun (widx, w) ->
+         if w.w_sent = 0 then None
+         else
+           Some
+             ( (float_of_int widx +. 0.5) *. t.window,
+               float_of_int w.w_sent /. t.window,
+               float_of_int w.w_correct /. t.window ))
   |> Array.of_list
 
 let collapse_windows ?(threshold = 0.5) t =
@@ -427,14 +476,14 @@ type episode = {
 
 let episodes ?(drain = 30.0) ?(tolerance = 0.01) t =
   let horizon = Float.max t.pop_last_t t.last_event in
-  let tbl = sent_windows t in
+  let ws = sent_windows t in
   (* last window whose lookups have all had [drain] seconds to finish *)
   let last_judgeable = int_of_float ((horizon -. drain) /. t.window) - 1 in
   List.rev_map
     (fun (start, label) ->
       let wf = int_of_float (start /. t.window) in
       let baseline_loss, baseline_incorrect =
-        match window_rates tbl (wf - 1) with Some (l, i) -> (l, i) | None -> (0.0, 0.0)
+        match window_rates ws (wf - 1) with Some (l, i) -> (l, i) | None -> (0.0, 0.0)
       in
       let repaired = function
         | Some (loss, incorrect) ->
@@ -445,7 +494,7 @@ let episodes ?(drain = 30.0) ?(tolerance = 0.01) t =
       let rec scan w peak_l peak_i =
         if w > last_judgeable then (peak_l, peak_i, None)
         else
-          let rates = window_rates tbl w in
+          let rates = window_rates ws w in
           let peak_l, peak_i =
             match rates with
             | Some (l, i) -> (Float.max peak_l l, Float.max peak_i i)

@@ -14,7 +14,17 @@
     from bounded {!Repro_obs.Hist} histograms only: a quantile [q] of [n]
     samples estimates the order statistic of rank [floor (q * (n - 1))]
     within the histogram's relative error (1%). No raw samples are kept;
-    {!lookup_delay_hist} and {!queue_delay_hist} slice by time. *)
+    {!lookup_delay_hist} and {!queue_delay_hist} slice by time.
+
+    Each lookup's verdict is kept for the whole run, indexed by its
+    sequence number: six unboxed columns (send time, first-delivery
+    delay, RDP and hop count, correct and incorrect delivery counts) in
+    chunks of 4,096 seqs, so a lookup costs six words and no pointer, and
+    growth copies no record. Seqs are meant to be dense from 0, as the
+    harness allocates them; a chunk is allocated on the first send into
+    it. {!summary}, the {!lookup_delay_hist} slices and the per-window
+    rates behind {!episodes} walk the records in seq order, so their float
+    sums add in that order. *)
 
 type t
 
@@ -34,15 +44,23 @@ val flush : t -> time:float -> unit
     no change would otherwise be missing from per-node normalisation. *)
 
 val lookup_sent : t -> seq:int -> time:float -> unit
+(** Start judging lookup [seq], sent at [time]. Sending a seq again
+    starts its record afresh. Raises [Invalid_argument] if [seq] is
+    negative or [time] is negative or not finite. *)
 
 val lookup_delivered :
   t -> seq:int -> time:float -> correct:bool -> direct_delay:float -> hops:int -> unit
 (** [direct_delay] is the network delay from the lookup's origin to the
     node that delivered it (RDP denominator). Duplicate deliveries of the
     same sequence number only count once for delay statistics, but an
-    incorrect duplicate still counts as an inconsistency. *)
+    incorrect duplicate still counts as an inconsistency. A delivery of a
+    seq never sent is ignored (Scribe and PAST deliver seqs from their
+    own ranges); a negative [seq] raises [Invalid_argument]. *)
 
-val join_recorded : t -> latency:float -> unit
+val join_recorded : t -> time:float -> latency:float -> unit
+(** A node became active at [time], [latency] seconds after it started
+    joining. {!summary} counts the joins completed in its range;
+    {!join_latencies} lists them all. *)
 
 val fault_injected : t -> time:float -> label:string -> unit
 (** Mark the start of a fault episode (a scheduled mass crash, partition,
@@ -88,8 +106,8 @@ type summary = {
       (** per-class messages per second per node *)
   lookup_msgs : float;
   mean_population : float;
-  joins : int;
-  join_latency_mean : float;
+  joins : int;  (** nodes that became active in the interval *)
+  join_latency_mean : float;  (** ... and their mean join latency *)
   success_rate : float;
       (** fraction of judged lookups with at least one {e correct}
           delivery — the end-to-end criterion (a lookup can be

@@ -1,3 +1,7 @@
+(* an all-float record holds its floats unboxed, so [add] allocates
+   nothing; as fields of [t] each update would box a new float *)
+type acc = { mutable sum : float; mutable minv : float; mutable maxv : float }
+
 type t = {
   alpha : float;
   lo : float;
@@ -6,9 +10,7 @@ type t = {
   inv_lg : float;  (* 1 / ln gamma, hoisted out of [add] *)
   counts : int array;  (* counts.(0) = underflow; counts.(1..nb) = log buckets *)
   mutable n : int;
-  mutable sum : float;
-  mutable minv : float;
-  mutable maxv : float;
+  acc : acc;
 }
 
 let create ?(alpha = 0.01) ?(lo = 1e-6) ?(hi = 1e4) () =
@@ -25,9 +27,7 @@ let create ?(alpha = 0.01) ?(lo = 1e-6) ?(hi = 1e4) () =
     inv_lg = 1.0 /. lg;
     counts = Array.make (nb + 1) 0;
     n = 0;
-    sum = 0.0;
-    minv = infinity;
-    maxv = neg_infinity;
+    acc = { sum = 0.0; minv = infinity; maxv = neg_infinity };
   }
 
 let index t v =
@@ -44,15 +44,16 @@ let add t v =
   let i = index t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. v;
-  if v < t.minv then t.minv <- v;
-  if v > t.maxv then t.maxv <- v
+  let a = t.acc in
+  a.sum <- a.sum +. v;
+  if v < a.minv then a.minv <- v;
+  if v > a.maxv then a.maxv <- v
 
 let count t = t.n
-let sum t = t.sum
-let mean t = if t.n = 0 then nan else t.sum /. float_of_int t.n
-let min_value t = if t.n = 0 then nan else t.minv
-let max_value t = if t.n = 0 then nan else t.maxv
+let sum t = t.acc.sum
+let mean t = if t.n = 0 then nan else t.acc.sum /. float_of_int t.n
+let min_value t = if t.n = 0 then nan else t.acc.minv
+let max_value t = if t.n = 0 then nan else t.acc.maxv
 let alpha t = t.alpha
 let num_buckets t = Array.length t.counts
 
@@ -60,7 +61,7 @@ let num_buckets t = Array.length t.counts
    the estimate 2*lo*gamma^i / (1+gamma) is within alpha of any value in
    the bucket. *)
 let bucket_estimate t i =
-  if i = 0 then t.minv
+  if i = 0 then t.acc.minv
   else 2.0 *. t.lo *. (t.gamma ** float_of_int i) /. (1.0 +. t.gamma)
 
 let quantile t q =
@@ -75,7 +76,8 @@ let quantile t q =
     done;
     let v = bucket_estimate t !i in
     (* tracked extremes are exact; clamping also bounds overflow clamps *)
-    if v < t.minv then t.minv else if v > t.maxv then t.maxv else v
+    let a = t.acc in
+    if v < a.minv then a.minv else if v > a.maxv then a.maxv else v
   end
 
 let percentile t p = quantile t (p /. 100.0)
@@ -86,9 +88,9 @@ let merge a b =
   let m = create ~alpha:a.alpha ~lo:a.lo ~hi:a.hi () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
-  m.minv <- Float.min a.minv b.minv;
-  m.maxv <- Float.max a.maxv b.maxv;
+  m.acc.sum <- a.acc.sum +. b.acc.sum;
+  m.acc.minv <- Float.min a.acc.minv b.acc.minv;
+  m.acc.maxv <- Float.max a.acc.maxv b.acc.maxv;
   m
 
 let summary_json t =

@@ -37,8 +37,13 @@ let float t x =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+(* the draws of [int t 256], one per byte, without a closure call each *)
 let bytes t n =
-  String.init n (fun _ -> Char.chr (int t 256))
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (int t 256))
+  done;
+  Bytes.unsafe_to_string b
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -1,4 +1,6 @@
-type cell = { mutable sum : float; mutable n : int }
+(* all-float, so the cell holds its floats unboxed and [add] allocates
+   nothing; [n] counts exactly up to 2^53 samples *)
+type cell = { mutable sum : float; mutable n : float }
 
 type t = {
   window : float;
@@ -22,7 +24,7 @@ let add t ~time v =
           match Hashtbl.find_opt t.cells idx with
           | Some c -> c
           | None ->
-              let c = { sum = 0.0; n = 0 } in
+              let c = { sum = 0.0; n = 0.0 } in
               Hashtbl.add t.cells idx c;
               c
         in
@@ -31,7 +33,7 @@ let add t ~time v =
         c
   in
   cell.sum <- cell.sum +. v;
-  cell.n <- cell.n + 1
+  cell.n <- cell.n +. 1.0
 
 let count t ~time = add t ~time 1.0
 
@@ -48,7 +50,7 @@ let mid t idx = (float_of_int idx +. 0.5) *. t.window
 
 let means t =
   sorted_cells t
-  |> List.map (fun (idx, c) -> (mid t idx, c.sum /. float_of_int c.n))
+  |> List.map (fun (idx, c) -> (mid t idx, c.sum /. c.n))
   |> Array.of_list
 
 let sums t =

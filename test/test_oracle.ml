@@ -149,6 +149,105 @@ let qcheck_ring_audit_truth =
       let a = Oracle.ring_audit o ~neighbors in
       a.Oracle.audited = n && a.Oracle.agreement = 1.0)
 
+(* The sorted-array oracle against a list model, under random adds,
+   re-adds (a new address) and removes (some of absent ids) over a small
+   id pool. Pools of one to three ids keep the population at 0, 1 or 2
+   much of the time; other ids share a long prefix with one base id, and
+   so do the keys. After every step: size, membership, the owner of a key
+   (the argmin under [Nodeid.closer]) and a ring audit of random claims
+   against the model's sorted list. *)
+let qcheck_reference_model =
+  QCheck.Test.make ~name:"oracle matches a list model" ~count:200 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let base = Nodeid.random rng in
+      let near () =
+        if Rng.bool rng then Nodeid.add base (Nodeid.of_int (Rng.int rng 1000))
+        else Nodeid.sub base (Nodeid.of_int (Rng.int rng 1000))
+      in
+      let pool_size = if Rng.bool rng then 1 + Rng.int rng 3 else 4 + Rng.int rng 40 in
+      let pool =
+        Array.init pool_size (fun _ ->
+            if Rng.int rng 3 = 0 then Nodeid.random rng else near ())
+      in
+      let o = Oracle.create () and model = ref [] in
+      let without id = List.filter (fun (i, _) -> not (Nodeid.equal i id)) !model in
+      let same_owner a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (i, x), Some (j, y) -> Nodeid.equal i j && x = y
+        | Some _, None | None, Some _ -> false
+      in
+      let step k =
+        let id = Rng.pick rng pool in
+        if Rng.int rng 3 < 2 then begin
+          Oracle.add o id k;
+          model := (id, k) :: without id
+        end
+        else begin
+          Oracle.remove o id;
+          model := without id
+        end;
+        let key =
+          match Rng.int rng 3 with
+          | 0 -> Nodeid.random rng
+          | 1 -> Rng.pick rng pool
+          | _ -> near ()
+        in
+        let owner =
+          List.fold_left
+            (fun best (i, a) ->
+              match best with
+              | Some (b, _) when not (Nodeid.closer ~key i b) -> best
+              | Some _ | None -> Some (i, a))
+            None !model
+        in
+        (* ring audit: each member claims its true neighbour, some other
+           pool id or none, or is skipped *)
+        let sorted =
+          Array.of_list (List.sort (fun (a, _) (b, _) -> Nodeid.compare a b) !model)
+        in
+        let n = Array.length sorted in
+        let truth i = if n <= 1 then None else Some (fst sorted.((i + n) mod n)) in
+        let claim i =
+          match Rng.int rng 4 with
+          | 0 -> None
+          | 1 -> Some (Rng.pick rng pool)
+          | _ -> truth i
+        in
+        let claims =
+          Array.mapi
+            (fun i (_, a) ->
+              (a, if Rng.int rng 5 = 0 then None else Some (claim (i - 1), claim (i + 1))))
+            sorted
+          |> Array.to_list
+        in
+        let eq a b =
+          match (a, b) with
+          | None, None -> true
+          | Some x, Some y -> Nodeid.equal x y
+          | Some _, None | None, Some _ -> false
+        in
+        let audited = ref 0 and left_ok = ref 0 and right_ok = ref 0 in
+        List.iteri
+          (fun i (_, c) ->
+            match c with
+            | None -> ()
+            | Some (l, r) ->
+                incr audited;
+                if eq l (truth (i - 1)) then incr left_ok;
+                if eq r (truth (i + 1)) then incr right_ok)
+          claims;
+        let a = Oracle.ring_audit o ~neighbors:(fun addr -> List.assoc addr claims) in
+        let member id = List.exists (fun (i, _) -> Nodeid.equal i id) !model in
+        Oracle.size o = n
+        && Array.for_all (fun id -> Oracle.mem o id = member id) pool
+        && same_owner (Oracle.closest o key) owner
+        && a.Oracle.audited = !audited
+        && a.Oracle.left_ok = !left_ok
+        && a.Oracle.right_ok = !right_ok
+      in
+      List.for_all step (List.init 150 Fun.id))
+
 let suite =
   [
     ( "oracle",
@@ -165,5 +264,6 @@ let suite =
         Alcotest.test_case "ring audit singleton/empty" `Quick
           test_ring_audit_singleton_and_empty;
         QCheck_alcotest.to_alcotest qcheck_ring_audit_truth;
+        QCheck_alcotest.to_alcotest qcheck_reference_model;
       ] );
   ]

@@ -49,6 +49,16 @@ let test_bytes_length () =
   Alcotest.(check int) "len" 16 (String.length (Rng.bytes r 16));
   Alcotest.(check int) "len0" 0 (String.length (Rng.bytes r 0))
 
+let test_bytes_draws () =
+  let r = Rng.create 19 in
+  for n = 0 to 40 do
+    let r' = Rng.copy r in
+    Alcotest.(check string)
+      (Printf.sprintf "n = %d" n)
+      (String.init n (fun _ -> Char.chr (Rng.int r' 256)))
+      (Rng.bytes r n)
+  done
+
 let test_exponential_mean () =
   let r = Rng.create 17 in
   let n = 20_000 in
@@ -135,6 +145,7 @@ let suite =
         Alcotest.test_case "int rejects non-positive" `Quick test_int_rejects_nonpositive;
         Alcotest.test_case "float bounds" `Quick test_float_bounds;
         Alcotest.test_case "bytes length" `Quick test_bytes_length;
+        Alcotest.test_case "bytes draws int 256 per byte" `Quick test_bytes_draws;
         Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
         Alcotest.test_case "normal moments" `Quick test_normal_moments;
         Alcotest.test_case "lognormal median" `Quick test_lognormal_median;
