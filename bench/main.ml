@@ -211,7 +211,11 @@ let scripted_node ~cfg ~send =
       forward = (fun ~prev:_ _ -> Node.Continue);
       on_active = (fun () -> ());
       on_join_failed = (fun () -> ());
-      on_lookup_drop = (fun _ -> ());
+      on_suspicion = (fun ~target:_ -> ());
+      on_progress_suspect = (fun ~target:_ -> ());
+      on_poison_reject = (fun ~target:_ -> ());
+      load = (fun () -> 0);
+      trace = Repro_obs.Trace.disabled;
     }
   in
   let node = Node.create ~cfg ~env ~id:ids.(0) ~addr:0 in

@@ -1,11 +1,15 @@
 (* Run a small churn scenario with JSONL event tracing on, then read the
-   trace file back and summarise it: per-lookup path lengths, one
-   lookup's full reconstructed hop path, drop attribution, top talkers,
-   and the live engine/net counter registry. Doubles as an end-to-end
-   check that traced per-class send counts agree with the metrics
-   collector.
+   trace file back and print its digest: counts by kind and time span,
+   drop attribution, per-lookup path lengths and one lookup's full
+   reconstructed hop path, queueing, suspicions and end-to-end retries,
+   hardening verdicts and top talkers; then the live engine/net counter
+   registry. Doubles as an end-to-end check that traced per-class send
+   counts agree with the metrics collector. With --events PATH it runs no
+   simulation and prints the digest of a saved trace (see DESIGN.md
+   "Structured event tracing" for the schema).
 
-     dune exec bin/tracedump.exe -- --nodes 100 --out trace.jsonl *)
+     dune exec bin/tracedump.exe -- --nodes 100 --out trace.jsonl
+     dune exec bin/tracedump.exe -- --events trace.jsonl *)
 
 open Cmdliner
 module Sim = Harness.Sim
@@ -34,11 +38,8 @@ let read_events path =
   close_in ic;
   (List.rev !events, !bad)
 
-let incr_tbl tbl key = function
-  | n -> (
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.add tbl key (ref n))
+let bump tbl key =
+  match Hashtbl.find_opt tbl key with Some r -> incr r | None -> Hashtbl.add tbl key (ref 1)
 
 let tbl_to_sorted tbl =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
@@ -54,8 +55,7 @@ let print_path path =
         (if h.Obs.Hoppath.retx then "  (reroute)" else ""))
     path
 
-let run nodes hours seed out loss lookup_rate timers sample top faults capacity
-    queue_limit =
+let simulate nodes hours seed out loss lookup_rate faults capacity queue_limit =
   (* -- scenario: Gnutella-calibrated churn scaled to ~[nodes] concurrent - *)
   let scale = float_of_int nodes /. 2000.0 in
   let duration = hours *. 3600.0 in
@@ -67,7 +67,6 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
       loss_rate = loss;
       lookup_rate;
       tracing = Sim.Trace_jsonl out;
-      trace_timers = timers;
       capacity =
         Option.map
           (fun rate -> { Netsim.Net.service_rate = rate; queue_limit })
@@ -92,25 +91,19 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   in
   Printf.printf "scenario: gnutella-calibrated churn, ~%d concurrent nodes, %.1f h\n"
     (Trace.max_concurrent churn) hours;
-  Printf.printf "tracing:  %s (timer events %s)\n%!" out (if timers then "on" else "off");
-  let live = Sim.run config ~trace:churn in
-  let reg_dump = Obs.Registry.dump (Sim.Live.registry live) in
-  let summary =
-    Collector.summary ~since:0.0 ~until:infinity ~drain:0.0 (Sim.Live.collector live)
-  in
+  Printf.printf "tracing:  %s\n%!" out;
+  Sim.run config ~trace:churn
 
-  (* -- read the trace back ------------------------------------------- *)
-  let events, bad = read_events out in
-  Printf.printf "\ntrace: %d events read back%s\n" (List.length events)
-    (if bad > 0 then Printf.sprintf " (%d unparseable lines!)" bad else "");
-
+(* the digest of a JSONL trace; returns the traced sends per class *)
+let digest ~capacity ~sample ~top (events, bad) =
+  let t_min = ref infinity and t_max = ref neg_infinity in
   let by_kind = Hashtbl.create 16 in
   let sends_by_class = Hashtbl.create 16 in
   let drops_by = Hashtbl.create 16 in
   let talkers = Hashtbl.create 256 in
   let lost_lookup_seqs = ref [] in
   let suspected_targets = Hashtbl.create 64 in
-  let n_suspected = ref 0 and n_unsuspected = ref 0 in
+  let n_suspected = ref 0 and n_unsuspected = ref 0 and max_backoff = ref 0.0 in
   let retry_attempts = Hashtbl.create 8 in
   let n_retries = ref 0 in
   let n_queue = ref 0 and q_sum = ref 0.0 and q_max = ref 0.0 in
@@ -119,21 +112,24 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   let poison_rejects = ref 0 and join_defers = ref 0 in
   List.iter
     (fun ev ->
-      incr_tbl by_kind (Obs.Event.kind_name ev) 1;
+      t_min := Float.min !t_min ev.Obs.Event.time;
+      t_max := Float.max !t_max ev.Obs.Event.time;
+      bump by_kind (Obs.Event.kind_name ev);
       match ev.Obs.Event.body with
       | Obs.Event.Send { src; cls; _ } ->
-          incr_tbl sends_by_class cls 1;
-          incr_tbl talkers src 1
+          bump sends_by_class cls;
+          bump talkers src
       | Obs.Event.Drop { cls; seq; reason; _ } ->
-          incr_tbl drops_by (Obs.Event.drop_reason_name reason, cls) 1;
+          bump drops_by (Obs.Event.drop_reason_name reason, cls);
           Option.iter (fun s -> lost_lookup_seqs := s :: !lost_lookup_seqs) seq
-      | Obs.Event.Suspected { target; _ } ->
+      | Obs.Event.Suspected { target; backoff; _ } ->
           incr n_suspected;
-          incr_tbl suspected_targets target 1
+          max_backoff := Float.max !max_backoff backoff;
+          bump suspected_targets target
       | Obs.Event.Unsuspected _ -> incr n_unsuspected
       | Obs.Event.Lookup_retry { attempt; _ } ->
           incr n_retries;
-          incr_tbl retry_attempts attempt 1
+          bump retry_attempts attempt
       | Obs.Event.Queue { delay; occ; _ } ->
           incr n_queue;
           q_sum := !q_sum +. delay;
@@ -145,6 +141,10 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
       | Obs.Event.Join_deferred _ -> incr join_defers
       | _ -> ())
     events;
+
+  Printf.printf "\ntrace: %d events read back%s\n" (List.length events)
+    (if bad > 0 then Printf.sprintf " (%d unparseable lines!)" bad else "");
+  if events <> [] then Printf.printf "  time span: %.3f .. %.3f s\n" !t_min !t_max;
 
   Printf.printf "\nevents by kind:\n";
   List.iter (fun (k, n) -> Printf.printf "  %-16s %d\n" k n) (tbl_to_sorted by_kind);
@@ -182,7 +182,7 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
       (float_of_int total /. float_of_int n_paths)
       max_len;
     let hist = Hashtbl.create 16 in
-    List.iter (fun l -> incr_tbl hist l 1) lengths;
+    List.iter (fun l -> bump hist l) lengths;
     let bars = List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) hist []) in
     List.iter (fun (l, n) -> Printf.printf "    %2d nodes: %6d lookups\n" l n) bars;
     let chosen =
@@ -210,7 +210,7 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   end;
 
   (* -- capacity queueing --------------------------------------------- *)
-  if Option.is_some capacity || !n_queue > 0 then begin
+  if capacity || !n_queue > 0 then begin
     Printf.printf "\ncapacity queueing:\n";
     if !n_queue = 0 then Printf.printf "  (no queue events traced)\n"
     else
@@ -228,6 +228,8 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   else begin
     Printf.printf "  suspicions: %d (%d later cleared by direct contact)\n"
       !n_suspected !n_unsuspected;
+    if !n_suspected > 0 then
+      Printf.printf "  largest suspicion backoff: %.0fs\n" !max_backoff;
     List.iteri
       (fun i (target, n) ->
         if i < 5 then Printf.printf "    most-suspected addr %-6d %d times\n" target n)
@@ -252,7 +254,11 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   List.iteri
     (fun i (addr, n) -> if i < top then Printf.printf "  addr %-6d %d\n" addr n)
     (tbl_to_sorted talkers);
+  sends_by_class
 
+(* the live run's counter registry, and the traced per-class sends
+   checked against the collector's aggregates *)
+let check_run live sends_by_class =
   (* -- runtime counters ---------------------------------------------- *)
   Printf.printf "\nruntime counters:\n";
   List.iter
@@ -260,9 +266,12 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
       match v with
       | Obs.Registry.Int i -> Printf.printf "  %-24s %d\n" name i
       | Obs.Registry.Float f -> Printf.printf "  %-24s %.2f\n" name f)
-    reg_dump;
+    (Obs.Registry.dump (Sim.Live.registry live));
 
   (* -- cross-check traced sends vs collector aggregates -------------- *)
+  let summary =
+    Collector.summary ~since:0.0 ~until:infinity ~drain:0.0 (Sim.Live.collector live)
+  in
   let count_class name =
     match Hashtbl.find_opt sends_by_class name with Some r -> !r | None -> 0
   in
@@ -284,6 +293,20 @@ let run nodes hours seed out loss lookup_rate timers sample top faults capacity
   if ok_control && ok_lookup then `Ok ()
   else `Error (false, "traced counts disagree with the collector")
 
+let run nodes hours seed out loss lookup_rate sample top faults capacity queue_limit
+    events =
+  let digest = digest ~capacity:(Option.is_some capacity) ~sample ~top in
+  match events with
+  | Some path -> (
+      match read_events path with
+      | exception Sys_error e -> `Error (false, e)
+      | trace ->
+          ignore (digest trace);
+          `Ok ())
+  | None ->
+      let live = simulate nodes hours seed out loss lookup_rate faults capacity queue_limit in
+      check_run live (digest (read_events out))
+
 let nodes =
   Arg.(value & opt int 100 & info [ "nodes" ] ~docv:"N" ~doc:"target concurrent nodes")
 
@@ -302,10 +325,6 @@ let loss =
 let lookup_rate =
   Arg.(value & opt float 0.01
        & info [ "rate" ] ~docv:"R" ~doc:"lookups per second per node")
-
-let timers =
-  Arg.(value & flag
-       & info [ "timers" ] ~doc:"also trace engine timer events (high volume)")
 
 let sample =
   Arg.(value & opt (some int) None
@@ -332,15 +351,22 @@ let queue_limit =
        & info [ "queue-limit" ] ~docv:"N"
            ~doc:"inbound queue depth for --capacity (messages)")
 
+let events =
+  Arg.(value & opt (some string) None
+       & info [ "events" ] ~docv:"PATH"
+           ~doc:"run no simulation: print the digest of the saved JSONL trace at PATH")
+
 let cmd =
   let info =
     Cmd.info "tracedump"
-      ~doc:"Run a churn scenario with event tracing and summarise the trace"
+      ~doc:
+        "Run a churn scenario with event tracing and summarise the trace, or \
+         summarise a saved trace"
   in
   Cmd.v info
     Term.(
       ret
-        (const run $ nodes $ hours $ seed $ out $ loss $ lookup_rate $ timers $ sample
-       $ top $ faults $ capacity $ queue_limit))
+        (const run $ nodes $ hours $ seed $ out $ loss $ lookup_rate $ sample $ top
+       $ faults $ capacity $ queue_limit $ events))
 
 let () = exit (Cmd.eval cmd)

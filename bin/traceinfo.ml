@@ -1,19 +1,14 @@
 (* Inspect the synthetic churn traces: population band, session
-   statistics, failure-rate summary.
+   statistics, failure-rate summary. (A JSONL event trace written by the
+   simulator is summarised by `tracedump --events PATH`.)
 
-     dune exec bin/traceinfo.exe -- gnutella --scale 0.1 --hours 12
-
-   With --events PATH it instead summarises a JSONL event trace written
-   by the simulator (see DESIGN.md "Structured event tracing" for the
-   schema): per-kind counts, time span, and the failure-detector /
-   end-to-end-retry digest. *)
+     dune exec bin/traceinfo.exe -- gnutella --scale 0.1 --hours 12 *)
 
 open Cmdliner
 module Trace = Churn.Trace
 module Rng = Repro_util.Rng
-module Obs = Repro_obs
 
-let describe name trace window =
+let describe trace window =
   Printf.printf "trace: %s\n" (Trace.name trace);
   Printf.printf "  duration        %.1f h\n" (Trace.duration trace /. 3600.0);
   Printf.printf "  sessions        %d\n" (Trace.n_nodes trace);
@@ -36,108 +31,20 @@ let describe name trace window =
     Printf.printf "  failure rate    %.2e mean per node per second (max %.2e)\n"
       (Repro_util.Stats.mean values)
       (Array.fold_left Float.max 0.0 values)
-  end;
-  ignore name
+  end
 
-let describe_events path =
-  let ic =
-    try Ok (open_in path) with Sys_error e -> Error (Printf.sprintf "cannot open %s" e)
-  in
-  match ic with
-  | Error e -> `Error (false, e)
-  | Ok ic ->
-      let kinds = Hashtbl.create 16 in
-      let bump tbl k =
-        match Hashtbl.find_opt tbl k with
-        | Some r -> incr r
-        | None -> Hashtbl.add tbl k (ref 1)
-      in
-      let total = ref 0 and bad = ref 0 in
-      let t_min = ref infinity and t_max = ref neg_infinity in
-      let suspected = ref 0 and unsuspected = ref 0 and retries = ref 0 in
-      let max_backoff = ref 0.0 and max_attempt = ref 0 in
-      let n_queue = ref 0 and q_sum = ref 0.0 and q_max = ref 0.0 in
-      let occ_max = ref 0 and congestion_drops = ref 0 in
-      let prog_suspects = ref 0 and diversions = ref 0 in
-      let poison_rejects = ref 0 and join_defers = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Result.bind (Obs.Json.of_string line) Obs.Event.of_json with
-             | Error _ -> incr bad
-             | Ok ev ->
-                 incr total;
-                 t_min := Float.min !t_min ev.Obs.Event.time;
-                 t_max := Float.max !t_max ev.Obs.Event.time;
-                 bump kinds (Obs.Event.kind_name ev);
-                 (match ev.Obs.Event.body with
-                 | Obs.Event.Suspected { backoff; _ } ->
-                     incr suspected;
-                     max_backoff := Float.max !max_backoff backoff
-                 | Obs.Event.Unsuspected _ -> incr unsuspected
-                 | Obs.Event.Lookup_retry { attempt; _ } ->
-                     incr retries;
-                     max_attempt := max !max_attempt attempt
-                 | Obs.Event.Queue { delay; occ; _ } ->
-                     incr n_queue;
-                     q_sum := !q_sum +. delay;
-                     q_max := Float.max !q_max delay;
-                     occ_max := max !occ_max occ
-                 | Obs.Event.Drop { reason = Obs.Event.Congested; _ } ->
-                     incr congestion_drops
-                 | Obs.Event.Progress_suspect _ -> incr prog_suspects
-                 | Obs.Event.Route_diverted _ -> incr diversions
-                 | Obs.Event.Poison_rejected _ -> incr poison_rejects
-                 | Obs.Event.Join_deferred _ -> incr join_defers
-                 | _ -> ())
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Printf.printf "events: %s\n" path;
-      Printf.printf "  parsed          %d (%d unparseable lines)\n" !total !bad;
-      if !total > 0 then
-        Printf.printf "  time span       %.3f .. %.3f s\n" !t_min !t_max;
-      Printf.printf "  by kind:\n";
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) kinds []
-      |> List.sort (fun (_, a) (_, b) -> compare (b : int) a)
-      |> List.iter (fun (k, n) -> Printf.printf "    %-16s %d\n" k n);
-      if !suspected > 0 || !retries > 0 then begin
-        Printf.printf "  detector        %d suspicions (%d cleared), max backoff %.0fs\n"
-          !suspected !unsuspected !max_backoff;
-        Printf.printf "  e2e retries     %d (deepest attempt %d)\n" !retries !max_attempt
-      end;
-      if !n_queue > 0 || !congestion_drops > 0 then
-        Printf.printf
-          "  queueing        %d enqueues, mean delay %.4fs (max %.4f), peak \
-           occupancy %d, %d congestion drops\n"
-          !n_queue
-          (if !n_queue = 0 then 0.0 else !q_sum /. float_of_int !n_queue)
-          !q_max !occ_max !congestion_drops;
-      if !prog_suspects > 0 || !diversions > 0 || !poison_rejects > 0
-         || !join_defers > 0
-      then
-        Printf.printf
-          "  hardening       %d progress suspicions, %d route diversions, %d \
-           poison rejections, %d joins deferred\n"
-          !prog_suspects !diversions !poison_rejects !join_defers;
-      `Ok ()
-
-let run name scale hours seed events =
-  match events with
-  | Some path -> describe_events path
-  | None ->
+let run name scale hours seed =
   let rng = Rng.create seed in
   let duration = Option.map (fun h -> h *. 3600.0) hours in
   let window = 600.0 in
   match name with
-  | "gnutella" -> `Ok (describe name (Trace.gnutella ~scale ?duration rng) window)
-  | "overnet" -> `Ok (describe name (Trace.overnet ~scale ?duration rng) window)
-  | "microsoft" -> `Ok (describe name (Trace.microsoft ~scale ?duration rng) 3600.0)
+  | "gnutella" -> `Ok (describe (Trace.gnutella ~scale ?duration rng) window)
+  | "overnet" -> `Ok (describe (Trace.overnet ~scale ?duration rng) window)
+  | "microsoft" -> `Ok (describe (Trace.microsoft ~scale ?duration rng) 3600.0)
   | "poisson" ->
       let d = Option.value duration ~default:7200.0 in
       `Ok
-        (describe name
+        (describe
            (Trace.poisson rng ~n_avg:(int_of_float (1000.0 *. scale)) ~session_mean:3600.0
               ~duration:d)
            window)
@@ -155,15 +62,8 @@ let hours =
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed")
 
-let events =
-  Arg.(value & opt (some string) None
-       & info [ "events" ] ~docv:"PATH"
-           ~doc:"summarise a JSONL event trace instead of a churn trace")
-
 let cmd =
-  let info =
-    Cmd.info "traceinfo" ~doc:"Describe a synthetic churn trace or a JSONL event trace"
-  in
-  Cmd.v info Term.(ret (const run $ trace_arg $ scale $ hours $ seed $ events))
+  let info = Cmd.info "traceinfo" ~doc:"Describe a synthetic churn trace" in
+  Cmd.v info Term.(ret (const run $ trace_arg $ scale $ hours $ seed))
 
 let () = exit (Cmd.eval cmd)

@@ -15,10 +15,6 @@ val schema : string
 (** The manifest schema identifier written to every document
     (["mspastry-run-manifest/1"]); bump on incompatible layout change. *)
 
-val git_describe : unit -> string
-(** [git describe --always --dirty] of the working tree, or ["unknown"]
-    when git (or the repo) is unavailable. *)
-
 val build :
   label:string ->
   seed:int ->

@@ -40,7 +40,6 @@ type config = {
   window : float;
   drain : float;
   tracing : tracing;
-  trace_timers : bool;
   fault_schedule : Schedule.t;
   capacity : Netsim.Net.capacity option;
   prioritize_control : bool;
@@ -59,7 +58,6 @@ let default_config =
     window = 600.0;
     drain = 60.0;
     tracing = Trace_off;
-    trace_timers = false;
     fault_schedule = Schedule.empty;
     capacity = None;
     prioritize_control = true;
@@ -206,11 +204,7 @@ module Live = struct
       | Trace_memory capacity -> Obs.Trace.create (Obs.Sink.memory ~capacity)
       | Trace_jsonl path -> Obs.Trace.create (Obs.Sink.jsonl_file path)
     in
-    let engine =
-      Simkit.Engine.create
-        ~trace:(if config.trace_timers then trace else Obs.Trace.disabled)
-        ()
-    in
+    let engine = Simkit.Engine.create () in
     let collector = Collector.create ~window:config.window () in
     let endpoint_of addr = addr mod n_endpoints in
     let net =
@@ -270,11 +264,9 @@ module Live = struct
     Collector.lookup_sent t.collector ~seq ~time:(Simkit.Engine.now t.engine);
     seq
 
-  let send_lookup _t node ~key ~seq = Node.lookup node ~key ~seq
-
   let lookup t node ~key =
     let seq = alloc_lookup t in
-    send_lookup t node ~key ~seq;
+    Node.lookup node ~key ~seq;
     seq
 
   let rec lookup_loop t node =
@@ -429,35 +421,38 @@ module Live = struct
             t.join_failures <- t.join_failures + 1;
             Netsim.Net.unregister t.net ~addr;
             Hashtbl.remove t.nodes addr);
-        on_lookup_drop = (fun _ -> ());
+        (* failure-detector accuracy against harness ground truth: a
+           suspicion of a node still in [t.nodes] is false (slow, not
+           dead); the first suspicion of a crashed node times the
+           detector *)
+        on_suspicion =
+          (fun ~target ->
+            let time = Simkit.Engine.now t.engine in
+            let target_alive = Hashtbl.mem t.nodes target in
+            Collector.suspicion_recorded t.collector ~time ~target_alive;
+            if not target_alive then
+              match Hashtbl.find_opt t.crash_times target with
+              | Some crashed_at when not (Hashtbl.mem t.detected target) ->
+                  Hashtbl.replace t.detected target ();
+                  Collector.crash_detected t.collector ~time ~latency:(time -. crashed_at)
+              | Some _ | None -> ());
+        (* Byzantine-hardening observers; silent unless the hardening
+           toggles fire (never on the default path) *)
+        on_progress_suspect =
+          (fun ~target:_ ->
+            Collector.progress_suspicion_recorded t.collector
+              ~time:(Simkit.Engine.now t.engine));
+        on_poison_reject =
+          (fun ~target:_ ->
+            Collector.poison_rejected t.collector ~time:(Simkit.Engine.now t.engine));
+        (* local load signal for backpressure: the node's own inbound
+           queue occupancy under the capacity model (always 0 when it is
+           off) *)
+        load = (fun () -> Netsim.Net.queue_occupancy t.net ~addr);
+        trace = t.trace;
       }
     in
     let node = Node.create ~cfg:t.config.pastry ~env ~id ~addr in
-    Node.set_trace node t.trace;
-    (* failure-detector accuracy against harness ground truth: a
-       suspicion of a node still in [t.nodes] is false (slow, not dead);
-       the first suspicion of a crashed node times the detector *)
-    Node.set_on_suspicion node (fun ~target ->
-        let time = Simkit.Engine.now t.engine in
-        let target_alive = Hashtbl.mem t.nodes target in
-        Collector.suspicion_recorded t.collector ~time ~target_alive;
-        if not target_alive then
-          match Hashtbl.find_opt t.crash_times target with
-          | Some crashed_at when not (Hashtbl.mem t.detected target) ->
-              Hashtbl.replace t.detected target ();
-              Collector.crash_detected t.collector ~time
-                ~latency:(time -. crashed_at)
-          | Some _ | None -> ());
-    (* local load signal for backpressure: the node's own inbound queue
-       occupancy under the capacity model (always 0 when it is off) *)
-    Node.set_load_signal node (fun () -> Netsim.Net.queue_occupancy t.net ~addr);
-    (* Byzantine-hardening observers; silent unless the hardening toggles
-       fire (never on the default path) *)
-    Node.set_on_progress_suspect node (fun ~target:_ ->
-        Collector.progress_suspicion_recorded t.collector
-          ~time:(Simkit.Engine.now t.engine));
-    Node.set_on_poison_reject node (fun ~target:_ ->
-        Collector.poison_rejected t.collector ~time:(Simkit.Engine.now t.engine));
     node_ref := Some node;
     Hashtbl.replace t.nodes addr node;
     Netsim.Net.register t.net ~addr (fun ~src msg -> receive t node ~addr ~src msg);
@@ -855,11 +850,9 @@ module Live = struct
       ~profile:(Obs.Profile.report_to_json (Obs.Profile.report ()))
       ~engine
 
-  let write_manifest ?label t ~path = Manifest.write ~path (manifest ?label t)
-
   let close t =
     (match t.config.manifest_out with
-    | Some path -> write_manifest t ~path
+    | Some path -> Manifest.write ~path (manifest t)
     | None -> ());
     Obs.Trace.close t.trace
 end

@@ -41,9 +41,6 @@ type config = {
   window : float;  (** metrics averaging window *)
   drain : float;  (** extra simulated time after the trace ends *)
   tracing : tracing;  (** structured event tracing (default off) *)
-  trace_timers : bool;
-      (** also trace engine timer fire/cancel events — very high volume,
-          off by default even when [tracing] is on *)
   fault_schedule : Repro_faults.Schedule.t;
       (** timed fault injections (mass crashes, partitions, loss-model
           swaps) applied on top of the churn trace; default empty. Each
@@ -158,12 +155,10 @@ module Live : sig
   (** Issue a lookup, returning its sequence number. Delivery can happen
       synchronously (when the issuing node is the key's root) — callers
       that must install per-sequence state before delivery should use
-      {!alloc_lookup} + {!send_lookup} instead. *)
+      {!alloc_lookup} + {!Mspastry.Node.lookup} instead. *)
 
   val alloc_lookup : t -> int
   (** Reserve a sequence number and record the lookup as sent. *)
-
-  val send_lookup : t -> Mspastry.Node.t -> key:Pastry.Nodeid.t -> seq:int -> unit
 
   val on_deliver : t -> (Mspastry.Node.t -> Mspastry.Message.lookup -> unit) -> unit
   (** Extra application-level delivery hook (Squirrel uses this). *)
@@ -209,8 +204,6 @@ module Live : sig
       seed + git describe, registry counters, histogram summaries, the
       global profile breakdown and engine statistics. [label] (default
       ["run"]) names the run for {!Manifest.build}. *)
-
-  val write_manifest : ?label:string -> t -> path:string -> unit
 
   val trace : t -> Repro_obs.Trace.t
   (** The structured event trace built from [config.tracing] (the

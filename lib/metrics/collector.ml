@@ -515,33 +515,3 @@ let episodes ?(drain = 30.0) ?(tolerance = 0.01) t =
         time_to_repair;
       })
     t.faults
-
-let pp_episode fmt e =
-  Format.fprintf fmt
-    "@[<h>fault %S at t=%.0fs: baseline loss=%.3g incorrect=%.3g, peak loss=%.3g \
-     incorrect=%.3g, time-to-repair=%s@]"
-    e.ep_label e.ep_start e.baseline_loss e.baseline_incorrect e.peak_loss
-    e.peak_incorrect
-    (match e.time_to_repair with
-    | Some ttr -> Printf.sprintf "%.0fs" ttr
-    | None -> "not repaired in run")
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>lookups: sent=%d delivered=%d lost=%d (loss=%.2e) incorrect=%d (%.2e) \
-     success=%.4f@,\
-     rdp=%.2f delay=%.1fms hops=%.2f@,\
-     control=%.3f msg/s/node (pop=%.0f), joins=%d (mean latency %.1fs)@]"
-    s.lookups_sent s.lookups_delivered s.lookups_lost s.loss_rate s.incorrect_deliveries
-    s.incorrect_rate s.success_rate s.rdp_mean (s.delay_mean *. 1000.0) s.hops_mean
-    s.control_per_node_per_s s.mean_population s.joins s.join_latency_mean;
-  if s.suspicions > 0 || s.crashes_detected > 0 then
-    Format.fprintf fmt
-      "@,@[<h>detector: suspicions=%d false=%d (%.3f), crashes detected=%d \
-       (mean %.1fs)@]"
-      s.suspicions s.false_suspicions s.false_suspicion_rate s.crashes_detected
-      s.detect_latency_mean;
-  if s.progress_suspicions > 0 || s.poison_rejections > 0 then
-    Format.fprintf fmt
-      "@,@[<h>hardening: progress suspicions=%d, poison rejections=%d@]"
-      s.progress_suspicions s.poison_rejections

@@ -78,12 +78,13 @@ val crash_detected : t -> time:float -> latency:float -> unit
 val progress_suspicion_recorded : t -> time:float -> unit
 (** A node's progress check convicted a previous hop of a
     non-progressing forward (Byzantine hardening, DESIGN.md §10). The
-    harness wires this to {!Mspastry.Node.set_on_progress_suspect}. *)
+    harness wires this to the node's [on_progress_suspect] upcall
+    ({!Mspastry.Node.env}). *)
 
 val poison_rejected : t -> time:float -> unit
 (** A node's gossip verification unmasked a fabricated entry (the
-    advertised peer failed its identifier challenge). Wired to
-    {!Mspastry.Node.set_on_poison_reject}. *)
+    advertised peer failed its identifier challenge). Wired to the
+    node's [on_poison_reject] upcall ({!Mspastry.Node.env}). *)
 
 val queue_delay : t -> time:float -> float -> unit
 (** Feed one queueing-delay sample (seconds a message spent waiting plus
@@ -198,6 +199,3 @@ val episodes : ?drain:float -> ?tolerance:float -> t -> episode list
     lookups may legitimately still be in flight. [tolerance] (default
     0.01 absolute) is the slack over the baseline rates that still counts
     as repaired. *)
-
-val pp_episode : Format.formatter -> episode -> unit
-val pp_summary : Format.formatter -> summary -> unit

@@ -112,12 +112,12 @@ type t = {
           reliability only. Set by bursty-retries, adversary, smoke and
           the faults-lossy benchmark. *)
   backpressure : bool;
-      (** overload-graceful mode: when the harness wires a local load
-          signal (see {!Node.set_load_signal}) and the signal is at or
-          above {!overload_threshold}, the node sheds deferrable work —
-          probe volleys collapse to single packets, routing-table probe
-          rounds and maintenance gossip are skipped (retried at the next
-          tick), and join admission is deferred ([Nn_request] and
+      (** overload-graceful mode: when the node's local load signal
+          ([load] in {!Node.env}) is at or above {!overload_threshold},
+          the node sheds deferrable work — probe volleys collapse to
+          single packets, routing-table probe rounds and maintenance
+          gossip are skipped (retried at the next tick), and join
+          admission is deferred ([Nn_request] and
           [Join_request] service is refused, leaving the joiner's retry
           machinery to try again later) — while heartbeats, leaf-set
           probing and acking continue unthrottled. [false] (default) =

@@ -37,7 +37,11 @@ type env = {
   forward : prev:Peer.t option -> Message.lookup -> forward_decision;
   on_active : unit -> unit;
   on_join_failed : unit -> unit;
-  on_lookup_drop : Message.lookup -> unit;
+  on_suspicion : target:int -> unit;
+  on_progress_suspect : target:int -> unit;
+  on_poison_reject : target:int -> unit;
+  load : unit -> int;
+  trace : Obs.Trace.t;
 }
 
 type probe_state = {
@@ -145,10 +149,6 @@ type t = {
      [failed] list on the wire, so another hash would change messages. *)
   e2e : (int, e2e_state) Hashtbl.t; (* lookup seq -> pending retry state *)
   delivered_seqs : (int * int, unit) Hashtbl.t; (* (origin addr, seq) *)
-  mutable on_suspicion : (target:int -> unit) option;
-  mutable load_signal : (unit -> int) option;
-  mutable on_progress_suspect : (target:int -> unit) option;
-  mutable on_poison_reject : (target:int -> unit) option;
   id_challenges : (int, id_challenge) Hashtbl.t; (* nonce -> pending *)
   mutable next_nonce : int;
   join_admits : float Queue.t; (* join-admission stamps, oldest first *)
@@ -170,7 +170,6 @@ type t = {
   mutable repair_scheduled : bool;
   mutable prev_right : Nodeid.t option;
   mutable right_since : float;
-  mutable trace : Obs.Trace.t;
 }
 
 let create ~cfg ~env ~id ~addr =
@@ -191,10 +190,6 @@ let create ~cfg ~env ~id ~addr =
     failed = Hashtbl.create 16;
     e2e = Hashtbl.create 16;
     delivered_seqs = Hashtbl.create 64;
-    on_suspicion = None;
-    load_signal = None;
-    on_progress_suspect = None;
-    on_poison_reject = None;
     id_challenges = Hashtbl.create 8;
     next_nonce = 0;
     join_admits = Queue.create ();
@@ -216,10 +211,8 @@ let create ~cfg ~env ~id ~addr =
     repair_scheduled = false;
     prev_right = None;
     right_since = 0.0;
-    trace = Obs.Trace.disabled;
   }
 
-let set_trace t trace = t.trace <- trace
 let me t = t.me
 let is_active t = t.active
 let is_alive t = t.alive
@@ -286,21 +279,12 @@ let failed_set t = Hashtbl.fold (fun id () acc -> id :: acc) t.failed []
 let pending_probes t = t.ls_probing + t.rt_probing
 let pending_hops t = Hashtbl.length t.pending
 let pending_e2e t = Hashtbl.length t.e2e
-let set_on_suspicion t f = t.on_suspicion <- Some f
-let set_load_signal t f = t.load_signal <- Some f
-let set_on_progress_suspect t f = t.on_progress_suspect <- Some f
-let set_on_poison_reject t f = t.on_poison_reject <- Some f
 
-(* backpressure: the node is overloaded when its local queue-occupancy
-   signal (wired by the harness from the netsim capacity model) is at or
-   above [Config.overload_threshold]. Always false in the paper's
-   configuration (backpressure off) or without a wired signal. *)
-let overloaded t =
-  t.cfg.Config.backpressure
-  &&
-  match t.load_signal with
-  | Some f -> f () >= Config.overload_threshold
-  | None -> false
+(* backpressure: the node is overloaded when its local load signal
+   (wired by the harness from the netsim capacity model) is at or above
+   [Config.overload_threshold]. Always false in the paper's
+   configuration (backpressure off), which never reads the signal. *)
+let overloaded t = t.cfg.Config.backpressure && t.env.load () >= Config.overload_threshold
 
 let suspected_set t =
   let n = now t in
@@ -323,8 +307,8 @@ let send_msg ?hop t (dst : Peer.t) payload =
 
 let cancel_timer t = function Some ev -> t.env.cancel ev | None -> ()
 
-let emit_ev t body = Obs.Trace.emit t.trace { Obs.Event.time = now t; body }
-let traced t = Obs.Trace.enabled t.trace
+let emit_ev t body = Obs.Trace.emit t.env.trace { Obs.Event.time = now t; body }
+let traced t = Obs.Trace.enabled t.env.trace
 
 let emit_probe t (target : Peer.t) kind =
   if traced t then
@@ -348,7 +332,7 @@ let suspect_peer t (j : Peer.t) =
   ps.susp <- Some { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
   if traced t then
     emit_ev t (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
-  match t.on_suspicion with Some f -> f ~target:j.Peer.addr | None -> ()
+  t.env.on_suspicion ~target:j.Peer.addr
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine hardening: routing distrust and gossip verification        *)
@@ -377,7 +361,7 @@ let distrust_peer t (j : Peer.t) ~seq ~hops =
   if traced t then
     emit_ev t
       (Obs.Event.Progress_suspect { addr = t.me.Peer.addr; suspect = j.Peer.addr; seq; hops });
-  match t.on_progress_suspect with Some f -> f ~target:j.Peer.addr | None -> ()
+  t.env.on_progress_suspect ~target:j.Peer.addr
 
 (* Gossip verification funnel: run [k] (an admission into the leaf set
    or routing table) only once the node at the advertised address has
@@ -442,9 +426,7 @@ let handle_id_response t ~sender ~nonce ~id =
                  claimed = Nodeid.to_hex claimed.Peer.id;
                  peer = claimed.Peer.addr;
                });
-        match t.on_poison_reject with
-        | Some f -> f ~target:claimed.Peer.addr
-        | None -> ()
+        t.env.on_poison_reject ~target:claimed.Peer.addr
       end
 
 (* bounded join-rate admission (join_rate_limit): a sliding window of
@@ -885,15 +867,9 @@ and hop_timeout t hop_id =
          probe machinery may declare it faulty *)
       (peer t j.Peer.id).times.excluded_until <- now t +. Config.exclusion_period;
       if Leafset.mem t.leafset j.Peer.id then probe t j else rt_probe t j;
-      if ph.h_reroutes >= t.cfg.max_hop_reroutes then begin
-        match ph.h_payload with
-        | M.Lookup l -> t.env.on_lookup_drop l
-        | _ -> ()
-      end
-      else begin
-        let payload = mark_retx ph.h_payload in
-        route_payload t payload ~key:ph.h_key ~reroutes:(ph.h_reroutes + 1)
-      end
+      (* past the reroute budget the message is lost *)
+      if ph.h_reroutes < t.cfg.max_hop_reroutes then
+        route_payload t (mark_retx ph.h_payload) ~key:ph.h_key ~reroutes:(ph.h_reroutes + 1)
 
 and mark_retx = function
   | M.Lookup l -> M.Lookup { l with retx = true }
@@ -1043,12 +1019,7 @@ and own_rows_from t r0 =
 and push_buffer t payload ~key =
   if List.length t.buffer >= 1000 then begin
     (* drop the oldest entry (tail of the newest-first list) *)
-    match List.rev t.buffer with
-    | { bf_payload = M.Lookup l; _ } :: rest ->
-        t.env.on_lookup_drop l;
-        t.buffer <- List.rev rest
-    | _ :: rest -> t.buffer <- List.rev rest
-    | [] -> ()
+    match List.rev t.buffer with _ :: rest -> t.buffer <- List.rev rest | [] -> ()
   end;
   (* newest first; flush reverses to preserve arrival order *)
   t.buffer <- { bf_payload = payload; bf_key = key; bf_attempts = 0 } :: t.buffer
@@ -1060,12 +1031,8 @@ and flush_buffer t =
     List.iter
       (fun e ->
         e.bf_attempts <- e.bf_attempts + 1;
-        if e.bf_attempts > 60 then begin
-          match e.bf_payload with
-          | M.Lookup l -> t.env.on_lookup_drop l
-          | _ -> ()
-        end
-        else route_payload t e.bf_payload ~key:e.bf_key ~reroutes:0)
+        (* an entry still unroutable after 60 attempts is dropped *)
+        if e.bf_attempts <= 60 then route_payload t e.bf_payload ~key:e.bf_key ~reroutes:0)
       entries;
     if t.buffer <> [] then
       ignore (t.env.schedule ~delay:1.0 (fun () -> if t.alive then flush_buffer t))

@@ -1,10 +1,12 @@
 (** An MSPastry protocol node.
 
     The node is a pure state machine over an {!env} of capabilities
-    (virtual clock, message send, timers, application upcalls), so the
-    same code runs under the packet simulator and under unit tests with a
-    scripted environment — mirroring the paper's "the code that runs in
-    the simulator and in the real deployment is the same".
+    (virtual clock, message send, timers, application upcalls, observers,
+    load signal, event trace). The [env] is the only connection between
+    a node and its host, so the same code runs under the packet simulator
+    and under unit tests with a scripted environment — mirroring the
+    paper's "the code that runs in the simulator and in the real
+    deployment is the same".
 
     Lifecycle: {!create} → either {!bootstrap} (first node of a fresh
     overlay) or {!join} via any live node's address → the node probes its
@@ -43,21 +45,43 @@ type env = {
   on_active : unit -> unit;  (** fired once, when the join completes *)
   on_join_failed : unit -> unit;
       (** join retries exhausted; the node never became active *)
-  on_lookup_drop : Message.lookup -> unit;
-      (** a per-hop reroute budget was exhausted; the message is lost *)
+  on_suspicion : target:int -> unit;
+      (** called with the target's overlay address each time this node's
+          failure detector (newly or again) quarantines a peer — the
+          harness uses it to score detector accuracy against ground
+          truth *)
+  on_progress_suspect : target:int -> unit;
+      (** called with the suspect's overlay address each time the
+          progress check ([cfg.progress_check]) convicts a previous hop
+          of a non-progressing forward (Byzantine hardening, DESIGN.md
+          §10) *)
+  on_poison_reject : target:int -> unit;
+      (** called with the advertising peer's overlay address each time
+          gossip verification ([cfg.verify_gossip]) unmasks a fabricated
+          entry (DESIGN.md §10) *)
+  load : unit -> int;
+      (** the node's local load signal: the number of messages currently
+          backlogged at this node (the harness reads
+          {!Netsim.Net.queue_occupancy}). Read only when
+          [cfg.backpressure] is on; with the signal at or above
+          {!Config.overload_threshold} the node sheds deferrable work —
+          probe volleys collapse to single packets, routing-table probe
+          rounds and maintenance gossip are skipped, and join admission
+          ([Nn_request] / [Join_request] service) is deferred — while
+          heartbeats, leaf-set probing and acking continue. *)
+  trace : Repro_obs.Trace.t;
+      (** the structured event trace ({!Repro_obs.Trace.disabled} for
+          none). An enabled trace receives protocol-level events: a
+          [Lookup_hop] with the routing stage each time the node routes
+          or delivers a lookup, [Hop_ack] / [Ack_timeout] with per-hop ack
+          timing, a [Probe] per liveness / distance probe launched,
+          failure-detector, end-to-end retry and hardening events, and
+          [Node_join] / [Node_crash] lifecycle events. *)
 }
 
 type t
 
 val create : cfg:Config.t -> env:env -> id:Nodeid.t -> addr:int -> t
-
-val set_trace : t -> Repro_obs.Trace.t -> unit
-(** Attach a structured event trace (nodes start with the disabled
-    trace). An enabled trace receives protocol-level events: a
-    [Lookup_hop] with the routing stage each time the node routes or
-    delivers a lookup, [Hop_ack] / [Ack_timeout] with per-hop ack timing,
-    a [Probe] per liveness / distance probe launched, and
-    [Node_join] / [Node_crash] lifecycle events. *)
 
 val me : t -> Peer.t
 
@@ -118,36 +142,6 @@ val pending_e2e : t -> int
 (** Lookups this origin is still waiting on end-to-end (receipts
     outstanding, retries possibly pending). Always 0 when
     [e2e_lookup_retries = 0]. *)
-
-val set_on_suspicion : t -> (target:int -> unit) -> unit
-(** Install an observer called with the target's overlay address each
-    time this node's failure detector (newly or again) quarantines a
-    peer — the harness uses it to score detector accuracy against ground
-    truth. At most one observer; later calls replace earlier ones. *)
-
-val set_load_signal : t -> (unit -> int) -> unit
-(** Wire the node's local load signal: a thunk returning the number of
-    messages currently backlogged at this node (the harness wires it to
-    {!Netsim.Net.queue_occupancy}). Only consulted when
-    [cfg.backpressure] is on; with the signal at or above
-    {!Config.overload_threshold} the node sheds deferrable work — probe
-    volleys collapse to single packets, routing-table probe rounds and
-    maintenance gossip are skipped, and join admission ([Nn_request] /
-    [Join_request] service) is deferred — while heartbeats, leaf-set
-    probing and acking continue. At most one signal; later calls
-    replace earlier ones. *)
-
-(** {1 Byzantine hardening (DESIGN.md §10)} *)
-
-val set_on_progress_suspect : t -> (target:int -> unit) -> unit
-(** Observer fired with the suspect's overlay address each time the
-    progress check ([cfg.progress_check]) convicts a previous hop of a
-    non-progressing forward. At most one; later calls replace. *)
-
-val set_on_poison_reject : t -> (target:int -> unit) -> unit
-(** Observer fired with the advertising peer's overlay address each
-    time gossip verification ([cfg.verify_gossip]) unmasks a fabricated
-    entry. At most one; later calls replace. *)
 
 val distrusted_set : t -> Nodeid.t list
 (** Peers currently distrusted for routing by the Byzantine hardening

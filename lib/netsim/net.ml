@@ -99,9 +99,6 @@ let create ?(endpoint_of = fun a -> a) ?(classes = ([| "msg" |], fun _ -> 0))
     trace;
   }
 
-let engine t = t.engine
-let topology t = t.topology
-
 let set_faults t ~link ~node =
   t.link <- link;
   t.node <- node

@@ -99,9 +99,6 @@ val create :
     the post-enqueue occupancy. Raises [Invalid_argument] unless
     [service_rate > 0] and [queue_limit >= 1]. *)
 
-val engine : 'm t -> Simkit.Engine.t
-val topology : 'm t -> Topology.t
-
 val set_faults :
   'm t -> link:Repro_faults.Netfault.t -> node:Repro_faults.Nodefault.t -> unit
 (** Install the models stages 1, 2 and 4 consult from now on. Messages

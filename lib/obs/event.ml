@@ -11,8 +11,6 @@ type body =
       seq : int option;
       reason : drop_reason;
     }
-  | Timer_fired
-  | Timer_cancelled
   | Node_join of { addr : int }
   | Node_crash of { addr : int }
   | Lookup_hop of { seq : int; addr : int; stage : stage; hops : int; retx : bool }
@@ -59,8 +57,6 @@ let kind_name t =
   | Send _ -> "send"
   | Recv _ -> "recv"
   | Drop _ -> "drop"
-  | Timer_fired -> "timer-fired"
-  | Timer_cancelled -> "timer-cancelled"
   | Node_join _ -> "node-join"
   | Node_crash _ -> "node-crash"
   | Lookup_hop _ -> "lookup-hop"
@@ -95,7 +91,6 @@ let to_json t =
           ("reason", Json.String (drop_reason_name reason));
         ]
         @ seq_field seq
-    | Timer_fired | Timer_cancelled -> []
     | Node_join { addr } | Node_crash { addr } -> [ ("addr", Json.Int addr) ]
     | Lookup_hop { seq; addr; stage; hops; retx } ->
         [
@@ -188,8 +183,6 @@ let of_json j =
         let* cls = str "cls" in
         let* reason = Option.bind (str "reason") drop_reason_of_name in
         Ok (Drop { src; dst; cls; seq = seq_opt; reason })
-    | "timer-fired" -> Ok Timer_fired
-    | "timer-cancelled" -> Ok Timer_cancelled
     | "node-join" ->
         let* addr = int "addr" in
         Ok (Node_join { addr })
@@ -267,7 +260,3 @@ let of_json j =
     | other -> Error (Printf.sprintf "unknown event kind %S" other)
   in
   match body with Ok body -> Ok { time; body } | Error _ as e -> e
-
-let pp fmt t =
-  let j = to_json t in
-  Format.pp_print_string fmt (Json.to_string j)

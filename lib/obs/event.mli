@@ -1,10 +1,11 @@
 (** Typed simulator events.
 
     One constructor per observable occurrence in the stack: network sends
-    / deliveries / drops (with their traffic class), engine timer
-    activity, node lifecycle, per-lookup routing hops with the stage of
-    the routing rule that chose the hop, per-hop ack timing, and
-    failure-detection probes. Every event carries its virtual timestamp;
+    / deliveries / drops (with their traffic class) and capacity queueing,
+    injected faults, node lifecycle, per-lookup routing hops with the
+    stage of the routing rule that chose the hop, per-hop ack timing,
+    failure-detection probes and suspicions, end-to-end retries, and
+    Byzantine-hardening verdicts. Every event carries its virtual timestamp;
     node-level events carry the overlay address of the node that emitted
     them. Events serialise to single-line JSON (one per line in a JSONL
     trace) and parse back losslessly. *)
@@ -35,8 +36,6 @@ type body =
       seq : int option;
       reason : drop_reason;
     }
-  | Timer_fired
-  | Timer_cancelled
   | Node_join of { addr : int }  (** the node's join completed (active) *)
   | Node_crash of { addr : int }
   | Lookup_hop of { seq : int; addr : int; stage : stage; hops : int; retx : bool }
@@ -91,4 +90,3 @@ val kind_name : t -> string
 
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -55,7 +55,6 @@ let mean t = if t.n = 0 then nan else t.acc.sum /. float_of_int t.n
 let min_value t = if t.n = 0 then nan else t.acc.minv
 let max_value t = if t.n = 0 then nan else t.acc.maxv
 let alpha t = t.alpha
-let num_buckets t = Array.length t.counts
 
 (* Midpoint (in log space) of bucket i's range (lo*gamma^(i-1), lo*gamma^i]:
    the estimate 2*lo*gamma^i / (1+gamma) is within alpha of any value in

@@ -34,7 +34,6 @@ val max_value : t -> float
 (** Exact tracked maximum; [nan] when empty. *)
 
 val alpha : t -> float
-val num_buckets : t -> int
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0, 1]; [nan] when empty. The estimate

@@ -51,8 +51,6 @@ let phase name =
     id
   end
 
-let phase_name id = !names.(id)
-
 let set_enabled v =
   if v && not !on then begin
     let t = now () in

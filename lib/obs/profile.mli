@@ -50,8 +50,6 @@ val phase : string -> int
     Idempotent: the same name always yields the same id. Call it once at
     module initialisation, not on the hot path. *)
 
-val phase_name : int -> string
-
 val enter : int -> unit
 (** Begin a phase. No-op when disabled. Phases nest: entering [b] while
     inside [a] suspends [a]'s self-time accumulation until [b] leaves. *)

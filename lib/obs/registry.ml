@@ -13,17 +13,6 @@ let gauge_f t name read = register t name (fun () -> Float (read ()))
 let dump t = List.rev_map (fun (name, read) -> (name, read ())) t.items
 let find t name = Option.map (fun read -> read ()) (List.assoc_opt name t.items)
 
-let pp fmt t =
-  Format.pp_open_vbox fmt 0;
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Format.pp_print_cut fmt ();
-      match v with
-      | Int n -> Format.fprintf fmt "%-32s %d" name n
-      | Float f -> Format.fprintf fmt "%-32s %.6g" name f)
-    (dump t);
-  Format.pp_close_box fmt ()
-
 let to_json t =
   Json.Obj
     (List.map

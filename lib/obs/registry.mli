@@ -2,7 +2,7 @@
 
     Components expose cheap accessor closures (reading the plain mutable
     counters they maintain anyway); the registry samples them on demand
-    for a [pp] dump or a JSON snapshot. Registration order is preserved
+    for a dump or a JSON snapshot. Registration order is preserved
     in dumps so related metrics stay adjacent. *)
 
 type value = Int of int | Float of float
@@ -21,6 +21,5 @@ val dump : t -> (string * value) list
 
 val find : t -> string -> value option
 
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Json.t
 (** An object mapping metric names to their sampled values. *)

@@ -39,27 +39,16 @@ module Ring = struct
     t.len <- 0
 end
 
-type t = Memory of Event.t Ring.t | Jsonl of jsonl
-       | Fn of (Event.t -> unit)
-
-and jsonl = { oc : out_channel; owned : bool; mutable n_written : int }
+type t = Memory of Event.t Ring.t | Jsonl of out_channel
 
 let memory ~capacity = Memory (Ring.create ~capacity)
-let jsonl_channel oc = Jsonl { oc; owned = false; n_written = 0 }
-let jsonl_file path = Jsonl { oc = open_out path; owned = true; n_written = 0 }
+let jsonl_file path = Jsonl (open_out path)
 
 let emit t ev =
   match t with
   | Memory r -> Ring.push r ev
-  | Jsonl j ->
-      output_string j.oc (Json.to_string (Event.to_json ev));
-      output_char j.oc '\n';
-      j.n_written <- j.n_written + 1
-  | Fn f -> f ev
+  | Jsonl oc ->
+      output_string oc (Json.to_string (Event.to_json ev));
+      output_char oc '\n'
 
-let written j = j.n_written
-let flush = function Jsonl j -> flush j.oc | Memory _ | Fn _ -> ()
-
-let close = function
-  | Jsonl j -> if j.owned then close_out j.oc else Stdlib.flush j.oc
-  | Memory _ | Fn _ -> ()
+let close = function Jsonl oc -> close_out oc | Memory _ -> ()

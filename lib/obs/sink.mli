@@ -1,9 +1,9 @@
 (** Event sinks: where a {!Trace} puts the events it is handed.
 
-    Three implementations: a bounded in-memory ring buffer (tests,
-    interactive inspection), a JSONL writer (offline analysis — one
-    {!Event.to_json} line per event), and a callback for custom
-    consumers. The null case lives in {!Trace} as the disabled trace:
+    Two implementations: a bounded in-memory ring buffer (tests,
+    interactive inspection) and a JSONL file writer (offline analysis —
+    one {!Event.to_json} line per event, read back by [bin/tracedump
+    --events]). The null case lives in {!Trace} as the disabled trace:
     hook sites guard on {!Trace.enabled}, so a disabled trace costs one
     branch and no allocation. *)
 
@@ -29,26 +29,14 @@ module Ring : sig
   val clear : 'a t -> unit
 end
 
-type t =
-  | Memory of Event.t Ring.t
-  | Jsonl of jsonl
-  | Fn of (Event.t -> unit)
-
-and jsonl
+type t = Memory of Event.t Ring.t | Jsonl of out_channel
 
 val memory : capacity:int -> t
-val jsonl_channel : out_channel -> t
 
 val jsonl_file : string -> t
 (** Opens (truncates) [path]; remember to {!close}. *)
 
 val emit : t -> Event.t -> unit
-val written : jsonl -> int
-(** Lines written so far. *)
-
-val flush : t -> unit
 
 val close : t -> unit
-(** Flushes; closes the channel of a [Jsonl] sink opened by
-    {!jsonl_file} (a [jsonl_channel] sink is only flushed — the caller
-    owns the channel). *)
+(** Flushes and closes a [Jsonl] sink's file; a no-op for [Memory]. *)

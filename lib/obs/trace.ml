@@ -1,26 +1,24 @@
-type t = { enabled : bool; sink : Sink.t option; filter : Event.t -> bool }
+type t = Sink.t option
 
-let disabled = { enabled = false; sink = None; filter = (fun _ -> true) }
-let create ?(filter = fun _ -> true) sink = { enabled = true; sink = Some sink; filter }
-let enabled t = t.enabled
+let disabled = None
+let create sink = Some sink
+let enabled = function Some _ -> true | None -> false
 
 let ph_trace = Profile.phase "obs.trace"
 
 let emit t ev =
-  if t.enabled && t.filter ev then
-    match t.sink with
-    | Some s ->
-        if !Profile.on then begin
-          Profile.enter ph_trace;
-          Sink.emit s ev;
-          Profile.leave ph_trace
-        end
-        else Sink.emit s ev
-    | None -> ()
+  match t with
+  | Some s ->
+      if !Profile.on then begin
+        Profile.enter ph_trace;
+        Sink.emit s ev;
+        Profile.leave ph_trace
+      end
+      else Sink.emit s ev
+  | None -> ()
 
-let events t =
-  match t.sink with Some (Sink.Memory r) -> Sink.Ring.to_list r | Some _ | None -> []
+let events = function
+  | Some (Sink.Memory r) -> Sink.Ring.to_list r
+  | Some (Sink.Jsonl _) | None -> []
 
-let sink t = t.sink
-let flush t = match t.sink with Some s -> Sink.flush s | None -> ()
-let close t = match t.sink with Some s -> Sink.close s | None -> ()
+let close t = Option.iter Sink.close t

@@ -2,26 +2,20 @@
 
     Hot-path contract: instrumentation sites guard event construction on
     {!enabled}, so the {!disabled} trace costs a single branch and no
-    allocation per site. An enabled trace forwards every event (passing
-    its optional filter) to its {!Sink}. *)
+    allocation per site. An enabled trace forwards every event to its
+    {!Sink}. *)
 
 type t
 
 val disabled : t
 (** The shared null trace: {!enabled} is [false], {!emit} is a no-op. *)
 
-val create : ?filter:(Event.t -> bool) -> Sink.t -> t
-(** [filter] drops events for which it returns [false] before they reach
-    the sink (e.g. excluding engine timer events from a JSONL file). *)
-
+val create : Sink.t -> t
 val enabled : t -> bool
 val emit : t -> Event.t -> unit
 
 val events : t -> Event.t list
 (** Contents (oldest first) of a [Memory] sink; [[]] for other sinks. *)
 
-val sink : t -> Sink.t option
-(** [None] for {!disabled}. *)
-
-val flush : t -> unit
 val close : t -> unit
+(** Closes the sink ({!Sink.close}); a no-op for {!disabled}. *)

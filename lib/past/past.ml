@@ -120,7 +120,7 @@ let route_put t ~client ~key ~value ~refresh =
   if Node.is_alive client && Node.is_active client then begin
     let seq = fresh_seq t in
     Hashtbl.replace t.pending seq (Put { key; value; refresh });
-    Live.send_lookup t.live client ~key:(hash_key key) ~seq
+    Node.lookup client ~key:(hash_key key) ~seq
   end
 
 (* periodic anti-entropy: every holder re-inserts what it stores, so the
@@ -178,7 +178,7 @@ let get t ~client ~key =
     in
     Hashtbl.replace t.pending seq
       (Get { key; client_addr = (Node.me client).Pastry.Peer.addr; timer });
-    Live.send_lookup t.live client ~key:(hash_key key) ~seq
+    Node.lookup client ~key:(hash_key key) ~seq
   end
 
 type stats = {

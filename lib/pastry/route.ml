@@ -1,11 +1,6 @@
 type decision = Deliver | Forward of Peer.t
 type rule = Via_leafset | Via_table | Via_closest
 
-let rule_name = function
-  | Via_leafset -> "leafset"
-  | Via_table -> "table"
-  | Via_closest -> "closest"
-
 let no_exclusion _ = false
 
 let next_hop_explained ?(excluded = no_exclusion) ~leafset ~table ~key () =

@@ -16,8 +16,6 @@ type rule =
   | Via_table  (** routing-table entry matching one more digit *)
   | Via_closest  (** fallback over all known strictly-closer peers *)
 
-val rule_name : rule -> string
-
 val next_hop_explained :
   ?excluded:(Nodeid.t -> bool) ->
   leafset:Leafset.t ->

@@ -130,7 +130,7 @@ let send_subscribe t member group =
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     Hashtbl.replace t.pending seq (Subscribe group);
-    Live.send_lookup t.live member ~key:group ~seq
+    Node.lookup member ~key:group ~seq
   end
 
 let subscribe t ~member group =
@@ -162,7 +162,7 @@ let multicast t ~from group =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   Hashtbl.replace t.pending seq (Publish (group, msg_id));
-  Live.send_lookup t.live from ~key:group ~seq;
+  Node.lookup from ~key:group ~seq;
   msg_id
 
 let members t group =

@@ -27,10 +27,9 @@ type t = {
   mutable n_cancelled : int;
   mutable heap_hwm : int;
   mutable live_hwm : int;
-  trace : Repro_obs.Trace.t;
 }
 
-let create ?(trace = Repro_obs.Trace.disabled) () =
+let create () =
   {
     clock = 0.0;
     queue = Heap.create ();
@@ -40,7 +39,6 @@ let create ?(trace = Repro_obs.Trace.disabled) () =
     n_cancelled = 0;
     heap_hwm = 0;
     live_hwm = 0;
-    trace;
   }
 
 let now t = t.clock
@@ -75,10 +73,7 @@ let cancel t e =
   if not e.cancelled then begin
     e.cancelled <- true;
     t.live <- t.live - 1;
-    t.n_cancelled <- t.n_cancelled + 1;
-    if Repro_obs.Trace.enabled t.trace then
-      Repro_obs.Trace.emit t.trace
-        { Repro_obs.Event.time = t.clock; body = Repro_obs.Event.Timer_cancelled }
+    t.n_cancelled <- t.n_cancelled + 1
   end
 
 let pending t = t.live
@@ -116,9 +111,6 @@ let step t =
     t.clock <- time;
     t.n_fired <- t.n_fired + 1;
     if prof then Profile.leave ph_heap;
-    if Repro_obs.Trace.enabled t.trace then
-      Repro_obs.Trace.emit t.trace
-        { Repro_obs.Event.time = t.clock; body = Repro_obs.Event.Timer_fired };
     if prof then begin
       Profile.enter ph_dispatch;
       e.fn ();

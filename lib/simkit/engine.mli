@@ -28,10 +28,7 @@ type stats = {
   events_per_sim_s : float;  (** fired / current virtual time *)
 }
 
-val create : ?trace:Repro_obs.Trace.t -> unit -> t
-(** [trace] (default {!Repro_obs.Trace.disabled}) receives a
-    [Timer_fired] / [Timer_cancelled] event per firing / cancellation
-    when enabled. *)
+val create : unit -> t
 
 val stats : t -> stats
 

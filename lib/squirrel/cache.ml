@@ -129,7 +129,7 @@ let request t ~client ~url =
       sent = Simkit.Engine.now engine;
       timer;
     };
-  Live.send_lookup t.live client ~key ~seq
+  Node.lookup client ~key ~seq
 
 type stats = {
   requests : int;

@@ -178,9 +178,12 @@ type script = {
   engine : Engine.t;
   mutable sent : (int * M.t) list;
   mutable delivered : M.lookup list;
+  mutable convicted : int list; (* progress-check convictions, newest first *)
+  mutable rejected : int list; (* gossip-verification rejections, newest first *)
 }
 
-let make_script () = { engine = Engine.create (); sent = []; delivered = [] }
+let make_script () =
+  { engine = Engine.create (); sent = []; delivered = []; convicted = []; rejected = [] }
 
 let env_of ?(forward = fun ~prev:_ _ -> Node.Continue) s =
   {
@@ -193,7 +196,11 @@ let env_of ?(forward = fun ~prev:_ _ -> Node.Continue) s =
     forward;
     on_active = (fun () -> ());
     on_join_failed = (fun () -> ());
-    on_lookup_drop = (fun _ -> ());
+    on_suspicion = (fun ~target:_ -> ());
+    on_progress_suspect = (fun ~target -> s.convicted <- target :: s.convicted);
+    on_poison_reject = (fun ~target -> s.rejected <- target :: s.rejected);
+    load = (fun () -> 0);
+    trace = Repro_obs.Trace.disabled;
   }
 
 let hexid prefix =
@@ -338,13 +345,11 @@ let test_redirect_acked_and_rerouted_honestly () =
 let test_progress_check_convicts_misrouter () =
   let cfg = { cfg with Config.progress_check = true } in
   let s, node, b, c = active_trio ~cfg () in
-  let convicted = ref [] in
-  Node.set_on_progress_suspect node (fun ~target -> convicted := target :: !convicted);
   (* [c] forwards us a lookup whose key is [c]'s own id: we share no
      prefix digit with the key and are strictly farther than the
      forwarder — an honest router would never have made that hop *)
   Node.handle node ~src:2 (M.make ~sender:c (incoming ~hops:1 ~origin:b (hexid "c0")));
-  Alcotest.(check (list int)) "previous hop convicted" [ 2 ] !convicted;
+  Alcotest.(check (list int)) "previous hop convicted" [ 2 ] s.convicted;
   Alcotest.(check bool) "distrusted for routing" true
     (List.exists (fun id -> Nodeid.equal id c.Peer.id) (Node.distrusted_set node));
   (* detection must not turn one bad hop into a loss: the lookup is
@@ -354,12 +359,10 @@ let test_progress_check_convicts_misrouter () =
 
 let test_progress_check_spares_honest_forward () =
   let cfg = { cfg with Config.progress_check = true } in
-  let _s, node, b, _c = active_trio ~cfg () in
-  let convicted = ref [] in
-  Node.set_on_progress_suspect node (fun ~target -> convicted := target :: !convicted);
+  let s, node, b, _c = active_trio ~cfg () in
   (* we are strictly closer to [a1] than the forwarder [b0]: progress *)
   Node.handle node ~src:1 (M.make ~sender:b (incoming ~hops:1 ~origin:b (hexid "a1")));
-  Alcotest.(check (list int)) "no conviction" [] !convicted
+  Alcotest.(check (list int)) "no conviction" [] s.convicted
 
 (* a lookup the upcall absorbs or redirects is no routing decision of
    this node's: nobody is convicted for the hop that brought it *)
@@ -367,21 +370,17 @@ let test_progress_check_skips_intercepted () =
   let cfg = { cfg with Config.progress_check = true } in
   let decision = ref Node.Absorb in
   let s, node, b, c = active_trio ~cfg ~forward:(fun ~prev:_ _ -> !decision) () in
-  let convicted = ref [] in
-  Node.set_on_progress_suspect node (fun ~target -> convicted := target :: !convicted);
   Node.handle node ~src:2 (M.make ~sender:c (incoming ~hops:1 ~origin:b (hexid "c0")));
   decision := Node.Redirect b;
   Node.handle node ~src:2 (M.make ~sender:c (incoming ~seq:4 ~hops:1 ~origin:b (hexid "c0")));
-  Alcotest.(check (list int)) "nobody convicted" [] !convicted;
+  Alcotest.(check (list int)) "nobody convicted" [] s.convicted;
   Alcotest.(check (list int)) "only the redirect went out" [ 1 ]
     (List.map fst (lookups_sent s))
 
 let test_progress_check_off_by_default () =
-  let _s, node, b, c = active_trio () in
-  let convicted = ref [] in
-  Node.set_on_progress_suspect node (fun ~target -> convicted := target :: !convicted);
+  let s, node, b, c = active_trio () in
   Node.handle node ~src:2 (M.make ~sender:c (incoming ~hops:1 ~origin:b (hexid "c0")));
-  Alcotest.(check (list int)) "baseline never convicts" [] !convicted;
+  Alcotest.(check (list int)) "baseline never convicts" [] s.convicted;
   Alcotest.(check (list string)) "nobody distrusted" []
     (List.map Nodeid.to_hex (Node.distrusted_set node))
 
@@ -406,8 +405,6 @@ let test_gossip_verification_rejects_forged_sender () =
   let s = make_script () in
   let node = Node.create ~cfg ~env:(env_of s) ~id:me_id ~addr:0 in
   Node.bootstrap node;
-  let rejected = ref [] in
-  Node.set_on_poison_reject node (fun ~target -> rejected := target :: !rejected);
   (* an honest peer passes its challenge and is admitted *)
   let b = Peer.make (hexid "b0") 1 in
   Node.handle node ~src:1 (M.make ~sender:b (ls_probe ()));
@@ -421,7 +418,7 @@ let test_gossip_verification_rejects_forged_sender () =
   let forged = Peer.make (hexid "d0") 5 in
   Node.handle node ~src:5 (M.make ~sender:forged (ls_probe ()));
   answer_challenge s node ~addr:5 ~answer_id:(hexid "e0");
-  Alcotest.(check (list int)) "poison rejection observed" [ 5 ] !rejected;
+  Alcotest.(check (list int)) "poison rejection observed" [ 5 ] s.rejected;
   Alcotest.(check bool) "forged entry kept out" false
     (Pastry.Leafset.mem (Node.leafset node) forged.Peer.id);
   (* the forgery is cached: re-advertising it triggers no new challenge *)

@@ -317,7 +317,11 @@ let inert_env =
     forward = (fun ~prev:_ _ -> Node.Continue);
     on_active = (fun () -> ());
     on_join_failed = (fun () -> ());
-    on_lookup_drop = (fun _ -> ());
+    on_suspicion = (fun ~target:_ -> ());
+    on_progress_suspect = (fun ~target:_ -> ());
+    on_poison_reject = (fun ~target:_ -> ());
+    load = (fun () -> 0);
+    trace = Repro_obs.Trace.disabled;
   }
 
 let test_node_env_misuse () =

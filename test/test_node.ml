@@ -16,7 +16,6 @@ type script = {
   mutable delivered : M.lookup list;
   mutable activations : int;
   mutable join_failures : int;
-  mutable drops : M.lookup list;
 }
 
 let make_script () =
@@ -26,7 +25,6 @@ let make_script () =
     delivered = [];
     activations = 0;
     join_failures = 0;
-    drops = [];
   }
 
 let env_of s =
@@ -40,7 +38,11 @@ let env_of s =
     forward = (fun ~prev:_ _ -> Node.Continue);
     on_active = (fun () -> s.activations <- s.activations + 1);
     on_join_failed = (fun () -> s.join_failures <- s.join_failures + 1);
-    on_lookup_drop = (fun l -> s.drops <- l :: s.drops);
+    on_suspicion = (fun ~target:_ -> ());
+    on_progress_suspect = (fun ~target:_ -> ());
+    on_poison_reject = (fun ~target:_ -> ());
+    load = (fun () -> 0);
+    trace = Repro_obs.Trace.disabled;
   }
 
 let cfg = Config.default

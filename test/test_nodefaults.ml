@@ -241,7 +241,7 @@ type script = {
 
 let make_script () = { engine = Engine.create (); sent = []; delivered = [] }
 
-let env_of s =
+let env_of ?(trace = Obs.Trace.disabled) s =
   {
     Node.now = (fun () -> Engine.now s.engine);
     send = (fun ~dst msg -> s.sent <- (dst, msg) :: s.sent);
@@ -252,7 +252,11 @@ let env_of s =
     forward = (fun ~prev:_ _ -> Node.Continue);
     on_active = (fun () -> ());
     on_join_failed = (fun () -> ());
-    on_lookup_drop = (fun _ -> ());
+    on_suspicion = (fun ~target:_ -> ());
+    on_progress_suspect = (fun ~target:_ -> ());
+    on_poison_reject = (fun ~target:_ -> ());
+    load = (fun () -> 0);
+    trace;
   }
 
 let hexid prefix =
@@ -267,9 +271,9 @@ let advance s dt = Engine.run s.engine ~until:(Engine.now s.engine +. dt)
 let cfg = Config.default
 
 (* an active node with one leaf-set member [other] (addr 1) *)
-let active_pair ?(cfg = cfg) () =
+let active_pair ?(cfg = cfg) ?trace () =
   let s = make_script () in
-  let node = Node.create ~cfg ~env:(env_of s) ~id:(hexid "a0") ~addr:0 in
+  let node = Node.create ~cfg ~env:(env_of ?trace s) ~id:(hexid "a0") ~addr:0 in
   Node.bootstrap node;
   let other = Peer.make (hexid "b0") 1 in
   Node.handle node ~src:1
@@ -353,9 +357,8 @@ let test_probe_volley_escalation () =
 
 let test_e2e_retry_and_ack () =
   let cfg = { cfg with Config.e2e_lookup_retries = 2 } in
-  let s, node, other = active_pair ~cfg () in
   let trace = Obs.Trace.create (Obs.Sink.memory ~capacity:1000) in
-  Node.set_trace node trace;
+  let s, node, other = active_pair ~cfg ~trace () in
   Node.lookup node ~key:(hexid "b0") ~seq:77;
   Alcotest.(check int) "e2e state installed" 1 (Node.pending_e2e node);
   advance s 30.0;

@@ -54,8 +54,6 @@ let every_variant : Event.t list =
         Event.Drop
           { src = 5; dst = 6; cls = "lookup"; seq = Some 10; reason = Event.Congested };
     };
-    { time = t; body = Event.Timer_fired };
-    { time = t; body = Event.Timer_cancelled };
     { time = t; body = Event.Node_join { addr = 11 } };
     { time = t; body = Event.Node_crash { addr = 12 } };
     {
@@ -87,9 +85,63 @@ let every_variant : Event.t list =
     { time = t; body = Event.Unsuspected { addr = 22; target = 23 } };
     { time = t; body = Event.Lookup_retry { seq = 6; addr = 24; attempt = 1 } };
     { time = t; body = Event.Queue { addr = 25; cls = "lookup"; delay = 0.012; occ = 3 } };
+    {
+      time = t;
+      body =
+        Event.Drop { src = 9; dst = 10; cls = "leafset"; seq = None; reason = Event.Node_fault };
+    };
+    { time = t; body = Event.Progress_suspect { addr = 26; suspect = 27; seq = 12; hops = 3 } };
+    { time = t; body = Event.Route_diverted { addr = 28; suspect = 29; seq = 13; attempt = 2 } };
+    {
+      time = t;
+      body =
+        Event.Poison_rejected
+          { addr = 30; claimed = "d0000000000000000000000000000000"; peer = 31 };
+    };
+    { time = t; body = Event.Join_deferred { addr = 32; joiner = 33 } };
   ]
 
+(* exhaustive on purpose: a new event kind or drop reason fails to
+   compile here until [every_variant] gets a row for it *)
+let kind_rank (ev : Event.t) =
+  match ev.Event.body with
+  | Event.Send _ -> 0
+  | Recv _ -> 1
+  | Drop _ -> 2
+  | Node_join _ -> 3
+  | Node_crash _ -> 4
+  | Lookup_hop _ -> 5
+  | Hop_ack _ -> 6
+  | Ack_timeout _ -> 7
+  | Probe _ -> 8
+  | Fault _ -> 9
+  | Suspected _ -> 10
+  | Unsuspected _ -> 11
+  | Lookup_retry _ -> 12
+  | Queue _ -> 13
+  | Progress_suspect _ -> 14
+  | Route_diverted _ -> 15
+  | Poison_rejected _ -> 16
+  | Join_deferred _ -> 17
+
+let reason_rank = function
+  | Event.Loss -> 0
+  | Dead_destination -> 1
+  | Faulted -> 2
+  | Node_fault -> 3
+  | Congested -> 4
+
 let test_jsonl_roundtrip () =
+  let ranks f = List.sort_uniq compare (List.filter_map f every_variant) in
+  Alcotest.(check (list int)) "every kind" (List.init 18 Fun.id)
+    (ranks (fun ev -> Some (kind_rank ev)));
+  Alcotest.(check int) "18 kind names" 18
+    (List.length (List.sort_uniq compare (List.map Event.kind_name every_variant)));
+  Alcotest.(check (list int)) "every drop reason" (List.init 5 Fun.id)
+    (ranks (fun ev ->
+         match ev.Event.body with
+         | Event.Drop { reason; _ } -> Some (reason_rank reason)
+         | _ -> None));
   List.iter
     (fun ev ->
       let line = Obs.Json.to_string (Event.to_json ev) in
