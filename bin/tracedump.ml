@@ -19,9 +19,10 @@ module Collector = Overlay_metrics.Collector
 module Trace = Churn.Trace
 module Rng = Repro_util.Rng
 
-let read_events path =
+(* [f] on each event of a JSONL trace, reading it line by line; returns
+   the number of unparseable lines *)
+let fold_events path f =
   let ic = open_in path in
-  let events = ref [] in
   let bad = ref 0 in
   (try
      while true do
@@ -30,13 +31,11 @@ let read_events path =
          match Obs.Json.of_string line with
          | Error _ -> incr bad
          | Ok j -> (
-             match Obs.Event.of_json j with
-             | Ok ev -> events := ev :: !events
-             | Error _ -> incr bad)
+             match Obs.Event.of_json j with Ok ev -> f ev | Error _ -> incr bad)
      done
    with End_of_file -> ());
   close_in ic;
-  (List.rev !events, !bad)
+  !bad
 
 let bump tbl key =
   match Hashtbl.find_opt tbl key with Some r -> incr r | None -> Hashtbl.add tbl key (ref 1)
@@ -94,8 +93,11 @@ let simulate nodes hours seed out loss lookup_rate faults capacity queue_limit =
   Printf.printf "tracing:  %s\n%!" out;
   Sim.run config ~trace:churn
 
-(* the digest of a JSONL trace; returns the traced sends per class *)
-let digest ~capacity ~sample ~top (events, bad) =
+(* the digest of a JSONL trace, folded into running counters as it is
+   read (only the lookup-hop events are kept, for the hop paths); returns
+   the traced sends per class *)
+let digest ~capacity ~sample ~top path =
+  let n_events = ref 0 and hop_events = ref [] in
   let t_min = ref infinity and t_max = ref neg_infinity in
   let by_kind = Hashtbl.create 16 in
   let sends_by_class = Hashtbl.create 16 in
@@ -110,8 +112,9 @@ let digest ~capacity ~sample ~top (events, bad) =
   let occ_max = ref 0 in
   let prog_suspects = ref 0 and diversions = ref 0 in
   let poison_rejects = ref 0 and join_defers = ref 0 in
-  List.iter
-    (fun ev ->
+  let bad =
+    fold_events path (fun ev ->
+      incr n_events;
       t_min := Float.min !t_min ev.Obs.Event.time;
       t_max := Float.max !t_max ev.Obs.Event.time;
       bump by_kind (Obs.Event.kind_name ev);
@@ -139,12 +142,14 @@ let digest ~capacity ~sample ~top (events, bad) =
       | Obs.Event.Route_diverted _ -> incr diversions
       | Obs.Event.Poison_rejected _ -> incr poison_rejects
       | Obs.Event.Join_deferred _ -> incr join_defers
+      | Obs.Event.Lookup_hop _ -> hop_events := ev :: !hop_events
       | _ -> ())
-    events;
+  in
+  let hop_events = List.rev !hop_events in
 
-  Printf.printf "\ntrace: %d events read back%s\n" (List.length events)
+  Printf.printf "\ntrace: %d events read back%s\n" !n_events
     (if bad > 0 then Printf.sprintf " (%d unparseable lines!)" bad else "");
-  if events <> [] then Printf.printf "  time span: %.3f .. %.3f s\n" !t_min !t_max;
+  if !n_events > 0 then Printf.printf "  time span: %.3f .. %.3f s\n" !t_min !t_max;
 
   Printf.printf "\nevents by kind:\n";
   List.iter (fun (k, n) -> Printf.printf "  %-16s %d\n" k n) (tbl_to_sorted by_kind);
@@ -171,7 +176,7 @@ let digest ~capacity ~sample ~top (events, bad) =
   end;
 
   (* -- per-lookup hop paths ------------------------------------------ *)
-  let paths = Obs.Hoppath.of_events events in
+  let paths = Obs.Hoppath.of_events hop_events in
   let n_paths = List.length paths in
   Printf.printf "\nlookup hop paths: %d lookups traced\n" n_paths;
   if n_paths > 0 then begin
@@ -187,7 +192,7 @@ let digest ~capacity ~sample ~top (events, bad) =
     List.iter (fun (l, n) -> Printf.printf "    %2d nodes: %6d lookups\n" l n) bars;
     let chosen =
       match sample with
-      | Some seq -> Obs.Hoppath.find events ~seq |> fun p -> (seq, p)
+      | Some seq -> Obs.Hoppath.find hop_events ~seq |> fun p -> (seq, p)
       | None ->
           (* default sample: a longest path — the most to reconstruct *)
           let best =
@@ -298,14 +303,12 @@ let run nodes hours seed out loss lookup_rate sample top faults capacity queue_l
   let digest = digest ~capacity:(Option.is_some capacity) ~sample ~top in
   match events with
   | Some path -> (
-      match read_events path with
+      match digest path with
       | exception Sys_error e -> `Error (false, e)
-      | trace ->
-          ignore (digest trace);
-          `Ok ())
+      | _ -> `Ok ())
   | None ->
       let live = simulate nodes hours seed out loss lookup_rate faults capacity queue_limit in
-      check_run live (digest (read_events out))
+      check_run live (digest out)
 
 let nodes =
   Arg.(value & opt int 100 & info [ "nodes" ] ~docv:"N" ~doc:"target concurrent nodes")

@@ -1,4 +1,5 @@
 module Rng = Repro_util.Rng
+module Series = Repro_util.Series
 
 type kind = Join | Leave
 
@@ -106,7 +107,6 @@ type profile = {
   weekend_drop : float; (* fraction of population absent on weekends *)
   session_median : float;
   session_mean : float;
-  p_duration : float;
 }
 
 (* Population-tracking synthetic churn. The target population follows a
@@ -164,7 +164,6 @@ let gnutella ?(scale = 1.0) ?duration rng =
       weekend_drop = 0.0;
       session_median = hours 1.0;
       session_mean = hours 2.3;
-      p_duration = hours 60.0;
     }
     ~scale ~duration
 
@@ -178,7 +177,6 @@ let overnet ?(scale = 1.0) ?duration rng =
       weekend_drop = 0.10;
       session_median = 79.0 *. 60.0;
       session_mean = 134.0 *. 60.0;
-      p_duration = days 7.0;
     }
     ~scale ~duration
 
@@ -192,79 +190,40 @@ let microsoft ?(scale = 0.1) ?duration rng =
       weekend_drop = 0.02;
       session_median = hours 30.0;
       session_mean = hours 37.7;
-      p_duration = days 37.0;
     }
     ~scale ~duration
 
-let failure_rate_series t ~window =
+(* the number [nw] of [window]-second windows covering the trace and, by
+   window number, each window's midpoint, population-time and
+   departures *)
+let sweep t ~window =
   let nw = int_of_float (ceil (t.duration /. window)) in
-  if nw <= 0 then [||]
-  else begin
-    let departures = Array.make nw 0.0 in
-    let pop_integral = Array.make nw 0.0 in
-    (* integrate population over each window by sweeping events *)
-    let cur = ref 0 in
-    let last_t = ref 0.0 in
-    let credit until =
-      (* add population-time from !last_t to until *)
-      let rec go t0 =
-        if t0 < until then begin
-          let w = int_of_float (floor (t0 /. window)) in
-          let w = if w >= nw then nw - 1 else w in
-          let wend = Float.min ((float_of_int w +. 1.0) *. window) until in
-          pop_integral.(w) <- pop_integral.(w) +. (float_of_int !cur *. (wend -. t0));
-          go wend
-        end
-      in
-      go !last_t;
-      last_t := until
-    in
-    Array.iter
-      (fun e ->
-        credit e.time;
-        match e.kind with
-        | Join -> incr cur
-        | Leave ->
-            decr cur;
-            let w = int_of_float (floor (e.time /. window)) in
-            let w = if w >= nw then nw - 1 else w in
-            departures.(w) <- departures.(w) +. 1.0)
-      t.events;
-    credit t.duration;
-    Array.init nw (fun w ->
-        let mid = (float_of_int w +. 0.5) *. window in
-        let rate =
-          if pop_integral.(w) <= 0.0 then 0.0 else departures.(w) /. pop_integral.(w)
-        in
-        (mid, rate))
-  end
+  let pop = Series.create ~window and departures = Series.create ~window in
+  let cur = ref 0 and last = ref 0.0 in
+  let credit until =
+    Series.integrate pop ~from:!last ~until (float_of_int !cur);
+    last := until
+  in
+  Array.iter
+    (fun e ->
+      credit e.time;
+      match e.kind with
+      | Join -> incr cur
+      | Leave ->
+          decr cur;
+          Series.count departures ~time:e.time)
+    t.events;
+  credit t.duration;
+  (* the last window also takes what falls at its end: a departure at
+     exactly [duration] *)
+  let at s w = if w = nw - 1 then Series.sum s w +. Series.sum s nw else Series.sum s w in
+  (nw, Series.mid pop, at pop, at departures)
+
+let failure_rate_series t ~window =
+  let nw, mid, pop, departures = sweep t ~window in
+  Array.init (max nw 0) (fun w ->
+      (mid w, if pop w <= 0.0 then 0.0 else departures w /. pop w))
 
 let population_series t ~window =
-  let nw = int_of_float (ceil (t.duration /. window)) in
-  if nw <= 0 then [||]
-  else begin
-    let pop_integral = Array.make nw 0.0 in
-    let cur = ref 0 in
-    let last_t = ref 0.0 in
-    let credit until =
-      let rec go t0 =
-        if t0 < until then begin
-          let w = int_of_float (floor (t0 /. window)) in
-          let w = if w >= nw then nw - 1 else w in
-          let wend = Float.min ((float_of_int w +. 1.0) *. window) until in
-          pop_integral.(w) <- pop_integral.(w) +. (float_of_int !cur *. (wend -. t0));
-          go wend
-        end
-      in
-      go !last_t;
-      last_t := until
-    in
-    Array.iter
-      (fun e ->
-        credit e.time;
-        match e.kind with Join -> incr cur | Leave -> decr cur)
-      t.events;
-    credit t.duration;
-    Array.init nw (fun w ->
-        ((float_of_int w +. 0.5) *. window, pop_integral.(w) /. window))
-  end
+  let nw, mid, pop, _ = sweep t ~window in
+  Array.init (max nw 0) (fun w -> (mid w, pop w /. window))

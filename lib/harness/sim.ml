@@ -34,7 +34,6 @@ type config = {
   topology : topology_kind;
   loss_rate : float;
   lookup_rate : float;
-  graceful_leave_fraction : float;
   seed : int;
   warmup : float;
   window : float;
@@ -52,7 +51,6 @@ let default_config =
     topology = Gatech;
     loss_rate = 0.0;
     lookup_rate = 0.01;
-    graceful_leave_fraction = 0.0;
     seed = 42;
     warmup = 1800.0;
     window = 600.0;
@@ -777,7 +775,6 @@ module Live = struct
         ("topology", Obs.Json.String (topology_name c.topology));
         ("loss_rate", Obs.Json.Float c.loss_rate);
         ("lookup_rate", Obs.Json.Float c.lookup_rate);
-        ("graceful_leave_fraction", Obs.Json.Float c.graceful_leave_fraction);
         ("warmup", Obs.Json.Float c.warmup);
         ("window", Obs.Json.Float c.window);
         ("drain", Obs.Json.Float c.drain);
@@ -791,36 +788,35 @@ module Live = struct
                   ("queue_limit", Obs.Json.Int cap.Netsim.Net.queue_limit);
                 ] );
         ("prioritize_control", Obs.Json.Bool c.prioritize_control);
+        ( "fault_schedule",
+          Obs.Json.List
+            (List.map
+               (fun (e : Schedule.event) ->
+                 Obs.Json.Obj
+                   [
+                     ("time", Obs.Json.Float e.Schedule.time);
+                     ("label", Obs.Json.String e.Schedule.label);
+                     ("action", Obs.Json.String (Schedule.describe e.Schedule.action));
+                   ])
+               c.fault_schedule) );
         ( "pastry",
           Obs.Json.Obj
-            ([
-               ("b", Obs.Json.Int p.Mspastry.Config.b);
-               ("l", Obs.Json.Int p.Mspastry.Config.l);
-               ("probe_volley", Obs.Json.Int p.Mspastry.Config.probe_volley);
-               ("per_hop_acks", Obs.Json.Bool p.Mspastry.Config.per_hop_acks);
-               ("active_probing", Obs.Json.Bool p.Mspastry.Config.active_probing);
-               ("lr_target", Obs.Json.Float p.Mspastry.Config.lr_target);
-               ("root_retries", Obs.Json.Int p.Mspastry.Config.root_retries);
-               ( "e2e_lookup_retries",
-                 Obs.Json.Int p.Mspastry.Config.e2e_lookup_retries );
-               ("backpressure", Obs.Json.Bool p.Mspastry.Config.backpressure);
-             ]
-            (* only mentioned when some hardening is on, so default-config
-               manifests stay byte-identical to pre-hardening builds *)
-            @ (if
-                 p.Mspastry.Config.verify_gossip
-                 || p.Mspastry.Config.progress_check
-                 || p.Mspastry.Config.join_rate_limit > 0
-               then
-                 [
-                   ( "verify_gossip",
-                     Obs.Json.Bool p.Mspastry.Config.verify_gossip );
-                   ( "progress_check",
-                     Obs.Json.Bool p.Mspastry.Config.progress_check );
-                   ( "join_rate_limit",
-                     Obs.Json.Int p.Mspastry.Config.join_rate_limit );
-                 ]
-               else [])) );
+            [
+              ("b", Obs.Json.Int p.Mspastry.Config.b);
+              ("l", Obs.Json.Int p.Mspastry.Config.l);
+              ("probe_volley", Obs.Json.Int p.Mspastry.Config.probe_volley);
+              ("per_hop_acks", Obs.Json.Bool p.Mspastry.Config.per_hop_acks);
+              ("active_probing", Obs.Json.Bool p.Mspastry.Config.active_probing);
+              ("lr_target", Obs.Json.Float p.Mspastry.Config.lr_target);
+              ("exploit_structure", Obs.Json.Bool p.Mspastry.Config.exploit_structure);
+              ("max_hop_reroutes", Obs.Json.Int p.Mspastry.Config.max_hop_reroutes);
+              ("root_retries", Obs.Json.Int p.Mspastry.Config.root_retries);
+              ("e2e_lookup_retries", Obs.Json.Int p.Mspastry.Config.e2e_lookup_retries);
+              ("backpressure", Obs.Json.Bool p.Mspastry.Config.backpressure);
+              ("verify_gossip", Obs.Json.Bool p.Mspastry.Config.verify_gossip);
+              ("progress_check", Obs.Json.Bool p.Mspastry.Config.progress_check);
+              ("join_rate_limit", Obs.Json.Int p.Mspastry.Config.join_rate_limit);
+            ] );
       ]
 
   let manifest ?(label = "run") t =
@@ -875,12 +871,7 @@ let schedule_trace live trace =
                  match Hashtbl.find_opt by_trace_node ev.Churn.Trace.node with
                  | Some node ->
                      Hashtbl.remove by_trace_node ev.Churn.Trace.node;
-                     let graceful =
-                       live.Live.config.graceful_leave_fraction > 0.0
-                       && Rng.float live.Live.rng_workload 1.0
-                          < live.Live.config.graceful_leave_fraction
-                     in
-                     Live.crash_node ~graceful live node
+                     Live.crash_node live node
                  | None -> ())))
     (Churn.Trace.events trace)
 

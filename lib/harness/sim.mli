@@ -33,9 +33,6 @@ type config = {
           this rate. A [Set_base] fault event replaces it, [Heal]
           restores it *)
   lookup_rate : float;  (** lookups per second per active node *)
-  graceful_leave_fraction : float;
-      (** fraction of trace departures executed as graceful GOODBYEs
-          rather than crashes (the paper's fault injection uses 0) *)
   seed : int;
   warmup : float;  (** measurement window starts here *)
   window : float;  (** metrics averaging window *)

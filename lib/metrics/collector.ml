@@ -43,7 +43,7 @@ let new_chunk () =
 
 type t = {
   window : float;
-  sends : (M.traffic_class * Series.t) list; (* message counts per class *)
+  sends : Series.t array; (* message counts, by Message.class_index *)
   pop_integral : Series.t; (* node-seconds per window *)
   mutable cur_pop : int;
   mutable pop_last_t : float;
@@ -69,7 +69,7 @@ type t = {
 let create ?(window = 600.0) () =
   {
     window;
-    sends = List.map (fun c -> (c, Series.create ~window)) M.all_classes;
+    sends = Array.of_list (List.map (fun _ -> Series.create ~window) M.all_classes);
     pop_integral = Series.create ~window;
     cur_pop = 0;
     pop_last_t = 0.0;
@@ -88,21 +88,16 @@ let create ?(window = 600.0) () =
     q_windows = [||];
   }
 
+let window t = t.window
+
 let record_send t ~time cls =
   if time > t.last_event then t.last_event <- time;
-  Series.count (List.assq cls t.sends) ~time
+  Series.count t.sends.(M.class_index cls) ~time
 
 (* credit node-seconds from the last population change up to [time]
    into [series] *)
 let credit t series ~time =
-  let rec go t0 =
-    if t0 < time then begin
-      let wend = Float.min ((floor (t0 /. t.window) +. 1.0) *. t.window) time in
-      Series.add series ~time:t0 (float_of_int t.cur_pop *. (wend -. t0));
-      go wend
-    end
-  in
-  go t.pop_last_t
+  Series.integrate series ~from:t.pop_last_t ~until:time (float_of_int t.cur_pop)
 
 let credit_population t ~time =
   credit t t.pop_integral ~time;
@@ -236,22 +231,36 @@ type summary = {
   poison_rejections : int;
 }
 
-let in_range since until (time, _) = time >= since && time <= until
+(* windowed counts belong to a range when their window's midpoint does *)
+let in_slice t ~since ~until w =
+  let mid = (float_of_int w +. 0.5) *. t.window in
+  mid >= since && mid <= until
 
-let sum_series ~since ~until s =
-  Series.sums s |> Array.to_list
-  |> List.filter (in_range since until)
-  |> List.fold_left (fun acc (_, v) -> acc +. v) 0.0
+(* [f w] summed over windows [0 .. n - 1] in the range, in window order *)
+let sum_slice t ~since ~until n f =
+  let acc = ref 0.0 in
+  for w = 0 to n - 1 do
+    if in_slice t ~since ~until w then acc := !acc +. f w
+  done;
+  !acc
 
 let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
-  (* credit population up to the summary horizon in a copy, so that a
-     query leaves later ones unchanged; with no explicit horizon, use the
-     last recorded send so numerator and denominator of the per-node
-     rates cover the same span *)
+  (* credit population up to the summary horizon in a scratch series, so
+     that a query leaves later ones unchanged; with no explicit horizon,
+     use the last recorded send so numerator and denominator of the
+     per-node rates cover the same span *)
   let horizon = if Float.is_finite until then until else Float.max t.pop_last_t t.last_event in
-  let pop = Series.copy t.pop_integral in
-  credit t pop ~time:horizon;
-  let node_seconds = sum_series ~since ~until pop in
+  let tail = Series.create ~window:t.window in
+  credit t tail ~time:horizon;
+  let node_seconds =
+    sum_slice t ~since ~until
+      (max (Series.length t.pop_integral) (Series.length tail))
+      (fun w -> Series.sum t.pop_integral w +. Series.sum tail w)
+  in
+  let sent_in cls =
+    let s = t.sends.(M.class_index cls) in
+    sum_slice t ~since ~until (Series.length s) (Series.sum s)
+  in
   let lookup_cutoff = until -. drain in
   let n_sent = ref 0
   and delivered = ref 0
@@ -281,20 +290,14 @@ let summary ?(since = 0.0) ?(until = infinity) ?(drain = 30.0) t =
         end
       end);
   let fdiv a b = if b = 0 then 0.0 else a /. float_of_int b in
+  let controls = List.filter M.is_control M.all_classes in
   let control_by_class =
-    List.filter_map
-      (fun (c, s) ->
-        if M.is_control c then
-          Some (c, if node_seconds > 0.0 then sum_series ~since ~until s /. node_seconds else 0.0)
-        else None)
-      t.sends
+    List.map
+      (fun c -> (c, if node_seconds > 0.0 then sent_in c /. node_seconds else 0.0))
+      controls
   in
-  let control_msgs =
-    List.fold_left
-      (fun acc (c, s) -> if M.is_control c then acc +. sum_series ~since ~until s else acc)
-      0.0 t.sends
-  in
-  let lookup_msgs = sum_series ~since ~until (List.assq M.C_lookup t.sends) in
+  let control_msgs = List.fold_left (fun acc c -> acc +. sent_in c) 0.0 controls in
+  let lookup_msgs = sent_in M.C_lookup in
   let span = Float.min until (Float.max t.pop_last_t horizon) -. since in
   let in_span time = time >= since && time <= until in
   let joins = List.filter (fun (time, _) -> in_span time) t.joined in
@@ -338,38 +341,30 @@ let rdp_series t = Series.means t.rdp_w
 let population_series t =
   Series.sums t.pop_integral |> Array.map (fun (mid, v) -> (mid, v /. t.window))
 
-let control_series t =
-  let pop = Series.sums t.pop_integral in
-  let pop_tbl = Hashtbl.create 64 in
-  Array.iter (fun (mid, v) -> Hashtbl.replace pop_tbl mid v) pop;
-  let totals = Hashtbl.create 64 in
-  List.iter
-    (fun (c, s) ->
-      if M.is_control c then
-        Array.iter
-          (fun (mid, v) ->
-            Hashtbl.replace totals mid
-              (v +. (try Hashtbl.find totals mid with Not_found -> 0.0)))
-          (Series.sums s))
-    t.sends;
-  Hashtbl.fold (fun mid v acc -> (mid, v) :: acc) totals []
-  |> List.sort compare
-  |> List.filter_map (fun (mid, v) ->
-         match Hashtbl.find_opt pop_tbl mid with
-         | Some ns when ns > 0.0 -> Some (mid, v /. ns)
-         | Some _ | None -> None)
-  |> Array.of_list
+let population_at t w = Series.sum t.pop_integral w /. t.window
 
-let control_series_by_class t cls =
-  let pop_tbl = Hashtbl.create 64 in
-  Array.iter (fun (mid, v) -> Hashtbl.replace pop_tbl mid v) (Series.sums t.pop_integral);
-  Series.sums (List.assq cls t.sends)
-  |> Array.to_list
-  |> List.filter_map (fun (mid, v) ->
-         match Hashtbl.find_opt pop_tbl mid with
-         | Some ns when ns > 0.0 -> Some (mid, v /. ns)
-         | Some _ | None -> None)
-  |> Array.of_list
+(* the messages of [sources] per node-second, in window order, for each
+   window where one of them has a sample and the population was
+   positive *)
+let per_node t sources =
+  let pop = t.pop_integral in
+  let acc = ref [] in
+  for w = Series.length pop - 1 downto 0 do
+    let ns = Series.sum pop w in
+    if ns > 0.0 && List.exists (fun s -> Series.samples s w > 0) sources then
+      acc :=
+        (Series.mid pop w, List.fold_left (fun acc s -> acc +. Series.sum s w) 0.0 sources /. ns)
+        :: !acc
+  done;
+  Array.of_list !acc
+
+let control_series t =
+  per_node t
+    (List.filter_map
+       (fun c -> if M.is_control c then Some t.sends.(M.class_index c) else None)
+       M.all_classes)
+
+let control_series_by_class t cls = per_node t [ t.sends.(M.class_index cls) ]
 
 let join_latencies t = Array.of_list (List.map snd t.joined)
 
@@ -397,9 +392,8 @@ let queue_delay_hist ?(since = 0.0) ?(until = infinity) t =
     let acc = ref (Hist.create ()) in
     Array.iteri
       (fun w h ->
-        let mid = (float_of_int w +. 0.5) *. t.window in
         match h with
-        | Some h when mid >= since && mid <= until -> acc := Hist.merge !acc h
+        | Some h when in_slice t ~since ~until w -> acc := Hist.merge !acc h
         | Some _ | None -> ())
       t.q_windows;
     !acc
@@ -457,10 +451,12 @@ let offered_goodput_series t =
                float_of_int w.w_correct /. t.window ))
   |> Array.of_list
 
-let collapse_windows ?(threshold = 0.5) t =
+let collapse_threshold = 0.5
+
+let collapse_windows t =
   offered_goodput_series t |> Array.to_list
   |> List.filter_map (fun (mid, offered, goodput) ->
-         if offered > 0.0 && goodput /. offered < threshold then
+         if offered > 0.0 && goodput /. offered < collapse_threshold then
            Some (mid -. (t.window /. 2.0), goodput /. offered)
          else None)
 

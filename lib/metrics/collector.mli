@@ -8,7 +8,10 @@
     - {b RDP}: overlay delay over direct network delay;
     - {b control traffic}: control messages per second per active node,
       with the Fig 4 per-class breakdown;
-    all both as whole-run aggregates and as windowed time series.
+    all both as whole-run aggregates and as windowed time series. Every
+    windowed value is indexed by window number ({!Repro_util.Series}); a
+    total over a range adds its windows in window order, and a window
+    adds its samples in arrival order.
 
     Latency percentiles (lookup delay, hop count, queueing delay) come
     from bounded {!Repro_obs.Hist} histograms only: a quantile [q] of [n]
@@ -32,6 +35,11 @@ val create : ?window:float -> unit -> t
 (** [window] defaults to 600 s (the paper's 10-minute averaging). The
     percentile state is a fixed-size histogram per metric, plus one
     queueing-delay histogram per window that received a sample. *)
+
+val window : t -> float
+(** The width of every windowed series, in seconds. A
+    {!Repro_util.Series.t} of this width numbers its windows as the
+    collector does, so the two join by window number. *)
 
 val record_send : t -> time:float -> Mspastry.Message.traffic_class -> unit
 
@@ -143,6 +151,14 @@ val control_series_by_class :
   t -> Mspastry.Message.traffic_class -> (float * float) array
 
 val population_series : t -> (float * float) array
+(** Windowed mean active population, for every window population-time
+    was credited to (see {!flush}). *)
+
+val population_at : t -> int -> float
+(** Mean active population over window number [w], as
+    {!population_series} reports it; 0 for a window no population-time
+    was credited to. *)
+
 val join_latencies : t -> float array
 
 val lookup_delay_hist : ?since:float -> ?until:float -> t -> Repro_obs.Hist.t
@@ -169,11 +185,11 @@ val offered_goodput_series : t -> (float * float * float) array
     root, per second. Under congestive collapse goodput falls while
     offered load stays up. *)
 
-val collapse_windows : ?threshold:float -> t -> (float * float) list
-(** Windows whose goodput fell below [threshold] (default 0.5) of the
-    offered load, as [(window start, goodput fraction)] — the collapse
-    detector for the overload experiments. Trailing windows carry the
-    usual in-flight caveat. *)
+val collapse_windows : t -> (float * float) list
+(** Windows whose goodput fell below half the offered load, as
+    [(window start, goodput fraction)] — the collapse detector for the
+    overload experiments. Trailing windows carry the usual in-flight
+    caveat. *)
 
 (** Recovery report for one fault episode (ordered by injection time in
     {!episodes}). Baselines are the loss / incorrect rates of the full

@@ -6,7 +6,6 @@ type lookup = {
   origin : Peer.t;
   hops : int;
   retx : bool;
-  reliable : bool;
 }
 
 type entry = Peer.t * float

@@ -13,9 +13,6 @@ type lookup = {
   origin : Peer.t;
   hops : int;  (** overlay hops taken so far *)
   retx : bool;  (** this transmission is a per-hop reroute *)
-  reliable : bool;
-      (** §3.2: applications that tolerate loss flag lookups to switch
-          per-hop acks off for that message *)
 }
 
 type entry = Peer.t * float

@@ -81,7 +81,7 @@ type buffered = { bf_payload : M.payload; bf_key : Nodeid.t; mutable bf_attempts
 
 (* negative-caching entry: quarantined until [s_until]; kept after expiry
    so a re-suspicion doubles the backoff instead of starting over *)
-type susp = { s_addr : int; mutable s_until : float; mutable s_backoff : float }
+type susp = { mutable s_until : float; mutable s_backoff : float }
 
 type e2e_state = {
   e_key : Nodeid.t;
@@ -329,7 +329,7 @@ let suspect_peer t (j : Peer.t) =
     | Some s -> Float.min Config.suspicion_backoff_max (2.0 *. s.s_backoff)
     | None -> Config.suspicion_backoff
   in
-  ps.susp <- Some { s_addr = j.Peer.addr; s_until = now t +. backoff; s_backoff = backoff };
+  ps.susp <- Some { s_until = now t +. backoff; s_backoff = backoff };
   if traced t then
     emit_ev t (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
   t.env.on_suspicion ~target:j.Peer.addr
@@ -823,11 +823,7 @@ and routed_excluded t id =
   | exception Not_found -> is_failed t id
 
 and send_routed t (next : Peer.t) payload ~key ~reroutes =
-  let wants_acks =
-    t.cfg.per_hop_acks
-    && match payload with M.Lookup l -> l.M.reliable | _ -> true
-  in
-  if wants_acks then begin
+  if t.cfg.per_hop_acks then begin
     let hop_id = t.next_hop_id in
     t.next_hop_id <- hop_id + 1;
     let ph =
@@ -917,12 +913,11 @@ and route_payload ?prev t payload ~key ~reroutes =
   | Route.Deliver -> receive_root t payload ~key ~reroutes
   | Route.Forward next ->
       (* origin-side diversion state: remember the first hop of each
-         reliable lookup attempt so an end-to-end timeout can route the
-         retry around it (progress_check) *)
+         lookup attempt so an end-to-end timeout can route the retry
+         around it (progress_check) *)
       (if t.cfg.progress_check then
          match payload with
-         | M.Lookup l
-           when l.M.reliable && Nodeid.equal l.M.origin.Peer.id t.me.Peer.id -> (
+         | M.Lookup l when Nodeid.equal l.M.origin.Peer.id t.me.Peer.id -> (
              match Hashtbl.find_opt t.e2e l.M.seq with
              | Some st when st.e_first_hop = None -> st.e_first_hop <- Some next
              | Some _ | None -> ())
@@ -1001,7 +996,7 @@ and deliver_at_root t (l : M.lookup) =
       Hashtbl.replace t.delivered_seqs k ();
       t.env.deliver l
     end;
-    if l.M.reliable then send_msg t l.M.origin (M.Lookup_ack { seq = l.M.seq })
+    send_msg t l.M.origin (M.Lookup_ack { seq = l.M.seq })
   end
   else t.env.deliver l
 
@@ -1546,11 +1541,9 @@ and check_progress t ~prev (l : M.lookup) =
     if not progressed then distrust_peer t prev ~seq:l.M.seq ~hops:l.M.hops
   end
 
-and lookup ?(reliable = true) t ~key ~seq =
-  let payload =
-    M.Lookup { key; seq; origin = t.me; hops = 0; retx = false; reliable }
-  in
-  if reliable && t.cfg.e2e_lookup_retries > 0 then install_e2e t ~key ~seq;
+and lookup t ~key ~seq =
+  let payload = M.Lookup { key; seq; origin = t.me; hops = 0; retx = false } in
+  if t.cfg.e2e_lookup_retries > 0 then install_e2e t ~key ~seq;
   route_payload t payload ~key ~reroutes:0
 
 (* ------------------------------------------------------------------ *)
@@ -1613,15 +1606,7 @@ and e2e_timeout t seq =
             (Obs.Event.Lookup_retry
                { seq; addr = t.me.Peer.addr; attempt = st.e_attempt });
         let payload =
-          M.Lookup
-            {
-              key = st.e_key;
-              seq;
-              origin = t.me;
-              hops = 0;
-              retx = true;
-              reliable = true;
-            }
+          M.Lookup { key = st.e_key; seq; origin = t.me; hops = 0; retx = true }
         in
         arm_e2e t seq st;
         route_payload t payload ~key:st.e_key ~reroutes:0

@@ -95,10 +95,8 @@ val join : t -> bootstrap_addr:int -> unit
 val handle : t -> src:int -> Message.t -> unit
 (** Network upcall — wire this to {!Netsim.Net.register}. *)
 
-val lookup : ?reliable:bool -> t -> key:Nodeid.t -> seq:int -> unit
-(** Route an application lookup from this node. [reliable:false] flags
-    the message to travel without per-hop acks (§3.2) — cheaper, but a
-    node or link failure along the route loses it. *)
+val lookup : t -> key:Nodeid.t -> seq:int -> unit
+(** Route an application lookup from this node. *)
 
 val crash : t -> unit
 (** Halt the node: it stops processing messages and timers. The caller

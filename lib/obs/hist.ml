@@ -2,29 +2,24 @@
    nothing; as fields of [t] each update would box a new float *)
 type acc = { mutable sum : float; mutable minv : float; mutable maxv : float }
 
+let alpha = 0.01
+let gamma = (1.0 +. alpha) /. (1.0 -. alpha)
+let inv_lg = 1.0 /. log gamma (* hoisted out of [add] *)
+
 type t = {
-  alpha : float;
   lo : float;
   hi : float;
-  gamma : float;
-  inv_lg : float;  (* 1 / ln gamma, hoisted out of [add] *)
   counts : int array;  (* counts.(0) = underflow; counts.(1..nb) = log buckets *)
   mutable n : int;
   acc : acc;
 }
 
-let create ?(alpha = 0.01) ?(lo = 1e-6) ?(hi = 1e4) () =
-  if not (alpha > 0.0 && alpha < 1.0) then invalid_arg "Hist.create: alpha";
+let create ?(lo = 1e-6) ?(hi = 1e4) () =
   if not (lo > 0.0 && hi > lo) then invalid_arg "Hist.create: range";
-  let gamma = (1.0 +. alpha) /. (1.0 -. alpha) in
-  let lg = log gamma in
-  let nb = int_of_float (ceil (log (hi /. lo) /. lg)) in
+  let nb = int_of_float (ceil (log (hi /. lo) /. log gamma)) in
   {
-    alpha;
     lo;
     hi;
-    gamma;
-    inv_lg = 1.0 /. lg;
     counts = Array.make (nb + 1) 0;
     n = 0;
     acc = { sum = 0.0; minv = infinity; maxv = neg_infinity };
@@ -34,7 +29,7 @@ let index t v =
   if v <= t.lo then 0
   else begin
     let nb = Array.length t.counts - 1 in
-    let i = int_of_float (ceil (log (v /. t.lo) *. t.inv_lg)) in
+    let i = int_of_float (ceil (log (v /. t.lo) *. inv_lg)) in
     if i < 1 then 1 else if i > nb then nb else i
   end
 
@@ -54,14 +49,13 @@ let sum t = t.acc.sum
 let mean t = if t.n = 0 then nan else t.acc.sum /. float_of_int t.n
 let min_value t = if t.n = 0 then nan else t.acc.minv
 let max_value t = if t.n = 0 then nan else t.acc.maxv
-let alpha t = t.alpha
 
 (* Midpoint (in log space) of bucket i's range (lo*gamma^(i-1), lo*gamma^i]:
    the estimate 2*lo*gamma^i / (1+gamma) is within alpha of any value in
    the bucket. *)
 let bucket_estimate t i =
   if i = 0 then t.acc.minv
-  else 2.0 *. t.lo *. (t.gamma ** float_of_int i) /. (1.0 +. t.gamma)
+  else 2.0 *. t.lo *. (gamma ** float_of_int i) /. (1.0 +. gamma)
 
 let quantile t q =
   if t.n = 0 then nan
@@ -82,9 +76,8 @@ let quantile t q =
 let percentile t p = quantile t (p /. 100.0)
 
 let merge a b =
-  if a.alpha <> b.alpha || a.lo <> b.lo || a.hi <> b.hi then
-    invalid_arg "Hist.merge: parameter mismatch";
-  let m = create ~alpha:a.alpha ~lo:a.lo ~hi:a.hi () in
+  if a.lo <> b.lo || a.hi <> b.hi then invalid_arg "Hist.merge: parameter mismatch";
+  let m = create ~lo:a.lo ~hi:a.hi () in
   Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
   m.n <- a.n + b.n;
   m.acc.sum <- a.acc.sum +. b.acc.sum;
@@ -104,5 +97,5 @@ let summary_json t =
       ("p90", f (percentile t 90.0));
       ("p99", f (percentile t 99.0));
       ("p999", f (percentile t 99.9));
-      ("alpha", Json.Float t.alpha);
+      ("alpha", Json.Float alpha);
     ]

@@ -1,6 +1,6 @@
 (** Fixed-memory log-bucketed histograms with bounded relative error.
 
-    DDSketch-style: for accuracy parameter [alpha], bucket boundaries
+    DDSketch-style: for accuracy {!alpha} (1%), bucket boundaries
     grow geometrically by [gamma = (1 + alpha) / (1 - alpha)], so any
     quantile estimate [v'] of a true value [v] inside the tracked range
     satisfies [|v' - v| <= alpha * v]. Memory is O(log(hi/lo) / alpha)
@@ -11,14 +11,17 @@
     quantiles report the tracked minimum; values above [hi] clamp into
     the top bucket (quantiles there report the tracked maximum), so the
     relative-error bound holds for values in ([lo], [hi]] and the
-    extremes stay exact. Defaults (alpha = 0.01, lo = 1e-6, hi = 1e4)
-    suit latencies in seconds: ~1150 buckets, 1% error, from 1µs to
-    ~2.8 hours. *)
+    extremes stay exact. The default range (lo = 1e-6, hi = 1e4) suits
+    latencies in seconds: ~1150 buckets, 1% error, from 1µs to ~2.8
+    hours. *)
 
 type t
 
-val create : ?alpha:float -> ?lo:float -> ?hi:float -> unit -> t
-(** Raises [Invalid_argument] unless [0 < alpha < 1] and [0 < lo < hi]. *)
+val alpha : float
+(** The relative error bound of every histogram: 0.01. *)
+
+val create : ?lo:float -> ?hi:float -> unit -> t
+(** Raises [Invalid_argument] unless [0 < lo < hi]. *)
 
 val add : t -> float -> unit
 (** Record one sample. Non-finite and negative values raise
@@ -33,8 +36,6 @@ val min_value : t -> float
 val max_value : t -> float
 (** Exact tracked maximum; [nan] when empty. *)
 
-val alpha : t -> float
-
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [0, 1]; [nan] when empty. The estimate
     targets the order statistic of rank [floor (q * (n - 1))] and is
@@ -45,7 +46,7 @@ val percentile : t -> float -> float
 
 val merge : t -> t -> t
 (** Combine two histograms into a fresh one. Raises [Invalid_argument]
-    if they were created with different [alpha]/[lo]/[hi]. Associative
+    if they were created with different [lo]/[hi]. Associative
     and commutative. *)
 
 val summary_json : t -> Json.t

@@ -1,6 +1,8 @@
 module Live = Harness.Sim.Live
 module Node = Mspastry.Node
 module Nodeid = Pastry.Nodeid
+module Collector = Overlay_metrics.Collector
+module Series = Repro_util.Series
 
 type pending = {
   url : string;
@@ -23,14 +25,14 @@ type t = {
   mutable misses : int;
   mutable failed : int;
   mutable latency_sum : float;
-  mutable msg_times : float list; (* squirrel's non-overlay messages *)
+  msgs : Series.t; (* squirrel's non-overlay messages, on the collector's windows *)
 }
 
 let key_of_url url = Nodeid.of_string (Digest.string url)
 
 let request_timeout = 10.0
 
-let record_msg t = t.msg_times <- Simkit.Engine.now (Live.engine t.live) :: t.msg_times
+let record_msg t = Series.count t.msgs ~time:(Simkit.Engine.now (Live.engine t.live))
 
 let evict_to_capacity t store =
   while Hashtbl.length store > t.capacity do
@@ -101,7 +103,7 @@ let create ?(origin_delay = 0.15) ?(capacity_per_node = 4096) ~live () =
       misses = 0;
       failed = 0;
       latency_sum = 0.0;
-      msg_times = [];
+      msgs = Series.create ~window:(Collector.window (Live.collector live));
     }
   in
   Live.on_deliver live (fun node l -> on_delivery t node l);
@@ -153,15 +155,13 @@ let stats (t : t) =
     cached_objects = Hashtbl.fold (fun _ s acc -> acc + Hashtbl.length s) t.stores 0;
   }
 
-let traffic_series t ~window =
-  let counts = Repro_util.Series.create ~window in
-  List.iter (fun time -> Repro_util.Series.count counts ~time) t.msg_times;
-  let pop = Overlay_metrics.Collector.population_series (Live.collector t.live) in
-  let pop_tbl = Hashtbl.create 64 in
-  Array.iter (fun (mid, v) -> Hashtbl.replace pop_tbl mid v) pop;
-  Repro_util.Series.sums counts |> Array.to_list
-  |> List.filter_map (fun (mid, v) ->
-         match Hashtbl.find_opt pop_tbl mid with
-         | Some p when p > 0.0 -> Some (mid, v /. (p *. window))
-         | Some _ | None -> None)
+let traffic_series t =
+  let c = Live.collector t.live in
+  let window = Collector.window c in
+  List.init (Series.length t.msgs) Fun.id
+  |> List.filter_map (fun w ->
+         let p = Collector.population_at c w in
+         if Series.samples t.msgs w > 0 && p > 0.0 then
+           Some (Series.mid t.msgs w, Series.sum t.msgs w /. (p *. window))
+         else None)
   |> Array.of_list

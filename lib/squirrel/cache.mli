@@ -42,7 +42,8 @@ type stats = {
 
 val stats : t -> stats
 
-val traffic_series : t -> window:float -> (float * float) array
+val traffic_series : t -> (float * float) array
 (** Squirrel's own (non-overlay) messages — object responses and origin
-    fetches — per second per active node, windowed. Add to the
-    collector's series for Fig 8's total traffic. *)
+    fetches — per second per active node, on the overlay collector's
+    windows ({!Overlay_metrics.Collector.window}). Add to the collector's
+    series for Fig 8's total traffic. *)

@@ -48,23 +48,14 @@ let run ?(n_nodes = 52) ?(duration = 6.0 *. 86_400.0) ?(window = 3600.0)
     Overlay_metrics.Collector.control_series_by_class (Live.collector live)
       Mspastry.Message.C_lookup
   in
-  let squirrel = Cache.traffic_series cache ~window in
-  (* merge the three per-window series into total messages/s/node *)
-  let totals = Hashtbl.create 256 in
-  let add arr =
-    Array.iter
-      (fun (mid, v) ->
-        Hashtbl.replace totals mid
-          (v +. (try Hashtbl.find totals mid with Not_found -> 0.0)))
-      arr
-  in
-  add overlay;
-  add lookup_series;
-  add squirrel;
-  let total_traffic =
-    Hashtbl.fold (fun mid v acc -> (mid, v) :: acc) totals []
-    |> List.sort compare |> Array.of_list
-  in
+  let squirrel = Cache.traffic_series cache in
+  (* total messages/s/node: the three series' values, summed per window
+     (each reports a window at its midpoint) *)
+  let totals = Repro_util.Series.create ~window in
+  List.iter
+    (Array.iter (fun (mid, v) -> Repro_util.Series.add totals ~time:mid v))
+    [ overlay; lookup_series; squirrel ];
+  let total_traffic = Repro_util.Series.sums totals in
   let s = Cache.stats cache in
   {
     total_traffic;

@@ -1,57 +1,60 @@
-(* all-float, so the cell holds its floats unboxed and [add] allocates
-   nothing; [n] counts exactly up to 2^53 samples *)
-type cell = { mutable sum : float; mutable n : float }
-
+(* window [w] covers [w * window, (w + 1) * window); its sum and sample
+   count sit at index [w] of two growable unboxed arrays, so [add]
+   allocates nothing once the arrays cover the window *)
 type t = {
   window : float;
-  cells : (int, cell) Hashtbl.t;
-  (* the window [add] last wrote: samples mostly arrive in time order *)
-  mutable last_idx : int;
-  mutable last : cell option;
+  mutable sums : Float.Array.t;
+  mutable counts : int array;
+  mutable length : int; (* one past the highest window with a sample *)
 }
 
 let create ~window =
   if window <= 0.0 then invalid_arg "Series.create";
-  { window; cells = Hashtbl.create 64; last_idx = 0; last = None }
+  { window; sums = Float.Array.make 16 0.0; counts = Array.make 16 0; length = 0 }
+
+let mid t w = (float_of_int w +. 0.5) *. t.window
+let length t = t.length
+
+let grow t w =
+  let n = max (w + 1) (2 * Array.length t.counts) in
+  let sums = Float.Array.make n 0.0 and counts = Array.make n 0 in
+  Float.Array.blit t.sums 0 sums 0 t.length;
+  Array.blit t.counts 0 counts 0 t.length;
+  t.sums <- sums;
+  t.counts <- counts
 
 let add t ~time v =
-  let idx = int_of_float (floor (time /. t.window)) in
-  let cell =
-    match t.last with
-    | Some c when t.last_idx = idx -> c
-    | Some _ | None ->
-        let c =
-          match Hashtbl.find_opt t.cells idx with
-          | Some c -> c
-          | None ->
-              let c = { sum = 0.0; n = 0.0 } in
-              Hashtbl.add t.cells idx c;
-              c
-        in
-        t.last_idx <- idx;
-        t.last <- Some c;
-        c
-  in
-  cell.sum <- cell.sum +. v;
-  cell.n <- cell.n +. 1.0
+  if not (time >= 0.0 && time < infinity) then invalid_arg "Series.add";
+  let w = int_of_float (time /. t.window) in
+  if w >= Array.length t.counts then grow t w;
+  Float.Array.set t.sums w (Float.Array.get t.sums w +. v);
+  t.counts.(w) <- t.counts.(w) + 1;
+  if w >= t.length then t.length <- w + 1
 
 let count t ~time = add t ~time 1.0
 
-let copy t =
-  let cells = Hashtbl.create (Hashtbl.length t.cells) in
-  Hashtbl.iter (fun idx c -> Hashtbl.add cells idx { c with sum = c.sum }) t.cells;
-  { t with cells; last = None }
+let integrate t ~from ~until level =
+  let rec go t0 =
+    if t0 < until then begin
+      let wend = Float.min ((floor (t0 /. t.window) +. 1.0) *. t.window) until in
+      add t ~time:t0 (level *. (wend -. t0));
+      go wend
+    end
+  in
+  go from
 
-let sorted_cells t =
-  let xs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cells [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) xs
+let samples t w = if w >= 0 && w < t.length then t.counts.(w) else 0
+let sum t w = if w >= 0 && w < t.length then Float.Array.get t.sums w else 0.0
 
-let mid t idx = (float_of_int idx +. 0.5) *. t.window
+(* [(mid, f w)] for every window with a sample, in window order *)
+let collect t f =
+  let acc = ref [] in
+  for w = t.length - 1 downto 0 do
+    if t.counts.(w) > 0 then acc := (mid t w, f w) :: !acc
+  done;
+  Array.of_list !acc
+
+let sums t = collect t (fun w -> Float.Array.get t.sums w)
 
 let means t =
-  sorted_cells t
-  |> List.map (fun (idx, c) -> (mid t idx, c.sum /. c.n))
-  |> Array.of_list
-
-let sums t =
-  sorted_cells t |> List.map (fun (idx, c) -> (mid t idx, c.sum)) |> Array.of_list
+  collect t (fun w -> Float.Array.get t.sums w /. float_of_int t.counts.(w))

@@ -232,8 +232,8 @@ let lookups_sent s =
     (fun (dst, m) -> match m.M.payload with M.Lookup l -> Some (dst, l) | _ -> None)
     (List.rev s.sent)
 
-let incoming ?(seq = 2) ?(hops = 0) ?(reliable = false) ~origin key =
-  M.Lookup { M.key; seq; origin; hops; retx = false; reliable }
+let incoming ?(seq = 2) ?(hops = 0) ~origin key =
+  M.Lookup { M.key; seq; origin; hops; retx = false }
 
 (* [active_trio] compromised with [b], its forward upcall running the
    behaviour as the harness does: on lookups from another hop that the
@@ -302,7 +302,7 @@ let test_adversary_spares_own_lookups () =
      the origin and when it comes back round through another hop *)
   let self = Peer.make me_id 0 in
   Node.handle node ~src:0 (M.make ~sender:self (incoming ~origin:self (hexid "c0")));
-  Node.lookup ~reliable:false node ~key:(hexid "c0") ~seq:3;
+  Node.lookup node ~key:(hexid "c0") ~seq:3;
   Node.handle node ~src:1 (M.make ~sender:b (incoming ~seq:3 ~origin:self (hexid "c0")));
   Alcotest.(check (list int)) "honest next hop taken" [ 2; 2; 2 ]
     (List.map fst (lookups_sent s))
@@ -320,7 +320,7 @@ let test_redirect_acked_and_rerouted_honestly () =
   in
   let s, node, _b, c = active_trio ~forward () in
   Node.handle node ~src:2
-    (M.make ~sender:c (incoming ~reliable:true ~origin:c (hexid "c0")));
+    (M.make ~sender:c (incoming ~origin:c (hexid "c0")));
   let redirected =
     List.filter
       (fun (m : M.t) -> match m.M.payload with M.Lookup _ -> true | _ -> false)
@@ -579,7 +579,7 @@ let test_live_misrouter_reroutes_honestly () =
   let seq = Live.alloc_lookup live in
   Net.send (Live.net live) ~src:(Node.me origin).Peer.addr ~dst:(Node.me attacker).Peer.addr
     (M.make ~sender:(Node.me origin)
-       (incoming ~seq ~reliable:true ~origin:(Node.me origin) key));
+       (incoming ~seq ~origin:(Node.me origin) key));
   Live.run_until live (Engine.now (Live.engine live) +. 5.0);
   Alcotest.(check (list int)) "misrouted to the dead hop, then honestly to the root"
     [ dead.Peer.addr; (Node.me root).Peer.addr ]

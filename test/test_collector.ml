@@ -244,7 +244,7 @@ let test_hist_vs_exact_parity () =
   done;
   let h = Collector.queue_delay_hist c in
   Alcotest.(check int) "hist sees every sample" (Array.length exact) (Hist.count h);
-  let alpha = Hist.alpha h in
+  let alpha = Hist.alpha in
   List.iter
     (fun p ->
       let e = Repro_util.Stats.percentile exact p in
@@ -323,7 +323,7 @@ let qcheck_slices =
            || List.for_all
                 (fun p ->
                   let e = Repro_util.Stats.percentile in_slice p in
-                  Float.abs (Hist.percentile qs p -. e) <= 2.0 *. Hist.alpha qs *. e)
+                  Float.abs (Hist.percentile qs p -. e) <= 2.0 *. Hist.alpha *. e)
                 [ 50.0; 90.0; 99.0 ])
       in
       let delays_sent_in =
@@ -594,6 +594,187 @@ let qcheck_columns_model =
              = model_episodes m ~window ~drain ~tolerance)
            [ (0.0, 0.01); (30.0, 0.01); (5.0, 0.2) ])
 
+(* ---- the windowed series against a list model ---- *)
+
+(* Every windowed value is recomputed from the raw event lists: a
+   window's sum adds its samples in arrival order, and a total over
+   windows adds them in window order. *)
+type wmodel = {
+  mutable sends : (float * M.traffic_class) list; (* newest first *)
+  mutable pops : (float * int) list; (* population after each change, newest first *)
+  mutable pop_last : float; (* latest set_population or flush *)
+  mutable rdps : (float * float) list; (* (delivery time, rdp), newest first *)
+  mutable w_last : float; (* latest send, lookup or delivery *)
+}
+
+(* [(w, sum, n)] per window of [(w, v)] samples, ascending by window;
+   each sum adds its samples in list order *)
+let model_windows_of samples =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) samples
+  |> List.fold_left
+       (fun acc (w, v) ->
+         match acc with
+         | (w', sum, n) :: rest when w' = w -> (w, sum +. v, n + 1) :: rest
+         | _ -> (w, v, 1) :: acc)
+       []
+  |> List.rev
+
+(* population-time of [level] nodes over [from, until), split at window
+   edges *)
+let model_pieces ~window ~from ~until level =
+  let rec go t0 acc =
+    if t0 < until then begin
+      let w = floor (t0 /. window) in
+      let wend = Float.min ((w +. 1.0) *. window) until in
+      go wend ((int_of_float w, float_of_int level *. (wend -. t0)) :: acc)
+    end
+    else List.rev acc
+  in
+  go from []
+
+(* the node-seconds credited up to the latest change, plus the level
+   then current *)
+let model_pop_pieces m ~window =
+  List.fold_left
+    (fun (pieces, last, level) (time, n) ->
+      (pieces @ model_pieces ~window ~from:last ~until:time level, Float.max last time, n))
+    ([], 0.0, 0) (List.rev m.pops)
+
+let model_series m ~window =
+  let mid w = (float_of_int w +. 0.5) *. window in
+  let widx time = int_of_float (floor (time /. window)) in
+  let pieces, _, level = model_pop_pieces m ~window in
+  let pop = model_windows_of pieces in
+  let class_windows cls =
+    model_windows_of
+      (List.filter_map
+         (fun (time, c) -> if c = cls then Some (widx time, 1.0) else None)
+         (List.rev m.sends))
+  in
+  let sum_at ws w = match List.find_opt (fun (w', _, _) -> w' = w) ws with
+    | Some (_, sum, _) -> sum
+    | None -> 0.0
+  in
+  let per_node ws =
+    List.filter_map
+      (fun (w, v) ->
+        match List.find_opt (fun (w', _, _) -> w' = w) pop with
+        | Some (_, ns, _) when ns > 0.0 -> Some (mid w, v /. ns)
+        | Some _ | None -> None)
+      ws
+    |> Array.of_list
+  in
+  let controls = List.filter M.is_control M.all_classes in
+  let control =
+    List.concat_map (fun c -> List.map (fun (w, _, _) -> w) (class_windows c)) controls
+    |> List.sort_uniq compare
+    |> List.map (fun w ->
+           (w, List.fold_left (fun acc c -> acc +. sum_at (class_windows c) w) 0.0 controls))
+    |> per_node
+  in
+  let by_class cls = per_node (List.map (fun (w, v, _) -> (w, v)) (class_windows cls)) in
+  let rdp =
+    model_windows_of (List.rev_map (fun (time, r) -> (widx time, r)) m.rdps)
+    |> List.map (fun (w, sum, n) -> (mid w, sum /. float_of_int n))
+    |> Array.of_list
+  in
+  let population =
+    List.map (fun (w, sum, _) -> (mid w, sum /. window)) pop |> Array.of_list
+  in
+  (* the summary's control fields over [since, until] *)
+  let summary ~since ~until =
+    let horizon = if Float.is_finite until then until else Float.max m.pop_last m.w_last in
+    let tail = model_pieces ~window ~from:m.pop_last ~until:horizon level in
+    let in_range (w, _, _) = mid w >= since && mid w <= until in
+    let total ws =
+      List.fold_left (fun acc (_, v, _) -> acc +. v) 0.0 (List.filter in_range ws)
+    in
+    let ns = total (model_windows_of (pieces @ tail)) in
+    let rate v = if ns > 0.0 then v /. ns else 0.0 in
+    let msgs = List.fold_left (fun acc c -> acc +. total (class_windows c)) 0.0 controls in
+    let span = Float.min until (Float.max m.pop_last horizon) -. since in
+    ( msgs :: rate msgs :: total (class_windows M.C_lookup)
+      :: (if span > 0.0 then ns /. span else 0.0)
+      :: List.map (fun c -> rate (total (class_windows c))) controls,
+      controls )
+  in
+  (control, by_class, rdp, population, summary)
+
+let same_series a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (m, v) (m', v') -> same_float m m' && same_float v v') a b
+
+(* Random sends of every class, population changes (some to zero),
+   flushes and first deliveries over a few 10 s windows, with an
+   occasional gap of more than a window. The series and the summary's
+   control fields are compared bit for bit with the model's. *)
+let qcheck_windowed_series =
+  QCheck.Test.make ~name:"windowed series match a list model" ~count:150 QCheck.int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let window = 10.0 in
+      let c = Collector.create ~window () in
+      let m = { sends = []; pops = []; pop_last = 0.0; rdps = []; w_last = 0.0 } in
+      let classes = Array.of_list M.all_classes in
+      let clock = ref 0.0 and pending = Queue.create () and seq = ref 0 in
+      for _ = 1 to 30 + Rng.int rng 120 do
+        clock := !clock +. (if Rng.int rng 25 = 0 then 25.0 else Rng.float rng 1.5);
+        let time = !clock in
+        match Rng.int rng 10 with
+        | 0 ->
+            let n = if Rng.int rng 4 = 0 then 0 else 1 + Rng.int rng 20 in
+            Collector.set_population c ~time n;
+            m.pops <- (time, n) :: m.pops;
+            m.pop_last <- Float.max m.pop_last time
+        | 1 ->
+            Collector.flush c ~time;
+            let level = match m.pops with (_, n) :: _ -> n | [] -> 0 in
+            m.pops <- (time, level) :: m.pops;
+            m.pop_last <- Float.max m.pop_last time
+        | 2 ->
+            Collector.lookup_sent c ~seq:!seq ~time;
+            Queue.push (!seq, time) pending;
+            incr seq;
+            m.w_last <- Float.max m.w_last time
+        | 3 when not (Queue.is_empty pending) ->
+            let s, sent = Queue.pop pending in
+            let direct_delay = if Rng.int rng 8 = 0 then 0.0 else 0.01 +. Rng.float rng 0.2 in
+            Collector.lookup_delivered c ~seq:s ~time ~correct:true ~direct_delay ~hops:1;
+            let delay = time -. sent in
+            m.rdps <- (time, if direct_delay > 0.0 then delay /. direct_delay else 1.0) :: m.rdps;
+            m.w_last <- Float.max m.w_last time
+        | _ ->
+            let cls = Rng.pick rng classes in
+            Collector.record_send c ~time cls;
+            m.sends <- (time, cls) :: m.sends;
+            m.w_last <- Float.max m.w_last time
+      done;
+      let control, by_class, rdp, population, summary = model_series m ~window in
+      let horizon = !clock in
+      let ranges =
+        (0.0, infinity) :: (20.0, 40.0) :: (15.0, infinity)
+        :: List.init 5 (fun _ ->
+               let a = Rng.float rng horizon and b = Rng.float rng horizon in
+               (Float.min a b, if Rng.int rng 4 = 0 then infinity else Float.max a b))
+      in
+      same_series (Collector.control_series c) control
+      && List.for_all
+           (fun cls -> same_series (Collector.control_series_by_class c cls) (by_class cls))
+           M.all_classes
+      && same_series (Collector.rdp_series c) rdp
+      && same_series (Collector.population_series c) population
+      && List.for_all
+           (fun (since, until) ->
+             let s = Collector.summary ~since ~until c in
+             let floats, controls = summary ~since ~until in
+             List.map fst s.Collector.control_by_class = controls
+             && List.for_all2 same_float
+                  (s.Collector.control_msgs :: s.Collector.control_per_node_per_s
+                   :: s.Collector.lookup_msgs :: s.Collector.mean_population
+                   :: List.map snd s.Collector.control_by_class)
+                  floats)
+           ranges)
+
 let suite =
   [
     ( "collector",
@@ -619,5 +800,6 @@ let suite =
           test_rejects_bad_input;
         Alcotest.test_case "feeds allocate nothing" `Quick test_feeds_allocate_nothing;
         QCheck_alcotest.to_alcotest qcheck_columns_model;
+        QCheck_alcotest.to_alcotest qcheck_windowed_series;
       ] );
   ]

@@ -25,9 +25,7 @@ let test_default_config_valid () =
   Alcotest.(check bool) "pastry config valid" true
     (Mspastry.Config.validate c.Sim.pastry = Ok ());
   Alcotest.(check bool) "warmup before nothing" true (c.Sim.warmup > 0.0);
-  Alcotest.(check bool) "no loss by default" true (c.Sim.loss_rate = 0.0);
-  Alcotest.(check bool) "crash-only departures" true
-    (c.Sim.graceful_leave_fraction = 0.0)
+  Alcotest.(check bool) "no loss by default" true (c.Sim.loss_rate = 0.0)
 
 let flat () =
   {
@@ -150,6 +148,34 @@ let test_manifest_roundtrip () =
       Alcotest.(check bool) "config topology recorded" true
         (Option.bind (deep [ "config"; "topology" ]) J.to_str <> None)
 
+(* a manifest's config names every settable value, defaults included,
+   and the fault schedule that ran *)
+let test_manifest_config_complete () =
+  let module J = Repro_obs.Json in
+  let slow = Sim.Schedule.fail_slow ~label:"slow" ~extra:2.0 ~time:60.0 ~duration:30.0 0.1 in
+  let live = Live.create { (flat ()) with Sim.fault_schedule = [ slow ] } ~n_endpoints:8 in
+  let config = J.member "config" (Live.manifest live) in
+  let pastry = Option.bind config (J.member "pastry") in
+  let keys = function Some (J.Obj kvs) -> List.map fst kvs | _ -> [] in
+  Alcotest.(check (list string)) "every Mspastry.Config field"
+    [
+      "b"; "l"; "probe_volley"; "per_hop_acks"; "active_probing"; "lr_target";
+      "exploit_structure"; "max_hop_reroutes"; "root_retries"; "e2e_lookup_retries";
+      "backpressure"; "verify_gossip"; "progress_check"; "join_rate_limit";
+    ]
+    (keys pastry);
+  Alcotest.(check (option bool)) "hardening printed while off" (Some false)
+    (Option.bind (Option.bind pastry (J.member "verify_gossip")) J.to_bool);
+  match Option.bind config (J.member "fault_schedule") with
+  | Some (J.List [ e ]) ->
+      Alcotest.(check (list string)) "event keys" [ "time"; "label"; "action" ] (keys (Some e));
+      Alcotest.(check (option string)) "label" (Some "slow")
+        (Option.bind (J.member "label" e) J.to_str);
+      Alcotest.(check (option string)) "action described"
+        (Some (Sim.Schedule.describe slow.Sim.Schedule.action))
+        (Option.bind (J.member "action" e) J.to_str)
+  | _ -> Alcotest.fail "expected the one scheduled fault"
+
 let suite =
   [
     ( "harness",
@@ -164,5 +190,7 @@ let suite =
           test_failed_join_leaves_registry;
         Alcotest.test_case "live_of_trace" `Quick test_live_of_trace_runs;
         Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
+        Alcotest.test_case "manifest config lists every settable value" `Quick
+          test_manifest_config_complete;
       ] );
   ]

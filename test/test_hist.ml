@@ -46,11 +46,11 @@ let test_rejects_bad_input () =
     (fun () -> Hist.add h (-1.0));
   Alcotest.check_raises "infinity raises" (Invalid_argument "Hist.add")
     (fun () -> Hist.add h infinity);
-  Alcotest.check_raises "bad alpha" (Invalid_argument "Hist.create: alpha")
-    (fun () -> ignore (Hist.create ~alpha:1.5 ()))
+  Alcotest.check_raises "empty range" (Invalid_argument "Hist.create: range")
+    (fun () -> ignore (Hist.create ~lo:1.0 ~hi:1.0 ()))
 
 let test_merge_param_mismatch () =
-  let a = Hist.create ~alpha:0.01 () and b = Hist.create ~alpha:0.02 () in
+  let a = Hist.create () and b = Hist.create ~hi:100.0 () in
   Alcotest.check_raises "mismatch raises"
     (Invalid_argument "Hist.merge: parameter mismatch") (fun () ->
       ignore (Hist.merge a b))
@@ -67,7 +67,7 @@ let arb_samples = QCheck.make ~print:QCheck.Print.(array string_of_float) lognor
 let qcheck_quantile_accuracy =
   QCheck.Test.make ~name:"quantiles within alpha of exact" ~count:200
     arb_samples (fun xs ->
-      let h = Hist.create ~alpha:0.01 ~lo:1e-6 ~hi:1e4 () in
+      let h = Hist.create ~lo:1e-6 ~hi:1e4 () in
       Array.iter (Hist.add h) xs;
       let sorted = Array.copy xs in
       Array.sort compare sorted;
@@ -84,7 +84,7 @@ let qcheck_quantile_accuracy =
             sorted.(max 0 (min (n - 1) i))
           in
           let err = Float.min (rel_err est lo_i) (rel_err est hi_i) in
-          err <= Hist.alpha h +. 1e-9)
+          err <= Hist.alpha +. 1e-9)
         [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ])
 
 let qcheck_merge_equals_union =

@@ -281,7 +281,24 @@ let test_graceful_leaves () =
   let base = { (flat_config ~lookup_rate:0.05 ()) with Sim.warmup = 600.0 } in
   let crashes = Live.summary (Sim.run base ~trace) in
   let graceful =
-    Live.summary (Sim.run { base with Sim.graceful_leave_fraction = 1.0 } ~trace)
+    (* the same trace replayed with every departure a GOODBYE *)
+    let live =
+      Live.create base ~n_endpoints:(max 16 (2 * Churn.Trace.max_concurrent trace))
+    in
+    let nodes = Hashtbl.create 64 in
+    Array.iter
+      (fun (e : Churn.Trace.event) ->
+        ignore
+          (Simkit.Engine.schedule_at (Live.engine live) ~time:e.time (fun () ->
+               match e.kind with
+               | Churn.Trace.Join -> Hashtbl.replace nodes e.node (Live.spawn live ())
+               | Churn.Trace.Leave ->
+                   Live.crash_node ~graceful:true live (Hashtbl.find nodes e.node))))
+      (Churn.Trace.events trace);
+    let duration = Churn.Trace.duration trace in
+    Live.run_until live (duration +. base.Sim.drain);
+    Collector.flush (Live.collector live) ~time:duration;
+    Live.summary ~until:duration live
   in
   Alcotest.(check int) "graceful: zero incorrect" 0
     graceful.Collector.incorrect_deliveries;

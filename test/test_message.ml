@@ -6,7 +6,7 @@ let peer = Peer.make (Nodeid.of_int 1) 1
 
 let lookup ?(retx = false) () =
   M.Lookup
-    { key = Nodeid.of_int 2; seq = 0; origin = peer; hops = 0; retx; reliable = true }
+    { key = Nodeid.of_int 2; seq = 0; origin = peer; hops = 0; retx }
 
 let classify p = M.classify (M.make ~sender:peer p)
 

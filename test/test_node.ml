@@ -410,22 +410,13 @@ let test_missed_ack_reroutes () =
   Alcotest.(check int) "delivered after eviction" 1 (List.length s.delivered);
   ignore node
 
-let test_unreliable_lookup_unacked () =
-  let s, node, other, _far = routed_setup () in
-  Node.lookup ~reliable:false node ~key:(hexid "f8") ~seq:1;
-  (match sent_to s other.Peer.addr with
-  | [ { M.hop = None; M.payload = M.Lookup l; _ } ] ->
-      Alcotest.(check bool) "flagged unreliable" false l.M.reliable
-  | _ -> Alcotest.fail "expected an untagged lookup");
-  Alcotest.(check int) "nothing buffered" 0 (Node.pending_hops node)
-
 let test_receiver_acks_hop () =
   let s, node, other = active_pair () in
   ignore (take_sent s);
   let lookup =
     M.make ~hop:77 ~sender:other
       (M.Lookup
-         { key = hexid "a0"; seq = 5; origin = other; hops = 1; retx = false; reliable = true })
+         { key = hexid "a0"; seq = 5; origin = other; hops = 1; retx = false })
   in
   Node.handle node ~src:1 lookup;
   let acks =
@@ -804,7 +795,7 @@ let test_inactive_buffering () =
   Node.handle node ~src:9
     (M.make ~sender:root
        (M.Lookup
-         { key = hexid "a0"; seq = 3; origin = root; hops = 1; retx = false; reliable = true }));
+         { key = hexid "a0"; seq = 3; origin = root; hops = 1; retx = false }));
   Alcotest.(check int) "not delivered while inactive" 0 (List.length s.delivered);
   (* activation: the root confirms our leaf set *)
   Node.handle node ~src:9
@@ -843,8 +834,6 @@ let suite =
           test_lookup_forwarded_with_hop_tag;
         Alcotest.test_case "ack clears pending hop" `Quick test_ack_clears_pending;
         Alcotest.test_case "missed ack reroutes and probes" `Quick test_missed_ack_reroutes;
-        Alcotest.test_case "unreliable lookups unacked" `Quick
-          test_unreliable_lookup_unacked;
         Alcotest.test_case "receiver acks hops" `Quick test_receiver_acks_hop;
         Alcotest.test_case "direct message lifts exclusion, probe and failed mark" `Quick
           test_direct_message_lifts_exclusion;

@@ -390,7 +390,7 @@ let test_root_dedup_and_receipt () =
   Node.bootstrap node;
   let origin = Peer.make (hexid "b0") 1 in
   let l =
-    { M.key = hexid "a0"; seq = 5; origin; hops = 2; retx = false; reliable = true }
+    { M.key = hexid "a0"; seq = 5; origin; hops = 2; retx = false }
   in
   Node.handle node ~src:1 (M.make ~sender:origin (M.Lookup l));
   Node.handle node ~src:1 (M.make ~sender:origin (M.Lookup { l with M.retx = true }));
@@ -411,7 +411,7 @@ let test_root_dedup_off_by_default () =
   Node.bootstrap node;
   let origin = Peer.make (hexid "b0") 1 in
   let l =
-    { M.key = hexid "a0"; seq = 5; origin; hops = 2; retx = false; reliable = true }
+    { M.key = hexid "a0"; seq = 5; origin; hops = 2; retx = false }
   in
   Node.handle node ~src:1 (M.make ~sender:origin (M.Lookup l));
   Node.handle node ~src:1 (M.make ~sender:origin (M.Lookup { l with M.retx = true }));

@@ -46,13 +46,21 @@ let test_sorted_output () =
 
 let test_invalid_window () =
   Alcotest.check_raises "zero window" (Invalid_argument "Series.create") (fun () ->
-      ignore (Series.create ~window:0.0))
+      ignore (Series.create ~window:0.0));
+  let s = Series.create ~window:1.0 in
+  List.iter
+    (fun time ->
+      Alcotest.check_raises "bad time" (Invalid_argument "Series.add") (fun () ->
+          Series.add s ~time 1.0))
+    [ -1.0; infinity; nan ];
+  Alcotest.(check int) "nothing recorded" 0 (Series.length s)
 
-(* [add] keeps the window it last wrote; times that jump back and forth
-   between windows must still land in the right cells *)
+(* times that jump back and forth between windows, and past the arrays'
+   current size, must still land in the right windows; the per-index
+   reads agree with the naive cells too *)
 let qcheck_matches_naive =
   QCheck.Test.make ~name:"sums/means/total match naive recomputation" ~count:200
-    QCheck.(list (pair (float_range 0.0 50.0) (float_range (-5.0) 5.0)))
+    QCheck.(list (pair (float_range 0.0 500.0) (float_range (-5.0) 5.0)))
     (fun samples ->
       let window = 5.0 in
       let s = Series.create ~window in
@@ -71,24 +79,32 @@ let qcheck_matches_naive =
       Series.sums s = Array.of_list (List.map (fun (i, (sum, _)) -> (mid i, sum)) naive)
       && Series.means s
          = Array.of_list (List.map (fun (i, (sum, n)) -> (mid i, sum /. float_of_int n)) naive)
+      && Series.length s = (match List.rev naive with (i, _) :: _ -> i + 1 | [] -> 0)
+      && List.for_all
+           (fun w ->
+             let sum, n = Option.value (Hashtbl.find_opt cells w) ~default:(0.0, 0) in
+             Series.sum s w = sum && Series.samples s w = n)
+           (List.init (Series.length s + 2) (fun w -> w - 1))
       &&
       let total = Array.fold_left (fun acc (_, v) -> acc +. v) 0.0 (Series.sums s) in
       let naive_total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 samples in
       Float.abs (total -. naive_total) <= 1e-9 *. (1.0 +. Float.abs naive_total))
 
-let test_copy_independent () =
+(* [integrate] splits at window edges and adds one sample per window it
+   overlaps *)
+let test_integrate () =
   let s = Series.create ~window:10.0 in
-  Series.add s ~time:1.0 2.0;
-  let c = Series.copy s in
-  (* same window as the last add: a shared cached cell would leak *)
-  Series.add c ~time:2.0 5.0;
-  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "original unchanged"
-    [| (5.0, 2.0) |] (Series.sums s);
-  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "original means"
-    [| (5.0, 2.0) |] (Series.means s);
-  Series.add s ~time:3.0 1.0;
-  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "copy unchanged"
-    [| (5.0, 7.0) |] (Series.sums c)
+  Series.integrate s ~from:5.0 ~until:27.0 2.0;
+  Alcotest.(check (array (pair (float 0.0) (float 0.0)))) "pieces"
+    [| (5.0, 10.0); (15.0, 20.0); (25.0, 14.0) |] (Series.sums s);
+  Alcotest.(check (list int)) "one sample per window" [ 1; 1; 1 ]
+    (List.init 3 (Series.samples s));
+  Series.integrate s ~from:27.0 ~until:27.0 5.0;
+  Series.integrate s ~from:30.0 ~until:20.0 5.0;
+  Alcotest.(check int) "empty intervals add nothing" 3 (Series.length s);
+  Series.integrate s ~from:27.0 ~until:29.0 0.0;
+  Alcotest.(check int) "a zero level still marks the window" 2 (Series.samples s 2);
+  Alcotest.(check (float 0.0)) "... and adds nothing" 14.0 (Series.sum s 2)
 
 let suite =
   [
@@ -101,6 +117,6 @@ let suite =
         Alcotest.test_case "sorted output" `Quick test_sorted_output;
         Alcotest.test_case "invalid window" `Quick test_invalid_window;
         QCheck_alcotest.to_alcotest qcheck_matches_naive;
-        Alcotest.test_case "add on a copy leaves the original" `Quick test_copy_independent;
+        Alcotest.test_case "integrate" `Quick test_integrate;
       ] );
   ]
