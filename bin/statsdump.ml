@@ -5,10 +5,11 @@
 
      statsdump run.json                pretty-print one document
      statsdump old.json new.json       diff: numeric leaves side by side
-     statsdump --bench OLD NEW         compare micro ns/op maps and exit
-                                       1 on any regression beyond
+     statsdump --bench OLD NEW         compare micro ns/op maps (medians)
+                                       and exit 1 on any regression beyond
                                        --threshold or any baseline kernel
-                                       missing from NEW (the CI perf gate) *)
+                                       missing from NEW (the CI perf gate);
+                                       prints NEW's min and max estimates *)
 
 open Cmdliner
 module Json = Repro_obs.Json
@@ -85,22 +86,36 @@ let diff old_j new_j =
     old_leaves;
   if !changed = 0 then Printf.printf "(identical)\n"
 
-(* --bench: compare the micro_ns_per_op maps of two bench reports. Fails
-   (exit 1) when any kernel slows down by more than [threshold] or is
-   missing from the candidate — a renamed or deleted kernel must not drop
-   out of the gate unnoticed (regenerate the baseline instead). *)
+(* --bench: compare the micro_ns_per_op maps (each kernel's median
+   estimate) of two bench reports, printing the candidate's min and max
+   estimates beside it when its report has a micro_spread map. Fails
+   (exit 1) when any kernel's median slows down by more than [threshold]
+   or is missing from the candidate — a renamed or deleted kernel must
+   not drop out of the gate unnoticed (regenerate the baseline instead). *)
 let bench_gate old_j new_j threshold =
   let micro j name =
     match Json.member "micro_ns_per_op" j with
     | Some (Json.Obj kvs) -> Ok kvs
     | _ -> Error (Printf.sprintf "%s: no micro_ns_per_op map" name)
   in
+  let spread =
+    match Json.member "micro_spread" new_j with Some (Json.Obj kvs) -> kvs | _ -> []
+  in
+  let range name =
+    let bound k j = Option.bind (Json.member k j) Json.to_float in
+    match List.assoc_opt name spread with
+    | Some j -> (
+        match (bound "min" j, bound "max" j) with
+        | Some lo, Some hi -> Printf.sprintf "  [%.1f, %.1f]" lo hi
+        | _ -> "")
+    | None -> ""
+  in
   match (micro old_j "baseline", micro new_j "candidate") with
   | Error e, _ | _, Error e -> `Error (false, e)
   | Ok old_map, Ok new_map ->
       let regressions = ref [] and missing = ref 0 in
-      Printf.printf "%-40s %12s %12s %9s\n" "kernel" "base ns/op" "new ns/op"
-        "change";
+      Printf.printf "%-40s %12s %12s %9s%s\n" "kernel" "base ns/op" "new ns/op" "change"
+        (if spread = [] then "" else "  new [min, max]");
       List.iter
         (fun (name, ov) ->
           match (Json.to_float ov, Option.bind (List.assoc_opt name new_map) Json.to_float) with
@@ -113,8 +128,8 @@ let bench_gate old_j new_j threshold =
                 end
                 else ""
               in
-              Printf.printf "%-40s %12.1f %12.1f %+8.1f%%%s\n" name o n
-                (rel *. 100.0) flag
+              Printf.printf "%-40s %12.1f %12.1f %+8.1f%%%s%s\n" name o n
+                (rel *. 100.0) (range name) flag
           | Some o, None ->
               incr missing;
               Printf.printf "%-40s %12.1f %12s %9s  MISSING\n" name o "-" ""

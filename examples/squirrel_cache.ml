@@ -23,7 +23,7 @@ let () =
     }
   in
   let live = Live.create config ~n_endpoints:20 in
-  let cache = Cache.create ~origin_delay:0.15 ~live () in
+  let cache = Cache.create ~live () in
 
   for i = 0 to 19 do
     Live.spawn_at live ~time:(float_of_int i *. 5.0) ()

@@ -819,7 +819,7 @@ module Live = struct
             ] );
       ]
 
-  let manifest ?(label = "run") t =
+  let manifest t =
     let es = Simkit.Engine.stats t.engine in
     let engine =
       Obs.Json.Obj
@@ -833,7 +833,7 @@ module Live = struct
           ("events_per_sim_s", Obs.Json.Float es.Simkit.Engine.events_per_sim_s);
         ]
     in
-    Manifest.build ~label ~seed:t.config.seed ~config:(config_json t.config)
+    Manifest.build ~label:"run" ~seed:t.config.seed ~config:(config_json t.config)
       ~counters:(Obs.Registry.to_json (registry t))
       ~histograms:
         [

@@ -196,11 +196,10 @@ module Live : sig
       [run_until] directly should call it once they are done with the
       session. *)
 
-  val manifest : ?label:string -> t -> Repro_obs.Json.t
-  (** Assemble the run manifest now (schema in DESIGN.md §9): config +
-      seed + git describe, registry counters, histogram summaries, the
-      global profile breakdown and engine statistics. [label] (default
-      ["run"]) names the run for {!Manifest.build}. *)
+  val manifest : t -> Repro_obs.Json.t
+  (** Assemble the run manifest now (schema in DESIGN.md §9), labelled
+      ["run"]: config + seed + git describe, registry counters, histogram
+      summaries, the global profile breakdown and engine statistics. *)
 
   val trace : t -> Repro_obs.Trace.t
   (** The structured event trace built from [config.tracing] (the

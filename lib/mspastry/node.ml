@@ -44,7 +44,12 @@ type env = {
   trace : Obs.Trace.t;
 }
 
+(* Fig 2's leaf-set probe, which carries the leaf set and failed_i, or
+   §3.2's routing-table probe, a bare liveness check *)
+type probe_kind = Ls | Rt
+
 type probe_state = {
+  p_kind : probe_kind;
   p_peer : Peer.t;
   mutable p_retries : int;
   mutable p_timer : Simkit.Engine.event_id option;
@@ -307,32 +312,16 @@ let send_msg ?hop t (dst : Peer.t) payload =
 
 let cancel_timer t = function Some ev -> t.env.cancel ev | None -> ()
 
+(* a timer that runs [f t x] after [delay] seconds unless the node has
+   died by then *)
+let after t delay f x = t.env.schedule ~delay (fun () -> if t.alive then f t x)
+
 let emit_ev t body = Obs.Trace.emit t.env.trace { Obs.Event.time = now t; body }
 let traced t = Obs.Trace.enabled t.env.trace
 
 let emit_probe t (target : Peer.t) kind =
   if traced t then
     emit_ev t (Obs.Event.Probe { addr = t.me.Peer.addr; target = target.Peer.addr; kind })
-
-(* quarantine a peer that exhausted probe retries: gossip cannot
-   reinstall it (probe/admission gates check [suspected]) until the
-   backoff expires, and each relapse doubles the backoff. Only a direct
-   message from the peer ([note_alive]) clears the entry. Callers use
-   [suspect_and_revalidate], which also schedules an active re-probe at
-   expiry — a whole neighbourhood can evict the same peer, after which
-   no gossip ever names it again, so waiting passively for gossip would
-   make a false eviction permanent. *)
-let suspect_peer t (j : Peer.t) =
-  let ps = peer t j.Peer.id in
-  let backoff =
-    match ps.susp with
-    | Some s -> Float.min Config.suspicion_backoff_max (2.0 *. s.s_backoff)
-    | None -> Config.suspicion_backoff
-  in
-  ps.susp <- Some { s_until = now t +. backoff; s_backoff = backoff };
-  if traced t then
-    emit_ev t (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
-  t.env.on_suspicion ~target:j.Peer.addr
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine hardening: routing distrust and gossip verification        *)
@@ -496,22 +485,19 @@ and launch_dprobe t target ~total ~announce ~on_done =
   (peer t target.Peer.id).dprobe <- Some d;
   t.dprobes_running <- t.dprobes_running + 1;
   emit_probe t target "distance";
-  let send_sample () =
-    if t.alive then begin
-      let seq = t.next_dprobe_seq in
-      t.next_dprobe_seq <- seq + 1;
-      Hashtbl.replace d.d_sent_at seq (now t);
-      Hashtbl.replace t.dprobe_by_seq seq d;
-      send_msg t target (M.Distance_probe { probe_seq = seq })
-    end
-  in
-  send_sample ();
+  send_sample t d;
   for k = 1 to total - 1 do
-    ignore
-      (t.env.schedule ~delay:(float_of_int k *. Config.distance_probe_spacing) send_sample)
+    ignore (after t (float_of_int k *. Config.distance_probe_spacing) send_sample d)
   done;
   let finish_at = (float_of_int (total - 1) *. Config.distance_probe_spacing) +. Config.t_out in
-  d.d_finish <- Some (t.env.schedule ~delay:finish_at (fun () -> if t.alive then finish_dprobe t d))
+  d.d_finish <- Some (after t finish_at finish_dprobe d)
+
+and send_sample t d =
+  let seq = t.next_dprobe_seq in
+  t.next_dprobe_seq <- seq + 1;
+  Hashtbl.replace d.d_sent_at seq (now t);
+  Hashtbl.replace t.dprobe_by_seq seq d;
+  send_msg t d.d_target (M.Distance_probe { probe_seq = seq })
 
 and request_dprobe t target ~total ~announce ~on_done =
   let probing () = Option.is_some (peer t target.Peer.id).dprobe in
@@ -575,20 +561,51 @@ and maybe_measure ?(fill_only = false) t target ~announce =
 let leaf_members_payload t = Leafset.members t.leafset
 let failed_payload t = Hashtbl.fold (fun id () acc -> id :: acc) t.failed []
 
+(* release a probe's slot: a reply, exhaustion, or for a routing-table
+   probe any direct message from the peer ended it *)
+let end_probe t ps st =
+  cancel_timer t st.p_timer;
+  match st.p_kind with
+  | Ls ->
+      ps.ls_probe <- None;
+      t.ls_probing <- t.ls_probing - 1
+  | Rt ->
+      ps.rt_probe <- None;
+      t.rt_probing <- t.rt_probing - 1
+
+(* the one failure verdict, for an exhausted probe and for a Goodbye:
+   evict [j] from the routing table, add it to Fig 2's failed_i, and feed
+   the failure to µ's history (§4.1) *)
+let declare_failed t (j : Peer.t) =
+  ignore (Routing_table.remove t.table j.Peer.id);
+  Hashtbl.replace t.failed j.Peer.id ();
+  Tuning.record_failure t.tuning ~now:(now t)
+
+(* Fig 2's leaf-set probe *)
 let rec probe t (j : Peer.t) =
-  if (not (Nodeid.equal j.Peer.id t.me.Peer.id)) && not (self_forgery t j) then begin
-    let ps = peer t j.Peer.id in
-    if
-      Option.is_none ps.ls_probe
-      && (not (is_failed t j.Peer.id))
-      && not (suspected ps (now t))
-    then begin
-      let st = { p_peer = j; p_retries = 0; p_timer = None } in
-      ps.ls_probe <- Some st;
-      t.ls_probing <- t.ls_probing + 1;
-      emit_probe t j "leafset";
-      send_ls_probe t st
-    end
+  if (not (Nodeid.equal j.Peer.id t.me.Peer.id)) && not (self_forgery t j) then
+    start_probe t Ls j (peer t j.Peer.id)
+
+(* a probe of [kind], unless [j] is failed or quarantined or a probe of
+   it is out. A leaf-set probe may start while a routing-table probe is
+   out, but not the reverse. *)
+and start_probe t kind (j : Peer.t) ps =
+  if
+    Option.is_none ps.ls_probe
+    && (match kind with Ls -> true | Rt -> Option.is_none ps.rt_probe)
+    && (not (is_failed t j.Peer.id))
+    && not (suspected ps (now t))
+  then begin
+    let st = { p_kind = kind; p_peer = j; p_retries = 0; p_timer = None } in
+    (match kind with
+    | Ls ->
+        ps.ls_probe <- Some st;
+        t.ls_probing <- t.ls_probing + 1
+    | Rt ->
+        ps.rt_probe <- Some st;
+        t.rt_probing <- t.rt_probing + 1);
+    emit_probe t j (match kind with Ls -> "leafset" | Rt -> "rt");
+    send_probe t st
   end
 
 and probe_copies t retries =
@@ -604,45 +621,53 @@ and probe_copies t retries =
      overload *)
   if overloaded t then 1 else min 512 (pow 1 retries)
 
-and send_ls_probe t st =
+and send_probe t st =
+  let target = st.p_peer.Peer.id in
   let payload =
-    M.Ls_probe
-      {
-        leaf = leaf_members_payload t;
-        failed = failed_payload t;
-        trt = t.local_trt;
-        target = st.p_peer.Peer.id;
-      }
+    match st.p_kind with
+    | Ls ->
+        M.Ls_probe
+          { leaf = leaf_members_payload t; failed = failed_payload t; trt = t.local_trt; target }
+    | Rt -> M.Rt_probe { target }
   in
   for _ = 1 to probe_copies t st.p_retries do
     send_msg t st.p_peer payload
   done;
-  st.p_timer <-
-    Some
-      (t.env.schedule ~delay:Config.t_out (fun () -> if t.alive then probe_timeout t st))
+  st.p_timer <- Some (after t Config.t_out probe_timeout st)
 
 and probe_timeout t st =
   let j = st.p_peer in
   let ps = peer t j.Peer.id in
-  if Option.is_some ps.ls_probe then begin
+  if Option.is_some (match st.p_kind with Ls -> ps.ls_probe | Rt -> ps.rt_probe) then begin
     if st.p_retries < Config.max_probe_retries then begin
       st.p_retries <- st.p_retries + 1;
-      send_ls_probe t st
+      send_probe t st
     end
     else begin
-      let was_member = Leafset.mem t.leafset j.Peer.id in
-      ignore (Leafset.remove t.leafset j.Peer.id);
-      ignore (Routing_table.remove t.table j.Peer.id);
-      Hashtbl.replace t.failed j.Peer.id ();
-      suspect_and_revalidate t j;
-      Tuning.record_failure t.tuning ~now:(now t);
-      ps.ls_probe <- None;
-      t.ls_probing <- t.ls_probing - 1;
-      (* §4.1: announce a confirmed leaf-set failure to the other members,
-         which both informs them and solicits replacement candidates *)
-      if was_member && t.active then
-        List.iter (fun m -> probe t m) (Leafset.members t.leafset);
-      done_probing t
+      end_probe t ps st;
+      match st.p_kind with
+      | Ls ->
+          let was_member = Leafset.remove t.leafset j.Peer.id in
+          declare_failed t j;
+          quarantine t j;
+          (* §4.1: announce a confirmed leaf-set failure to the other
+             members, which both informs them and solicits replacement
+             candidates *)
+          if was_member && t.active then
+            List.iter (fun m -> probe t m) (Leafset.members t.leafset);
+          done_probing t
+      | Rt ->
+          declare_failed t j;
+          (* repair is lazy: periodic maintenance and passive repair
+             refill the slot. A leaf member escalates to the leaf-set
+             machinery instead of being quarantined (suspicion waits for
+             the leaf probe's own verdict, which it would otherwise
+             gate). *)
+          if Leafset.mem t.leafset j.Peer.id then begin
+            unfail t j.Peer.id;
+            probe t j
+          end
+          else quarantine t j
     end
   end
 
@@ -703,80 +728,38 @@ and repair t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Routing-table liveness probing (§3.2)                                *)
+(* Routing-table liveness probing (§3.2) and suspicion                  *)
 (* ------------------------------------------------------------------ *)
 
 and rt_probe t (j : Peer.t) =
-  if not (Nodeid.equal j.Peer.id t.me.Peer.id) then rt_probe_peer t j (peer t j.Peer.id)
+  if not (Nodeid.equal j.Peer.id t.me.Peer.id) then start_probe t Rt j (peer t j.Peer.id)
 
-and rt_probe_peer t j ps =
-  if
-    Option.is_none ps.rt_probe
-    && Option.is_none ps.ls_probe
-    && (not (is_failed t j.Peer.id))
-    && not (suspected ps (now t))
-  then begin
-    let st = { p_peer = j; p_retries = 0; p_timer = None } in
-    ps.rt_probe <- Some st;
-    t.rt_probing <- t.rt_probing + 1;
-    emit_probe t j "rt";
-    send_rt_probe t st
-  end
-
-and send_rt_probe t st =
-  for _ = 1 to probe_copies t st.p_retries do
-    send_msg t st.p_peer (M.Rt_probe { target = st.p_peer.Peer.id })
-  done;
-  st.p_timer <-
-    Some
-      (t.env.schedule ~delay:Config.t_out (fun () -> if t.alive then rt_probe_timeout t st))
-
-and rt_probe_timeout t st =
-  let j = st.p_peer in
-  let ps = peer t j.Peer.id in
-  if Option.is_some ps.rt_probe then begin
-    if st.p_retries < Config.max_probe_retries then begin
-      st.p_retries <- st.p_retries + 1;
-      send_rt_probe t st
-    end
-    else begin
-      ps.rt_probe <- None;
-      t.rt_probing <- t.rt_probing - 1;
-      ignore (Routing_table.remove t.table j.Peer.id);
-      Hashtbl.replace t.failed j.Peer.id ();
-      Tuning.record_failure t.tuning ~now:(now t);
-      (* repair is lazy: periodic maintenance and passive repair refill
-         the slot *)
-      if Leafset.mem t.leafset j.Peer.id then begin
-        (* it was also a leaf — escalate to the leaf-set machinery
-           (suspicion waits for the leaf probes' own verdict, which would
-           otherwise be gated) *)
-        unfail t j.Peer.id;
-        probe t j
-      end
-      else suspect_and_revalidate t j
-    end
-  end
-
-(* negative caching with active revalidation: when the quarantine
-   expires, re-verify the peer ourselves instead of waiting for gossip
-   to name it (which may never happen once every neighbour evicted it).
-   A successful probe re-admits via the normal [handle_ls_probe] path;
-   an exhausted one relapses with doubled backoff. Once the backoff is
-   maxed out, only peers that would still matter to the leaf set keep
+(* negative caching: quarantine a peer that exhausted probe retries.
+   Gossip cannot reinstall it (probe/admission gates check [suspected])
+   until the backoff expires, and each relapse doubles the backoff. Only
+   a direct message from the peer ([note_alive]) clears the entry. At
+   expiry the node re-verifies the peer itself instead of waiting for
+   gossip to name it, which may never happen once every neighbour
+   evicted it: a successful probe re-admits via the normal
+   [handle_ls_probe] path, an exhausted one relapses. Once the backoff
+   is maxed out, only peers that would still matter to the leaf set keep
    being revalidated — confirmed-dead strangers stay quarantined
    passively. *)
-and suspect_and_revalidate t (j : Peer.t) =
-  suspect_peer t j;
-  match (peer t j.Peer.id).susp with
-  | None -> ()
-  | Some s ->
-      let expiry = s.s_until in
-      ignore
-        (t.env.schedule ~delay:(s.s_backoff +. 0.01) (fun () ->
-             if t.alive then revalidate_suspect t j ~expiry))
+and quarantine t (j : Peer.t) =
+  let ps = peer t j.Peer.id in
+  let backoff =
+    match ps.susp with
+    | Some s -> Float.min Config.suspicion_backoff_max (2.0 *. s.s_backoff)
+    | None -> Config.suspicion_backoff
+  in
+  let expiry = now t +. backoff in
+  ps.susp <- Some { s_until = expiry; s_backoff = backoff };
+  if traced t then
+    emit_ev t (Obs.Event.Suspected { addr = t.me.Peer.addr; target = j.Peer.addr; backoff });
+  t.env.on_suspicion ~target:j.Peer.addr;
+  ignore (after t (backoff +. 0.01) revalidate (j, expiry))
 
-and revalidate_suspect t (j : Peer.t) ~expiry =
+and revalidate t ((j : Peer.t), expiry) =
   match (peer t j.Peer.id).susp with
   | Some s
     when Float.equal s.s_until expiry
@@ -800,12 +783,7 @@ and note_alive t (sender : Peer.t) =
         emit_ev t
           (Obs.Event.Unsuspected { addr = t.me.Peer.addr; target = sender.Peer.addr })
   | None -> ());
-  match ps.rt_probe with
-  | Some st ->
-      cancel_timer t st.p_timer;
-      ps.rt_probe <- None;
-      t.rt_probing <- t.rt_probing - 1
-  | None -> ()
+  match ps.rt_probe with Some st -> end_probe t ps st | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Routed messages, per-hop acks (§3.2)                                 *)
@@ -838,8 +816,7 @@ and send_routed t (next : Peer.t) payload ~key ~reroutes =
     in
     Hashtbl.replace t.pending hop_id ph;
     let rto = Rto.timeout (rto_of (peer t next.Peer.id)) in
-    ph.h_timer <-
-      Some (t.env.schedule ~delay:rto (fun () -> if t.alive then hop_timeout t hop_id));
+    ph.h_timer <- Some (after t rto hop_timeout hop_id);
     send_msg ~hop:hop_id t next payload
   end
   else send_msg t next payload
@@ -949,17 +926,7 @@ and receive_root t payload ~key ~reroutes =
            a lost ack recovers in one extra round-trip. Only after
            [root_retries] attempts does the local node deliver in the
            root's stead (§3.2's consistency/latency dial). *)
-        let backoff = 0.5 *. float_of_int reroutes in
-        ignore
-          (t.env.schedule ~delay:backoff (fun () ->
-               if t.alive then begin
-                 let owner' = Leafset.closest t.leafset key in
-                 if Nodeid.equal owner'.Peer.id t.me.Peer.id then
-                   receive_root t payload ~key ~reroutes:(reroutes + 1)
-                 else
-                   send_routed t owner' (mark_retx payload) ~key
-                     ~reroutes:(reroutes + 1)
-               end))
+        ignore (after t (0.5 *. float_of_int reroutes) retry_root (payload, key, reroutes + 1))
       end
       else begin
         let sides_ok =
@@ -985,6 +952,11 @@ and receive_root t payload ~key ~reroutes =
       else push_buffer t payload ~key
   | _ -> ()
 
+and retry_root t (payload, key, reroutes) =
+  let owner = Leafset.closest t.leafset key in
+  if Nodeid.equal owner.Peer.id t.me.Peer.id then receive_root t payload ~key ~reroutes
+  else send_routed t owner (mark_retx payload) ~key ~reroutes
+
 (* deliver a lookup we are the root for. With end-to-end retries on, the
    root also suppresses duplicate deliveries (per-hop retransmissions
    after a lost ack, and the origin's own e2e re-issues, both produce
@@ -1000,13 +972,15 @@ and deliver_at_root t (l : M.lookup) =
   end
   else t.env.deliver l
 
+(* routing-table row [r] as gossiped: (peer, rtt) pairs *)
+and row_payload t r =
+  Routing_table.row_entries t.table r
+  |> List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt))
+
 and own_rows_from t r0 =
   let acc = ref [] in
   for r = Routing_table.used_rows t.table - 1 downto r0 do
-    let entries =
-      Routing_table.row_entries t.table r
-      |> List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt))
-    in
+    let entries = row_payload t r in
     if entries <> [] then acc := (r, entries) :: !acc
   done;
   !acc
@@ -1029,8 +1003,7 @@ and flush_buffer t =
         (* an entry still unroutable after 60 attempts is dropped *)
         if e.bf_attempts <= 60 then route_payload t e.bf_payload ~key:e.bf_key ~reroutes:0)
       entries;
-    if t.buffer <> [] then
-      ignore (t.env.schedule ~delay:1.0 (fun () -> if t.alive then flush_buffer t))
+    if t.buffer <> [] then ignore (after t 1.0 (fun t () -> flush_buffer t) ())
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1060,60 +1033,39 @@ and announce_rows t =
   (* §2: after initializing its table, the joiner sends row r to every
      node in that row (announcing itself and gossiping the row) *)
   for r = 0 to Routing_table.used_rows t.table - 1 do
-    let entries = Routing_table.row_entries t.table r in
-    if entries <> [] then begin
-      let payload_entries =
-        List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt)) entries
-      in
-      List.iter
-        (fun e -> send_msg t e.Routing_table.peer (M.Row_announce { row = r; entries = payload_entries }))
-        entries
-    end
+    let entries = row_payload t r in
+    List.iter (fun (p, _) -> send_msg t p (M.Row_announce { row = r; entries })) entries
   done
 
-and start_periodics t =
-  let jitter p = Rng.float t.env.rng p in
-  (* leaf-set heartbeats *)
-  let rec hb_tick () =
+(* [round t] every [period t] seconds while the node is active, the
+   first time after a random fraction of a period; a dead node's ticks
+   stop *)
+and every t ~period round =
+  let rec tick () =
     if t.alive then begin
-      if t.active then heartbeat_round t;
-      ignore (t.env.schedule ~delay:Config.t_ls (fun () -> hb_tick ()))
+      if t.active then round t;
+      ignore (t.env.schedule ~delay:(period t) tick)
     end
   in
-  ignore (t.env.schedule ~delay:(jitter Config.t_ls) (fun () -> hb_tick ()));
+  ignore (t.env.schedule ~delay:(Rng.float t.env.rng (period t)) tick)
+
+and start_periodics t =
+  (* leaf-set heartbeats *)
+  every t ~period:(fun _ -> Config.t_ls) heartbeat_round;
   (* routing-table liveness probing: each entry is probed every Trt
      seconds; the scan itself runs more often so that a freshly lowered
      Trt takes effect promptly *)
-  if t.cfg.active_probing then begin
-    let scan_period () = Float.max 1.0 (Float.min 60.0 (t.trt /. 4.0)) in
-    let rec rt_tick () =
-      if t.alive then begin
-        if t.active then rt_probe_round t;
-        ignore (t.env.schedule ~delay:(scan_period ()) (fun () -> rt_tick ()))
-      end
-    in
-    ignore (t.env.schedule ~delay:(jitter (scan_period ())) (fun () -> rt_tick ()))
-  end;
+  if t.cfg.active_probing then
+    every t ~period:(fun t -> Float.max 1.0 (Float.min 60.0 (t.trt /. 4.0))) rt_probe_round;
   (* periodic routing-table maintenance gossip *)
-  let rec maint_tick () =
-    if t.alive then begin
-      if t.active then maintenance_round t;
-      ignore (t.env.schedule ~delay:Config.rt_maintenance_period (fun () -> maint_tick ()))
-    end
-  in
-  ignore (t.env.schedule ~delay:(jitter Config.rt_maintenance_period) (fun () -> maint_tick ()));
+  every t ~period:(fun _ -> Config.rt_maintenance_period) maintenance_round;
   (* self-tuning refresh *)
-  let rec tune_tick () =
-    if t.alive then begin
-      if t.active then begin
-        let m = m_unique t in
-        t.local_trt <- Tuning.local_trt t.tuning ~leafset:t.leafset ~m ~now:(now t);
-        t.trt <- Tuning.current_trt t.tuning ~local:t.local_trt
-      end;
-      ignore (t.env.schedule ~delay:Config.tuning_refresh_period (fun () -> tune_tick ()))
-    end
-  in
-  ignore (t.env.schedule ~delay:(jitter Config.tuning_refresh_period) (fun () -> tune_tick ()))
+  every t ~period:(fun _ -> Config.tuning_refresh_period) tune_round
+
+and tune_round t =
+  let m = m_unique t in
+  t.local_trt <- Tuning.local_trt t.tuning ~leafset:t.leafset ~m ~now:(now t);
+  t.trt <- Tuning.current_trt t.tuning ~local:t.local_trt
 
 and heartbeat_round t =
   let n = now t in
@@ -1177,7 +1129,7 @@ and rt_probe_round t =
       let recently_probed = n -. ps.times.last_rt_probe < t.trt in
       if (not fresh) && not recently_probed then begin
         ps.times.last_rt_probe <- n;
-        rt_probe_peer t j ps
+        start_probe t Rt j ps
       end)
     t.table
   end
@@ -1307,12 +1259,7 @@ and handle t ~src:_ (msg : M.t) =
             ignore (Routing_table.consider t.table sender ~rtt))
     | M.Row_announce { row = _; entries } ->
         List.iter (fun (p, _) -> maybe_measure t p ~announce:true) entries
-    | M.Row_request { row } ->
-        let entries =
-          Routing_table.row_entries t.table row
-          |> List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt))
-        in
-        send_msg t sender (M.Row_reply { row; entries })
+    | M.Row_request { row } -> send_msg t sender (M.Row_reply { row; entries = row_payload t row })
     | M.Row_reply { row = _; entries } ->
         List.iter (fun (p, _) -> maybe_measure t p ~announce:true) entries
     | M.Slot_request { row; col } ->
@@ -1347,9 +1294,7 @@ and handle t ~src:_ (msg : M.t) =
         (* the sender vouches for its own departure: evict immediately and
            start repair, skipping probe verification *)
         ignore (Leafset.remove t.leafset sender.Peer.id);
-        ignore (Routing_table.remove t.table sender.Peer.id);
-        Hashtbl.replace t.failed sender.Peer.id ();
-        Tuning.record_failure t.tuning ~now:(now t);
+        declare_failed t sender;
         if t.ls_probing = 0 then done_probing t
     | M.Nn_request ->
         (* admission control: seed discovery is the front door of a join
@@ -1399,12 +1344,7 @@ and handle_join_request t ~sender:_ ~joiner ~rows =
   else begin
     (* contribute our row matching the joiner's prefix, then route on *)
     let r = Nodeid.shared_prefix_length ~b:t.cfg.b t.me.Peer.id joiner.Peer.id in
-    let entries =
-      if r >= Routing_table.rows t.table then []
-      else
-        Routing_table.row_entries t.table r
-        |> List.map (fun e -> (e.Routing_table.peer, e.Routing_table.rtt))
-    in
+    let entries = if r >= Routing_table.rows t.table then [] else row_payload t r in
     let rows = if entries = [] then rows else (r, entries) :: rows in
     route_payload t (M.Join_request { joiner; rows }) ~key:joiner.Peer.id ~reroutes:0
   end
@@ -1489,9 +1429,7 @@ and handle_ls_probe t ~sender ~leaf ~failed ~trt ~is_reply =
     let ps = peer t sender.Peer.id in
     match ps.ls_probe with
     | Some st ->
-        cancel_timer t st.p_timer;
-        ps.ls_probe <- None;
-        t.ls_probing <- t.ls_probing - 1;
+        end_probe t ps st;
         done_probing t
     | None -> ()
   end
@@ -1567,11 +1505,7 @@ and install_e2e t ~key ~seq =
   Hashtbl.replace t.e2e seq st;
   arm_e2e t seq st
 
-and arm_e2e t seq st =
-  st.e_timer <-
-    Some
-      (t.env.schedule ~delay:st.e_timeout (fun () ->
-           if t.alive then e2e_timeout t seq))
+and arm_e2e t seq st = st.e_timer <- Some (after t st.e_timeout e2e_timeout seq)
 
 and e2e_timeout t seq =
   match Hashtbl.find_opt t.e2e seq with

@@ -11,7 +11,6 @@ type t = {
   live : Live.t;
   replicas : int;
   refresh_period : float;
-  request_timeout : float;
   stores : (int, (string, string) Hashtbl.t) Hashtbl.t; (* addr -> key -> value *)
   pending : (int, kind) Hashtbl.t;
   mutable next_seq : int;
@@ -25,6 +24,9 @@ type t = {
 }
 
 let hash_key key = Nodeid.of_string (Digest.string ("past:" ^ key))
+
+(* a get unanswered this long counts as a timeout *)
+let request_timeout = 10.0
 
 let store_of t addr =
   match Hashtbl.find_opt t.stores addr with
@@ -137,14 +139,13 @@ let rec sweep t =
     t.stores;
   ignore (Simkit.Engine.schedule (engine t) ~delay:t.refresh_period (fun () -> sweep t))
 
-let create ?(replicas = 3) ?(refresh_period = 120.0) ?(request_timeout = 10.0) ~live () =
+let create ?(replicas = 3) ?(refresh_period = 120.0) ~live () =
   if replicas < 1 then invalid_arg "Past.create: replicas must be >= 1";
   let t =
     {
       live;
       replicas;
       refresh_period;
-      request_timeout;
       stores = Hashtbl.create 128;
       pending = Hashtbl.create 64;
       next_seq = 2_000_000_000;
@@ -170,7 +171,7 @@ let get t ~client ~key =
     t.gets <- t.gets + 1;
     let seq = fresh_seq t in
     let timer =
-      Simkit.Engine.schedule (engine t) ~delay:t.request_timeout (fun () ->
+      Simkit.Engine.schedule (engine t) ~delay:request_timeout (fun () ->
           if Hashtbl.mem t.pending seq then begin
             Hashtbl.remove t.pending seq;
             t.get_timeouts <- t.get_timeouts + 1

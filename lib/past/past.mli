@@ -22,12 +22,12 @@ type t
 val create :
   ?replicas:int ->
   ?refresh_period:float ->
-  ?request_timeout:float ->
   live:Harness.Sim.Live.t ->
   unit ->
   t
 (** [replicas] — target copies per object, default 3. [refresh_period] —
-    re-replication sweep interval, default 120 s. *)
+    re-replication sweep interval, default 120 s. A get unanswered
+    after 10 s counts as a timeout. *)
 
 val put : t -> client:Mspastry.Node.t -> key:string -> value:string -> unit
 val get : t -> client:Mspastry.Node.t -> key:string -> unit

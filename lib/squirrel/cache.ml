@@ -15,7 +15,6 @@ type store = (string, float) Hashtbl.t (* url -> last access time *)
 
 type t = {
   live : Live.t;
-  origin_delay : float;
   capacity : int;
   pending : (int, pending) Hashtbl.t;
   stores : (int, store) Hashtbl.t; (* home node addr -> cached objects *)
@@ -31,6 +30,9 @@ type t = {
 let key_of_url url = Nodeid.of_string (Digest.string url)
 
 let request_timeout = 10.0
+
+(* one-way delay to the (external) origin server *)
+let origin_delay = 0.15
 
 let record_msg t = Series.count t.msgs ~time:(Simkit.Engine.now (Live.engine t.live))
 
@@ -82,18 +84,17 @@ let on_delivery t node (l : Mspastry.Message.lookup) =
         (* origin fetch: request out, object back *)
         record_msg t;
         ignore
-          (Simkit.Engine.schedule engine ~delay:(2.0 *. t.origin_delay) (fun () ->
+          (Simkit.Engine.schedule engine ~delay:(2.0 *. origin_delay) (fun () ->
                record_msg t;
                Hashtbl.replace store p.url (Simkit.Engine.now engine);
                evict_to_capacity t store;
                respond t ~home_addr ~p))
       end
 
-let create ?(origin_delay = 0.15) ?(capacity_per_node = 4096) ~live () =
+let create ?(capacity_per_node = 4096) ~live () =
   let t =
     {
       live;
-      origin_delay;
       capacity = capacity_per_node;
       pending = Hashtbl.create 1024;
       stores = Hashtbl.create 64;

@@ -14,14 +14,12 @@
 type t
 
 val create :
-  ?origin_delay:float ->
   ?capacity_per_node:int ->
   live:Harness.Sim.Live.t ->
   unit ->
   t
-(** [origin_delay] — one-way delay to the (external) origin server,
-    default 0.15 s. [capacity_per_node] — cached objects per home node
-    before LRU eviction, default 4096. *)
+(** [capacity_per_node] — cached objects per home node before LRU
+    eviction, default 4096. The origin server is 0.15 s away, one way. *)
 
 val key_of_url : string -> Pastry.Nodeid.t
 (** MD5 of the URL, the paper's SHA-1 stand-in (both give uniform

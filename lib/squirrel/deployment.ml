@@ -9,8 +9,7 @@ type result = {
   duration : float;
 }
 
-let run ?(n_nodes = 52) ?(duration = 6.0 *. 86_400.0) ?(window = 3600.0)
-    ?(peak_rate = 0.05) ~seed () =
+let run ?(n_nodes = 52) ?(duration = 6.0 *. 86_400.0) ?(window = 3600.0) ~seed () =
   let config =
     {
       Sim.default_config with
@@ -31,7 +30,7 @@ let run ?(n_nodes = 52) ?(duration = 6.0 *. 86_400.0) ?(window = 3600.0)
   let clients = Array.of_list (Live.active_nodes live) in
   let n_clients = Array.length clients in
   let rng = Repro_util.Rng.create (seed + 1) in
-  let wl = Workload.generate ~rng ~n_clients ~duration ~peak_rate () in
+  let wl = Workload.generate ~rng ~n_clients ~duration () in
   Array.iter
     (fun (r : Workload.request) ->
       ignore

@@ -21,8 +21,8 @@ val run :
   ?n_nodes:int ->
   ?duration:float ->
   ?window:float ->
-  ?peak_rate:float ->
   seed:int ->
   unit ->
   result
-(** Defaults: 52 nodes, 6 days, 1-hour windows. *)
+(** Defaults: 52 nodes, 6 days, 1-hour windows. Clients request at
+    {!Workload.generate}'s default peak rate. *)

@@ -22,8 +22,10 @@ let intensity t =
   in
   if weekend then 0.15 *. daily else daily
 
-let generate ?(n_objects = 10_000) ?(zipf_s = 0.9) ?(peak_rate = 0.05) ~rng ~n_clients
-    ~duration () =
+(* Zipf exponent of object popularity: web-like skew *)
+let zipf_s = 0.9
+
+let generate ?(n_objects = 10_000) ?(peak_rate = 0.05) ~rng ~n_clients ~duration () =
   if n_clients <= 0 || duration <= 0.0 then invalid_arg "Workload.generate";
   let zipf = Repro_util.Stats.Zipf.create ~n:n_objects ~s:zipf_s in
   let reqs = ref [] in

@@ -11,7 +11,6 @@ type t
 
 val generate :
   ?n_objects:int ->
-  ?zipf_s:float ->
   ?peak_rate:float ->
   rng:Repro_util.Rng.t ->
   n_clients:int ->
@@ -20,7 +19,7 @@ val generate :
   t
 (** [peak_rate] is requests per second per client at the busiest hour
     (default 0.05). Weekends run at 15% of weekday intensity; nights at
-    10%. [zipf_s] defaults to 0.9 (web-like popularity skew). *)
+    10%. Object popularity is Zipf with exponent 0.9 (web-like skew). *)
 
 val requests : t -> request array
 (** Time-sorted. *)

@@ -503,6 +503,118 @@ let test_suspected_set_sorted () =
     [ Nodeid.to_hex c.Peer.id; Nodeid.to_hex d.Peer.id ]
     (List.map Nodeid.to_hex (Node.suspected_set node))
 
+(* ---------------- failure verdicts and µ (§3.2, §4.1) ---------------- *)
+
+(* the failures fed to µ so far. Under K = 16 failures the estimate is
+   n / (m · (now − join)), and the node joined at 0, where m is the leaf
+   set plus the table entries outside it *)
+let failures_fed s node =
+  let ls = Node.leafset node in
+  let m = ref (Pastry.Leafset.size ls) in
+  Pastry.Routing_table.iter
+    (fun e -> if not (Pastry.Leafset.mem ls e.Pastry.Routing_table.peer.Peer.id) then incr m)
+    (Node.table node);
+  int_of_float (Float.round (Node.estimated_mu node *. float_of_int !m *. Engine.now s.engine))
+
+let in_table node (p : Peer.t) =
+  Option.is_some (Pastry.Routing_table.find (Node.table node) p.Peer.id)
+
+let in_leafset node (p : Peer.t) = Pastry.Leafset.mem (Node.leafset node) p.Peer.id
+
+let suspected node (p : Peer.t) =
+  List.exists (Nodeid.equal p.Peer.id) (Node.suspected_set node)
+
+(* a bootstrapped node with three peers: [left] (its left neighbour,
+   also a routing-table entry) is silent, while [right] and [far] answer
+   leaf-set probes and send a heartbeat every second. Returns
+   [until t], which runs the scenario to time [t] and returns the times
+   at which the node sent [left] a routing-table probe. *)
+let silent_left_neighbour () =
+  let s = make_script () in
+  let node = Node.create ~cfg ~env:(env_of s) ~id:(hexid "a0") ~addr:0 in
+  Node.bootstrap node;
+  let left = Peer.make (hexid "90") 2 in
+  let right = Peer.make (hexid "b0") 1 and far = Peer.make (hexid "c0") 3 in
+  List.iter (greet node) [ left; right; far ];
+  Node.handle node ~src:2 (M.make ~sender:left (M.Rtt_report { rtt = 0.05 }));
+  let talk (p : Peer.t) payload = Node.handle node ~src:p.Peer.addr (M.make ~sender:p payload) in
+  let rt_probes = ref [] and steps = ref 0 in
+  let answer (dst, (m : M.t)) =
+    match m.M.payload with
+    | M.Rt_probe _ when dst = left.Peer.addr -> rt_probes := Engine.now s.engine :: !rt_probes
+    | M.Ls_probe _ ->
+        List.iter
+          (fun (p : Peer.t) ->
+            if p.Peer.addr = dst then
+              talk p (M.Ls_probe_reply { leaf = []; failed = []; trt = 30.0 }))
+          [ right; far ]
+    | _ -> ()
+  in
+  let rec until t =
+    if Engine.now s.engine < t then begin
+      Engine.run s.engine ~until:(Float.min t (Engine.now s.engine +. 0.1));
+      List.iter answer (take_sent s);
+      incr steps;
+      if !steps mod 10 = 0 then List.iter (fun p -> talk p M.Heartbeat) [ right; far ];
+      until t
+    end
+  in
+  ( s,
+    node,
+    left,
+    far,
+    fun t ->
+      until t;
+      List.rev !rt_probes )
+
+let test_rt_exhaustion_escalates () =
+  let _s, node, left, _far, until = silent_left_neighbour () in
+  (match until 79.0 with
+  | first :: _ -> Alcotest.(check (float 0.05)) "rt probe starts on the gossiped Trt" 69.6 first
+  | [] -> Alcotest.fail "no routing-table probe of the silent entry");
+  Alcotest.(check bool) "out of the table" false (in_table node left);
+  Alcotest.(check bool) "still a leaf" true (in_leafset node left);
+  Alcotest.(check bool) "not suspected" false (suspected node left);
+  Alcotest.(check int) "no failed mark" 0 (List.length (Node.failed_set node));
+  Alcotest.(check int) "one leaf-set probe out" 1 (Node.pending_probes node);
+  ignore (until 88.0);
+  Alcotest.(check bool) "out of the leaf set" false (in_leafset node left);
+  Alcotest.(check bool) "suspected" true (suspected node left)
+
+(* the failures each verdict feeds to µ, double counts included: the
+   routing-table probe, the leaf-set probe it escalates to, every
+   revalidation relapse and a Goodbye each count one *)
+let test_failure_verdicts_feed_mu () =
+  let s, node, _left, far, until = silent_left_neighbour () in
+  List.iter
+    (fun (t, n) ->
+      ignore (until t);
+      Alcotest.(check int) (Printf.sprintf "failures by %.0f s" t) n (failures_fed s node))
+    [ (69.0, 0); (79.0, 1); (88.0, 2); (127.0, 3); (196.0, 4); (325.0, 5) ];
+  Node.handle node ~src:far.Peer.addr (M.make ~sender:far M.Goodbye);
+  Alcotest.(check int) "goodbye" 6 (failures_fed s node);
+  (* a routing-table entry outside the leaf set (l = 2) *)
+  let cfg = { cfg with Config.l = 2; max_hop_reroutes = 0 } in
+  let s = make_script () in
+  let node = Node.create ~cfg ~env:(env_of s) ~id:(hexid "a0") ~addr:0 in
+  Node.bootstrap node;
+  let stranger = Peer.make (hexid "f0") 4 in
+  List.iter (greet node) [ Peer.make (hexid "b0") 1; Peer.make (hexid "90") 2 ];
+  Node.handle node ~src:4 (M.make ~sender:stranger (M.Rtt_report { rtt = 0.05 }));
+  Node.lookup node ~key:(hexid "f8") ~seq:1;
+  advance s (0.6 +. (float_of_int (Config.max_probe_retries + 1) *. Config.t_out) +. 1.0);
+  Alcotest.(check bool) "stranger evicted" false (in_table node stranger);
+  Alcotest.(check int) "stranger's rt probe" 1 (failures_fed s node);
+  (* a claimed failure that the leaf-set probe confirms *)
+  let s, node, other = active_pair () in
+  let third = Peer.make (hexid "c0") 2 in
+  greet node third;
+  Node.handle node ~src:1
+    (M.make ~sender:other
+       (M.Ls_probe { leaf = []; failed = [ third.Peer.id ]; trt = 30.0; target = hexid "a0" }));
+  advance s (float_of_int (Config.max_probe_retries + 1) *. Config.t_out +. 1.0);
+  Alcotest.(check int) "confirmed claim" 1 (failures_fed s node)
+
 (* ---------------- misc handlers ---------------- *)
 
 let test_rt_probe_replied () =
@@ -838,6 +950,9 @@ let suite =
         Alcotest.test_case "direct message lifts exclusion, probe and failed mark" `Quick
           test_direct_message_lifts_exclusion;
         Alcotest.test_case "suspected set sorted" `Quick test_suspected_set_sorted;
+        Alcotest.test_case "routing-table probe exhaustion of a leaf member escalates" `Quick
+          test_rt_exhaustion_escalates;
+        Alcotest.test_case "failure verdicts feed µ" `Quick test_failure_verdicts_feed_mu;
         Alcotest.test_case "rt probe replied" `Quick test_rt_probe_replied;
         Alcotest.test_case "distance probe replied" `Quick test_distance_probe_replied;
         Alcotest.test_case "rtt report installs entry" `Quick test_rtt_report_installs;
